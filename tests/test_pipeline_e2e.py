@@ -5,6 +5,7 @@ would, and assert on the artifacts left behind: the retained dataset,
 the verdict log, the call ledger, the funnel, and the exit codes.
 """
 
+import hashlib
 import json
 import shutil
 from collections import Counter
@@ -27,6 +28,19 @@ BYTE_STABLE_ARTIFACTS = [
     "annotated.jsonl",
     "stats.json",
 ]
+
+# sha256 of the run's record-bearing artifacts on the scripted corpus. Image
+# refs are relative, so these do not depend on where the corpus lives.
+# stats.json and the manifests are left out: they carry config_digest.
+PINNED_SHA256 = {
+    "figure_contexts.jsonl": "887d8246e6f508d263abf25c4333319530eaef5526023e791bf5575eb4b53ebc",
+    "claims.jsonl": "b6c121726073b5e9f8cadfe3ab7ce86806e95699f6fcc33c18bd34d67aab9bd5",
+    "candidates.jsonl": "7319a148237e8d54f7a1a666237e405a1b586748280d28c00a892bb2da107545",
+    "declined.jsonl": "2970bcd4cde5acd313f00cdfc49ed9f17d88371a5146c4b9c429c60f12f82227",
+    "verdict_log.jsonl": "b04c1e7502e04259751a73ede9f7aa620420c9c8b9900552f8e57eb63b81d472",
+    "retained.jsonl": "ef01e7d327493b2219157d57404727168bcb48481dd21ce0768dc613bdfb2dc2",
+    "annotated.jsonl": "04aa1302d8f5533c14659760a44a148efea3aef26a38637d74e092ff6dd99179",
+}
 
 
 def read_jsonl(path: Path) -> list[dict]:
@@ -141,6 +155,13 @@ class TestFullRun:
 
 
 class TestDeterminism:
+    def test_artifacts_match_pinned_digests(self, full_run):
+        got = {
+            name: hashlib.sha256((full_run.out / name).read_bytes()).hexdigest()
+            for name in PINNED_SHA256
+        }
+        assert got == PINNED_SHA256
+
     def test_three_runs_are_byte_identical(self, e2e_bundle, run_cli, tmp_path):
         contents: dict[str, set[bytes]] = {name: set() for name in BYTE_STABLE_ARTIFACTS}
         for i in range(3):
