@@ -11,6 +11,7 @@ Run with: python3 demos/03_mock_pipeline_run.py
 
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,7 +135,7 @@ def main() -> None:
 
     print()
     print("verified record:")
-    print(json.dumps(record.to_json_dict(), indent=2))
+    print(json.dumps(asdict(record), indent=2))
 
     print()
     stats = compute_funnel(papers=1, claims=1, qa_generated=1,

@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
-2 configuration error, 3 upstream-input error, 4 endpoint auth error.
+2 configuration error, 3 upstream-input error (a missing, truncated or
+corrupt input file, or a failed verdict replay), 4 endpoint auth error.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ def _common_options(fn):
     return fn
 
 
-def _config_from_params(config_path, **params) -> RunConfig:
-    return _build_config(config_path, params)
-
-
 @click.group(help="Generate and verify multiple-choice QA about scientific figures.")
 def main():
     pass
@@ -90,7 +87,7 @@ def main():
 @_common_options
 @_handle_errors
 def prepare(config_path, **params):
-    manifest = pipeline.stage_prepare(_config_from_params(config_path, **params))
+    manifest = pipeline.stage_prepare(_build_config(config_path, params))
     click.echo(
         f"prepared {manifest['papers_prepared']} of {manifest['papers_in']} papers "
         f"({len(manifest['skipped'])} skipped)"
@@ -101,7 +98,7 @@ def prepare(config_path, **params):
 @_common_options
 @_handle_errors
 def extract(config_path, **params):
-    manifest = pipeline.stage_extract(_config_from_params(config_path, **params))
+    manifest = pipeline.stage_extract(_build_config(config_path, params))
     click.echo(
         f"extracted {manifest['contexts']} contexts from {manifest['figures_in']} figures "
         f"(discards: {json.dumps(manifest['discards'], sort_keys=True)})"
@@ -112,7 +109,7 @@ def extract(config_path, **params):
 @_common_options
 @_handle_errors
 def generate(config_path, **params):
-    manifest = pipeline.stage_generate(_config_from_params(config_path, **params))
+    manifest = pipeline.stage_generate(_build_config(config_path, params))
     click.echo(
         f"generated {manifest['candidates']} candidates from {manifest['claims']} claims "
         f"({manifest['declined']} declined)"
@@ -123,7 +120,7 @@ def generate(config_path, **params):
 @_common_options
 @_handle_errors
 def verify(config_path, **params):
-    manifest = pipeline.stage_verify(_config_from_params(config_path, **params))
+    manifest = pipeline.stage_verify(_build_config(config_path, params))
     click.echo(
         f"retained {manifest['retained']} of {manifest['candidates']} candidates "
         f"(rejected: {json.dumps(manifest['rejected_by_stage'], sort_keys=True)})"
@@ -134,7 +131,7 @@ def verify(config_path, **params):
 @_common_options
 @_handle_errors
 def annotate(config_path, **params):
-    manifest = pipeline.stage_annotate(_config_from_params(config_path, **params))
+    manifest = pipeline.stage_annotate(_build_config(config_path, params))
     click.echo(
         f"annotated {manifest['records']} records "
         f"(figure type {manifest['figure_type_labeled']}, "
@@ -150,7 +147,7 @@ def annotate(config_path, **params):
               help="Fail when more than this many items stay unevaluated.")
 @_handle_errors
 def evaluate(config_path, unevaluated_threshold, **params):
-    cfg = _config_from_params(config_path, **params)
+    cfg = _build_config(config_path, params)
     if unevaluated_threshold is not None:
         cfg.unevaluated_threshold = unevaluated_threshold
     summary = pipeline.stage_evaluate(cfg)
@@ -168,7 +165,7 @@ def evaluate(config_path, unevaluated_threshold, **params):
 @_common_options
 @_handle_errors
 def stats(config_path, **params):
-    summary = pipeline.stage_stats(_config_from_params(config_path, **params))
+    summary = pipeline.stage_stats(_build_config(config_path, params))
     click.echo(summary["table"])
     click.echo(summary["replay_summary"])
     if not summary["replay_ok"]:
@@ -181,7 +178,7 @@ def stats(config_path, **params):
               type=click.Choice(STAGE_ORDER), help="Stage to run; repeatable.")
 @_handle_errors
 def run_command(config_path, stages, **params):
-    cfg = _config_from_params(config_path, **params)
+    cfg = _build_config(config_path, params)
     manifests = run_stages(cfg, list(stages) or None)
     for manifest in manifests:
         name = manifest.get("stage", "?")

@@ -8,11 +8,10 @@ byte-comparable. Funnel percentages follow the published-table presentation
 from __future__ import annotations
 
 import json
-import hashlib
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -46,23 +45,6 @@ QUESTION_TYPES = (
 
 OPTION_COUNT = 4
 
-# Serialization order for record fields; reads validate against this set.
-RECORD_FIELDS = (
-    "key",
-    "arxiv_id",
-    "primary_category",
-    "figure_index",
-    "figure_image_ref",
-    "caption",
-    "question",
-    "options",
-    "correct_index",
-    "reasoning",
-    "figure_type",
-    "question_type",
-    "provenance",
-)
-
 
 @dataclass
 class VerifiedRecord:
@@ -84,18 +66,9 @@ class VerifiedRecord:
     def correct_letter(self) -> str:
         return chr(65 + self.correct_index)
 
-    def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in RECORD_FIELDS}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerifiedRecord":
-        return cls(**{name: data[name] for name in RECORD_FIELDS})
-
-
-def record_digest(record: VerifiedRecord) -> str:
-    """Stable content hash over canonicalized fields."""
-    canonical = json.dumps(record.to_json_dict(), sort_keys=True, ensure_ascii=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+# Serialization order for record fields; reads validate against this set.
+RECORD_FIELDS = tuple(f.name for f in fields(VerifiedRecord))
 
 
 @dataclass
@@ -106,16 +79,6 @@ class FunnelStats:
     after_text_filtering: int
     after_vision_filtering: int
     retention: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "papers": self.papers,
-            "claims": self.claims,
-            "qa_generated": self.qa_generated,
-            "after_text_filtering": self.after_text_filtering,
-            "after_vision_filtering": self.after_vision_filtering,
-            "retention": self.retention,
-        }
 
     def format_table(self) -> str:
         rows = [
@@ -180,14 +143,7 @@ def compute_funnel(
                 f"{names[i]} ({chain[i]}) exceeds {names[i - 1]} ({chain[i - 1]})"
             )
     retention = {name: _round_published(count, claims) for name, count in zip(names, chain)}
-    return FunnelStats(
-        papers=papers,
-        claims=claims,
-        qa_generated=qa_generated,
-        after_text_filtering=after_text_filtering,
-        after_vision_filtering=after_vision_filtering,
-        retention=retention,
-    )
+    return FunnelStats(**counts, retention=retention)
 
 
 _TAG_STRIP_RE = re.compile(r"</?[A-Za-z][^>]*>")
@@ -304,10 +260,47 @@ def stratified_sample(
     return sample
 
 
-def write_dataset(records: list[VerifiedRecord], path: str | Path) -> None:
+def read_jsonl(path: str | Path, check=None) -> list[dict]:
+    """Every JSON object in a line-delimited file, blank lines skipped.
+
+    A line that is not a JSON object (a truncated write, say) raises
+    SchemaViolation naming the file and line; check(row, line_no), when
+    given, validates each row the same way.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                detail = f"invalid JSON in {path}: {exc.msg} (column {exc.colno})"
+                raise SchemaViolation(line_no, "<line>", detail) from exc
+            if not isinstance(row, dict):
+                raise SchemaViolation(line_no, "<line>", f"expected JSON object in {path}")
+            if check is not None:
+                check(row, line_no)
+            rows.append(row)
+    return rows
+
+
+def write_jsonl(path: str | Path, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Pretty, key-sorted JSON for manifests and summaries."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        fh.write("\n")
+
+
+def write_dataset(records: list[VerifiedRecord], path: str | Path) -> None:
+    write_jsonl(path, (asdict(record) for record in records))
 
 
 _FIELD_TYPES = {
@@ -355,18 +348,7 @@ def _validate_record_dict(data: dict, line_no: int) -> None:
 
 
 def read_dataset(path: str | Path) -> list[VerifiedRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(line_no, "<line>", f"invalid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise SchemaViolation(line_no, "<line>", "expected JSON object")
-            _validate_record_dict(data, line_no)
-            records.append(VerifiedRecord.from_json_dict(data))
-    return records
+    return [
+        VerifiedRecord(**{name: row[name] for name in RECORD_FIELDS})
+        for row in read_jsonl(path, _validate_record_dict)
+    ]

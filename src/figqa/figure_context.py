@@ -16,6 +16,7 @@ from .latex_prep import CleanPaper, RawPaper, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
 CITATION_COMMANDS = ("ref", "cref", "autoref")
+_CITATION_RE = re.compile(r"\\(?:" + "|".join(CITATION_COMMANDS) + r")\*?\s*\{([^{}]*)\}")
 
 
 class DiscardKind(str, enum.Enum):
@@ -187,32 +188,23 @@ def match_caption_to_environment(
     return environments[hits[0][0]]
 
 
-def extract_figure_labels(env: FigureEnvironment) -> list[str]:
-    """All \\label arguments in the environment, document order."""
-    return list(env.labels)
-
-
 def find_citing_paragraphs(
     label: str | list[str],
     paragraphs: list[str],
-    commands: tuple[str, ...] = CITATION_COMMANDS,
     skip_indices: frozenset[int] = frozenset(),
 ) -> list[str]:
-    """Paragraphs citing the label(s) via reference commands, exact-key match.
+    """Paragraphs citing the label(s) via CITATION_COMMANDS, exact-key match.
 
     Multi-key references like \\cref{fig:a,fig:b} count when any key equals
     a target label. skip_indices excludes paragraphs by position (used to
     drop the paragraph holding the figure environment itself).
     """
     targets = {label} if isinstance(label, str) else set(label)
-    pattern = re.compile(
-        r"\\(?:" + "|".join(re.escape(c) for c in commands) + r")\*?\s*\{([^{}]*)\}"
-    )
     hits = []
     for i, para in enumerate(paragraphs):
         if i in skip_indices:
             continue
-        for m in pattern.finditer(para):
+        for m in _CITATION_RE.finditer(para):
             keys = {k.strip() for k in m.group(1).split(",")}
             if keys & targets:
                 hits.append(para)
@@ -233,7 +225,6 @@ def build_figure_contexts(
     clean: CleanPaper,
     raw: RawPaper,
     threshold: float = CAPTION_MATCH_THRESHOLD,
-    commands: tuple[str, ...] = CITATION_COMMANDS,
     separator: str = "\n\n",
     figure_indices: list[int] | None = None,
 ) -> tuple[list[FigureContext], list[tuple[int, DiscardReason]]]:
@@ -277,7 +268,7 @@ def build_figure_contexts(
     for pos in sorted(matched):
         env = matched[pos]
         image_ref, caption = pairs[pos]
-        labels = extract_figure_labels(env)
+        labels = env.labels
         if not labels:
             discards[pos] = DiscardReason(DiscardKind.NO_LABEL, "no \\label in environment")
             continue
@@ -286,7 +277,7 @@ def build_figure_contexts(
             for i, (s, e) in enumerate(para_spans)
             if s < env.span[1] and env.span[0] < e
         )
-        citing = find_citing_paragraphs(labels, clean.paragraphs, commands, skip)
+        citing = find_citing_paragraphs(labels, clean.paragraphs, skip)
         if not citing:
             discards[pos] = DiscardReason(
                 DiscardKind.NO_CITING_PARAGRAPH,

@@ -141,7 +141,7 @@ _PATTERNS_RE = re.compile(r"<Patterns>(.*?)</Patterns>", re.DOTALL | re.IGNORECA
 _OPTION_TAG_RE = re.compile(r"<option>(.*?)</option>", re.DOTALL | re.IGNORECASE)
 
 
-def _is_bare_none(text: str) -> bool:
+def is_bare_none(text: str) -> bool:
     return text.strip().rstrip(".").strip().lower() == "none"
 
 
@@ -153,12 +153,12 @@ def parse_patterns_block(response: str) -> list[str] | None:
     """
     m = _PATTERNS_RE.search(response)
     if m is None:
-        if _is_bare_none(response):
+        if is_bare_none(response):
             return None
         raise MalformedResponse("no <Patterns> block and response is not 'None'")
     lines = [line.strip() for line in m.group(1).splitlines()]
     lines = [line for line in lines if line]
-    if not lines or (len(lines) == 1 and _is_bare_none(lines[0])):
+    if not lines or (len(lines) == 1 and is_bare_none(lines[0])):
         return None
     return lines
 
@@ -198,7 +198,7 @@ def parse_option_tag(response: str, option_count: int) -> str:
     return value
 
 
-class _TokenBucket:
+class TokenBucket:
     """Simple token bucket: capacity and refill rate from requests/minute."""
 
     def __init__(self, requests_per_minute: int):
@@ -224,15 +224,14 @@ class _TokenBucket:
 class HttpEndpoint:
     """Chat-completion client over HTTP with retry, backoff, and rate limit."""
 
-    def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, session=None):
+    def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, session=None, bucket=None):
         self.config = config
         self._sleep = sleep
         self._session = session or requests.Session()
-        self._bucket = (
-            _TokenBucket(config.requests_per_minute)
-            if config.requests_per_minute
-            else None
-        )
+        # A bucket passed in is shared with other endpoints of one address.
+        if bucket is None and config.requests_per_minute:
+            bucket = TokenBucket(config.requests_per_minute)
+        self._bucket = bucket
 
     @property
     def role(self) -> str:

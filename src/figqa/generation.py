@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedResponse
 from .figure_context import FigureContext
-from .gateway import complete_text, format_options, parse_patterns_block, render_template
+from .gateway import complete_text, is_bare_none, parse_patterns_block, render_template
 
 CLAIM_PREFIX = "the figure shows"
 OPTION_COUNT = 4
@@ -135,10 +135,6 @@ def parse_qa_response(response: str) -> dict[str, object]:
     return {"question": questions[0], "correct": corrects[0], "distractors": distractors}
 
 
-def _is_bare_none(response: str) -> bool:
-    return response.strip().rstrip(".").strip().lower() == "none"
-
-
 def generate_qa(
     claim: AtomicClaim,
     ctx: FigureContext,
@@ -160,7 +156,7 @@ def generate_qa(
     parsed = None
     for attempt in (0, 1):
         response, _ = complete_text(endpoint, prompt)
-        if _is_bare_none(response):
+        if is_bare_none(response):
             return Declined(claim.key, "model_declined", "model output None")
         try:
             parsed = parse_qa_response(response)
@@ -201,7 +197,3 @@ def generate_qa(
         option_permutation=permutation,
         context_digest=context_digest(ctx.context),
     )
-
-
-def options_block(candidate: QACandidate) -> str:
-    return format_options(candidate.options)

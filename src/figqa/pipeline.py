@@ -15,7 +15,7 @@ import logging
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .eval_harness import evaluate, format_report
 from .figure_context import FigureContext, build_figure_contexts
-from .gateway import HttpEndpoint, MockBackend, ModelEndpointConfig, load_templates
+from .gateway import HttpEndpoint, MockBackend, ModelEndpointConfig, TokenBucket, load_templates
 from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
 from .latex_prep import CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
@@ -71,7 +71,6 @@ class RunConfig:
     seed: int = 42
     threshold: float = 0.9
     concurrency: int = 1
-    batch_size: int = 1000
     paragraph_separator: str = "\n\n"
     target_size: int | None = None
     require_unanimous_vision: bool = False
@@ -85,8 +84,6 @@ class RunConfig:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
 
@@ -95,7 +92,6 @@ class RunConfig:
         payload = {
             "seed": self.seed,
             "threshold": self.threshold,
-            "batch_size": self.batch_size,
             "paragraph_separator": self.paragraph_separator,
             "target_size": self.target_size,
             "require_unanimous_vision": self.require_unanimous_vision,
@@ -134,8 +130,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "output" not in data:
@@ -177,7 +172,18 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
             raise ConfigError(
                 f"live runs need an endpoints.{required} entry with a base_url"
             )
-    return {name: HttpEndpoint(cfg.endpoint_config(name)) for name in ROLE_DEFAULTS}
+    # Slots that inherit one address and limit share one bucket, so the
+    # configured requests_per_minute caps their combined rate.
+    buckets: dict[tuple, TokenBucket] = {}
+    endpoints = {}
+    for name in ROLE_DEFAULTS:
+        config = cfg.endpoint_config(name)
+        bucket = None
+        if config.requests_per_minute:
+            address = (config.base_url, config.api_key_env, config.requests_per_minute)
+            bucket = buckets.setdefault(address, TokenBucket(config.requests_per_minute))
+        endpoints[name] = HttpEndpoint(config, bucket=bucket)
+    return endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -198,80 +204,34 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
     path = Path(path)
     if not path.is_file():
         raise UpstreamInputError(f"corpus file not found: {path}")
-    rows: list[CorpusRow] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(line_no, "<line>", f"invalid JSON: {exc}") from exc
-            for name, kind in (
-                ("arxiv_id", str),
-                ("primary_category", str),
-                ("figure_index", int),
-                ("image", str),
-                ("caption", str),
-            ):
-                if name not in data:
-                    raise SchemaViolation(line_no, name, "missing field")
-                if not isinstance(data[name], kind) or (
-                    kind is int and isinstance(data[name], bool)
-                ):
-                    raise SchemaViolation(line_no, name, f"expected {kind.__name__}")
-            if not data["arxiv_id"]:
-                raise SchemaViolation(line_no, "arxiv_id", "must be non-empty")
-            if data["figure_index"] < 0:
-                raise SchemaViolation(line_no, "figure_index", "must be non-negative")
-            pair = (data["arxiv_id"], data["figure_index"])
-            if pair in seen:
-                raise SchemaViolation(line_no, "figure_index", f"duplicate figure {pair}")
-            seen.add(pair)
-            rows.append(
-                CorpusRow(
-                    arxiv_id=data["arxiv_id"],
-                    primary_category=data["primary_category"],
-                    figure_index=data["figure_index"],
-                    image=data["image"],
-                    caption=data["caption"],
-                )
-            )
-    return rows
+
+    def check(data: dict, line_no: int) -> None:
+        for f in fields(CorpusRow):
+            kind = int if f.name == "figure_index" else str
+            if f.name not in data:
+                raise SchemaViolation(line_no, f.name, "missing field")
+            if not isinstance(data[f.name], kind) or (kind is int and isinstance(data[f.name], bool)):
+                raise SchemaViolation(line_no, f.name, f"expected {kind.__name__}")
+        if not data["arxiv_id"]:
+            raise SchemaViolation(line_no, "arxiv_id", "must be non-empty")
+        if data["figure_index"] < 0:
+            raise SchemaViolation(line_no, "figure_index", "must be non-negative")
+        pair = (data["arxiv_id"], data["figure_index"])
+        if pair in seen:
+            raise SchemaViolation(line_no, "figure_index", f"duplicate figure {pair}")
+        seen.add(pair)
+
+    return [
+        CorpusRow(**{f.name: row[f.name] for f in fields(CorpusRow)})
+        for row in ds.read_jsonl(path, check)
+    ]
 
 
 def _require_file(path: Path, producer: str) -> Path:
     if not path.is_file():
         raise UpstreamInputError(f"missing {path.name}; run the {producer} stage first")
     return path
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
-def _write_manifest(path: Path, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-
-
-def _batches(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,44 +249,43 @@ def stage_prepare(cfg: RunConfig) -> dict:
     for row in rows:
         papers.setdefault(row.arxiv_id, []).append(row)
 
-    # The paper pool is shuffled once per run seed, then processed in
-    # batches; both orders are deterministic for a given seed.
+    # The paper pool is shuffled once per run seed, so the order is
+    # deterministic for a given seed.
     ids = sorted(papers)
     random.Random(cfg.seed).shuffle(ids)
 
     cache = Path(cfg.latex_cache)
     prepared_rows: list[dict] = []
     skipped: list[dict] = []
-    for batch in _batches(ids, cfg.batch_size):
-        for arxiv_id in batch:
-            fig_rows = sorted(papers[arxiv_id], key=lambda r: r.figure_index)
-            tex_path = cache / f"{arxiv_id}.tex"
-            if not tex_path.is_file():
-                skipped.append({"arxiv_id": arxiv_id, "reason": "missing_latex_source"})
-                continue
-            raw = RawPaper(
-                arxiv_id=arxiv_id,
-                primary_category=fig_rows[0].primary_category,
-                latex_source=tex_path.read_text(encoding="utf-8"),
-                figure_caption_pairs=[(r.image, r.caption) for r in fig_rows],
-            )
-            try:
-                clean = clean_paper(raw, separator=cfg.paragraph_separator)
-            except RecursionLimitExceeded:
-                skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
-                continue
-            prepared_rows.append(
-                {
-                    "arxiv_id": arxiv_id,
-                    "primary_category": raw.primary_category,
-                    "paragraphs": clean.paragraphs,
-                    "figures": [
-                        {"figure_index": r.figure_index, "image": r.image, "caption": r.caption}
-                        for r in fig_rows
-                    ],
-                }
-            )
-    _write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
+    for arxiv_id in ids:
+        fig_rows = sorted(papers[arxiv_id], key=lambda r: r.figure_index)
+        tex_path = cache / f"{arxiv_id}.tex"
+        if not tex_path.is_file():
+            skipped.append({"arxiv_id": arxiv_id, "reason": "missing_latex_source"})
+            continue
+        raw = RawPaper(
+            arxiv_id=arxiv_id,
+            primary_category=fig_rows[0].primary_category,
+            latex_source=tex_path.read_text(encoding="utf-8"),
+            figure_caption_pairs=[(r.image, r.caption) for r in fig_rows],
+        )
+        try:
+            clean = clean_paper(raw, separator=cfg.paragraph_separator)
+        except RecursionLimitExceeded:
+            skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
+            continue
+        prepared_rows.append(
+            {
+                "arxiv_id": arxiv_id,
+                "primary_category": raw.primary_category,
+                "paragraphs": clean.paragraphs,
+                "figures": [
+                    {"figure_index": r.figure_index, "image": r.image, "caption": r.caption}
+                    for r in fig_rows
+                ],
+            }
+        )
+    ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
     manifest = {
         "stage": "prepare",
         "papers_in": len(papers),
@@ -335,14 +294,14 @@ def stage_prepare(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "config_digest": cfg.config_digest(),
     }
-    _write_manifest(out_dir / "manifest_prepare.json", manifest)
+    ds.write_json(out_dir / "manifest_prepare.json", manifest)
     return manifest
 
 
 def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
-    papers = _read_jsonl(_require_file(out_dir / "papers_clean.jsonl", "prepare"))
+    papers = ds.read_jsonl(_require_file(out_dir / "papers_clean.jsonl", "prepare"))
 
     context_rows: list[dict] = []
     discard_rows: list[dict] = []
@@ -375,20 +334,10 @@ def stage_extract(cfg: RunConfig) -> dict:
                 f"conservation violated for {paper['arxiv_id']}: "
                 f"{len(contexts)}+{len(discards)} != {len(indices)}"
             )
-        for ctx in contexts:
-            context_rows.append(
-                {
-                    "arxiv_id": ctx.arxiv_id,
-                    "primary_category": paper["primary_category"],
-                    "figure_index": ctx.figure_index,
-                    "figure_image_ref": ctx.figure_image_ref,
-                    "caption": ctx.caption,
-                    "label": ctx.label,
-                    "context": ctx.context,
-                    "citing_paragraph_count": ctx.citing_paragraph_count,
-                    "latex_caption": ctx.latex_caption,
-                }
-            )
+        context_rows.extend(
+            {"arxiv_id": ctx.arxiv_id, "primary_category": paper["primary_category"], **asdict(ctx)}
+            for ctx in contexts
+        )
         for figure_index, reason in discards:
             discard_counts[reason.kind.value] = discard_counts.get(reason.kind.value, 0) + 1
             discard_rows.append(
@@ -399,8 +348,8 @@ def stage_extract(cfg: RunConfig) -> dict:
                     "detail": reason.detail,
                 }
             )
-    _write_jsonl(out_dir / "figure_contexts.jsonl", context_rows)
-    _write_jsonl(out_dir / "discards.jsonl", discard_rows)
+    ds.write_jsonl(out_dir / "figure_contexts.jsonl", context_rows)
+    ds.write_jsonl(out_dir / "discards.jsonl", discard_rows)
     manifest = {
         "stage": "extract",
         "papers": len(papers),
@@ -409,46 +358,26 @@ def stage_extract(cfg: RunConfig) -> dict:
         "discards": discard_counts,
         "config_digest": cfg.config_digest(),
     }
-    _write_manifest(out_dir / "manifest_extract.json", manifest)
+    ds.write_json(out_dir / "manifest_extract.json", manifest)
     return manifest
-
-
-def _context_from_row(row: dict) -> FigureContext:
-    return FigureContext(
-        arxiv_id=row["arxiv_id"],
-        figure_index=row["figure_index"],
-        figure_image_ref=row["figure_image_ref"],
-        caption=row["caption"],
-        label=row["label"],
-        context=row["context"],
-        citing_paragraph_count=row["citing_paragraph_count"],
-        latex_caption=row.get("latex_caption", ""),
-    )
 
 
 def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Extract claims per figure, then one QA candidate per claim."""
     out_dir = Path(cfg.output)
-    rows = _read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
+    rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
     def process(row: dict):
-        ctx = _context_from_row(row)
+        category = row["primary_category"]
+        ctx = FigureContext(**{k: v for k, v in row.items() if k != "primary_category"})
         claims = extract_claims(ctx, text_ep, templates)
-        results = []
-        for claim in claims:
-            results.append(
-                generate_qa(
-                    claim,
-                    ctx,
-                    text_ep,
-                    templates,
-                    cfg.seed,
-                    primary_category=row["primary_category"],
-                )
-            )
+        results = [
+            generate_qa(claim, ctx, text_ep, templates, cfg.seed, primary_category=category)
+            for claim in claims
+        ]
         return claims, results
 
     if cfg.concurrency > 1:
@@ -463,44 +392,18 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     text_seen: dict[tuple[str, str], int] = {}
     for (claims, results) in outputs:
         for claim in claims:
-            claim_rows.append(
-                {
-                    "key": claim.key,
-                    "arxiv_id": claim.arxiv_id,
-                    "figure_index": claim.figure_index,
-                    "ordinal": claim.ordinal,
-                    "text": claim.text,
-                }
-            )
+            claim_rows.append({"key": claim.key, **asdict(claim)})
             norm = (claim.arxiv_id, normalize_ws(claim.text).lower())
             text_seen[norm] = text_seen.get(norm, 0) + 1
         for result in results:
             if isinstance(result, Declined):
-                declined_rows.append(
-                    {"claim_key": result.claim_key, "reason": result.reason, "detail": result.detail}
-                )
+                declined_rows.append(asdict(result))
             else:
-                candidate_rows.append(
-                    {
-                        "key": result.key,
-                        "arxiv_id": result.arxiv_id,
-                        "figure_index": result.figure_index,
-                        "claim_ordinal": result.claim_ordinal,
-                        "question": result.question,
-                        "options": result.options,
-                        "correct_index": result.correct_index,
-                        "caption": result.caption,
-                        "figure_image_ref": result.figure_image_ref,
-                        "primary_category": result.primary_category,
-                        "claim_text": result.claim_text,
-                        "option_permutation": result.option_permutation,
-                        "context_digest": result.context_digest,
-                    }
-                )
+                candidate_rows.append(asdict(result))
     duplicate_claims = sum(count - 1 for count in text_seen.values() if count > 1)
-    _write_jsonl(out_dir / "claims.jsonl", claim_rows)
-    _write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
-    _write_jsonl(out_dir / "declined.jsonl", declined_rows)
+    ds.write_jsonl(out_dir / "claims.jsonl", claim_rows)
+    ds.write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
+    ds.write_jsonl(out_dir / "declined.jsonl", declined_rows)
     manifest = {
         "stage": "generate",
         "contexts": len(rows),
@@ -510,33 +413,15 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         "duplicate_claim_texts": duplicate_claims,
         "config_digest": cfg.config_digest(),
     }
-    _write_manifest(out_dir / "manifest_generate.json", manifest)
+    ds.write_json(out_dir / "manifest_generate.json", manifest)
     return manifest
-
-
-def _candidate_from_row(row: dict) -> QACandidate:
-    return QACandidate(
-        key=row["key"],
-        arxiv_id=row["arxiv_id"],
-        figure_index=row["figure_index"],
-        claim_ordinal=row["claim_ordinal"],
-        question=row["question"],
-        options=row["options"],
-        correct_index=row["correct_index"],
-        caption=row["caption"],
-        figure_image_ref=row["figure_image_ref"],
-        primary_category=row["primary_category"],
-        claim_text=row["claim_text"],
-        option_permutation=row["option_permutation"],
-        context_digest=row["context_digest"],
-    )
 
 
 def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
-    candidate_rows = _read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate"))
-    context_rows = _read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
+    candidate_rows = ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate"))
+    context_rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
     contexts = {
         f"{row['arxiv_id']}:f{row['figure_index']}": row["context"] for row in context_rows
     }
@@ -544,9 +429,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
-    candidates = sorted(
-        (_candidate_from_row(row) for row in candidate_rows), key=lambda c: c.key
-    )
+    candidates = sorted((QACandidate(**row) for row in candidate_rows), key=lambda c: c.key)
     for candidate in candidates:
         figure_key = f"{candidate.arxiv_id}:f{candidate.figure_index}"
         if figure_key not in contexts:
@@ -601,7 +484,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 
     retained.sort(key=lambda r: r.key)
     ds.write_dataset(retained, out_dir / "retained.jsonl")
-    _write_jsonl(out_dir / "verify_discards.jsonl", discarded)
+    ds.write_jsonl(out_dir / "verify_discards.jsonl", discarded)
     manifest = {
         "stage": "verify",
         "candidates": len(candidates),
@@ -612,7 +495,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         "deferred": len(queue),
         "config_digest": cfg.config_digest(),
     }
-    _write_manifest(out_dir / "manifest_verify.json", manifest)
+    ds.write_json(out_dir / "manifest_verify.json", manifest)
     return manifest
 
 
@@ -646,7 +529,7 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         "deferred_calls": deferred,
         "config_digest": cfg.config_digest(),
     }
-    _write_manifest(out_dir / "manifest_annotate.json", manifest)
+    ds.write_json(out_dir / "manifest_annotate.json", manifest)
     return manifest
 
 
@@ -665,9 +548,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     result = evaluate(endpoints["eval"], records, templates)
-    with open(out_dir / "eval_summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    ds.write_json(out_dir / "eval_summary.json", result.to_json_dict())
     report = format_report(result)
     (out_dir / "eval_report.txt").write_text(report + "\n", encoding="utf-8")
     return {
@@ -686,17 +567,16 @@ def stage_stats(cfg: RunConfig) -> dict:
     prepare_manifest = json.loads(
         _require_file(out_dir / "manifest_prepare.json", "prepare").read_text(encoding="utf-8")
     )
-    claims = len(_read_jsonl(_require_file(out_dir / "claims.jsonl", "generate")))
-    candidates = len(_read_jsonl(out_dir / "candidates.jsonl"))
+    claims = len(ds.read_jsonl(_require_file(out_dir / "claims.jsonl", "generate")))
+    candidates = len(ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate")))
     log_path = _require_file(out_dir / "verdict_log.jsonl", "verify")
     retained_path = _require_file(out_dir / "retained.jsonl", "verify")
-    log_rows = _read_jsonl(log_path)
     after_text = sum(
         1
-        for row in log_rows
+        for row in ds.read_jsonl(log_path)
         if row["filter"] == vf.FILTER_VISDEP_VISION and row["passed"]
     )
-    retained = len(_read_jsonl(retained_path))
+    retained = len(ds.read_jsonl(retained_path))
 
     funnel = None
     table = "funnel unavailable: no claims were extracted"
@@ -708,7 +588,7 @@ def stage_stats(cfg: RunConfig) -> dict:
             after_text_filtering=after_text,
             after_vision_filtering=retained,
         )
-        funnel = stats.to_json_dict()
+        funnel = asdict(stats)
         table = stats.format_table()
 
     report = replay_verdicts(log_path, retained_path)
@@ -724,9 +604,7 @@ def stage_stats(cfg: RunConfig) -> dict:
         "extraction_discards": discards,
         "config_digest": cfg.config_digest(),
     }
-    with open(out_dir / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    ds.write_json(out_dir / "stats.json", payload)
     return {
         "stage": "stats",
         "funnel": funnel,

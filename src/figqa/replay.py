@@ -5,14 +5,15 @@ written dataset: retention must equal the conjunction of all recorded
 verdicts, cascade order must short-circuit, and every retained record's
 reasoning must come from the vote that agrees with the majority. This
 deliberately re-reads the files from scratch instead of reusing the
-cascade implementation.
+cascade implementation; only the JSONL reader is shared.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .dataset import read_jsonl
 
 _CASCADE = (
     "SourceConsistency",
@@ -40,21 +41,11 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
 def replay_verdicts(verdict_log_path: str | Path, retained_path: str | Path) -> ReplayReport:
     """Check conjunction retention and vote/reasoning coupling from raw files."""
     problems: list[str] = []
-    log_rows = _read_jsonl(Path(verdict_log_path))
-    retained_rows = _read_jsonl(Path(retained_path))
+    log_rows = read_jsonl(verdict_log_path)
+    retained_rows = read_jsonl(retained_path)
 
     by_candidate: dict[str, dict[str, dict]] = {}
     seen: set[tuple[str, str]] = set()

@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .dataset import VerifiedRecord
@@ -55,41 +55,6 @@ class FilterVerdict:
     agreeing_run_index: int | None = None
     reasoning: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "candidate_key": self.candidate_key,
-            "filter": self.filter,
-            "passed": self.passed,
-            "model_selection": self.model_selection,
-            "transcript_ref": self.transcript_ref,
-            "selections": self.selections,
-            "majority": self.majority,
-            "agreeing_run_index": self.agreeing_run_index,
-            "reasoning": self.reasoning,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FilterVerdict":
-        return cls(
-            candidate_key=data["candidate_key"],
-            filter=data["filter"],
-            passed=data["passed"],
-            model_selection=data["model_selection"],
-            transcript_ref=data["transcript_ref"],
-            selections=data.get("selections"),
-            majority=data.get("majority"),
-            agreeing_run_index=data.get("agreeing_run_index"),
-            reasoning=data.get("reasoning"),
-        )
-
-
-@dataclass
-class VotingRecord:
-    selections: list[str]
-    majority: str  # letter or Tie
-    reasoning: str | None
-    agreeing_run_index: int | None
-
 
 class VerdictLog:
     """File-backed append-only map of (candidate, filter) to verdict."""
@@ -114,7 +79,7 @@ class VerdictLog:
                     # torn tail is intact because appends are fsynced.
                     logger.warning("verdict log %s: skipping torn line %d", self.path, line_no)
                     continue
-                verdict = FilterVerdict.from_json_dict(data)
+                verdict = FilterVerdict(**data)
                 key = (verdict.candidate_key, verdict.filter)
                 if key in self._entries:
                     logger.warning("verdict log %s: duplicate entry %s ignored", self.path, key)
@@ -133,7 +98,7 @@ class VerdictLog:
             if key in self._entries:
                 raise ValueError(f"verdict already recorded for {key}")
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(verdict.to_json_dict(), ensure_ascii=False) + "\n")
+                fh.write(json.dumps(asdict(verdict), ensure_ascii=False) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             self._entries[key] = verdict
@@ -167,18 +132,19 @@ def _parse_selection(response: str, option_count: int) -> str:
         return AMBIGUOUS
 
 
+def _render(template, candidate: QACandidate, **variables: str) -> str:
+    """A check prompt: the candidate's question and options plus variables."""
+    return render_template(
+        template,
+        {"question": candidate.question, "options": format_options(candidate.options), **variables},
+    )
+
+
 def check_source_consistency(
     candidate: QACandidate, context: str, text_endpoint, templates
 ) -> FilterVerdict:
     """Pass iff the text model uniquely recovers the correct answer from P."""
-    prompt = render_template(
-        templates["source_check"],
-        {
-            "context": context,
-            "question": candidate.question,
-            "options": format_options(candidate.options),
-        },
-    )
+    prompt = _render(templates["source_check"], candidate, context=context)
     response, transcript = complete_text(text_endpoint, prompt)
     selection = _parse_selection(response, len(candidate.options))
     return FilterVerdict(
@@ -196,14 +162,7 @@ def _visdep_stage(candidate: QACandidate, endpoint, templates, filter_name: str)
     The prompt carries caption, question, and options but no figure, for the
     text stage and the vision stage alike.
     """
-    prompt = render_template(
-        templates["visdep_check"],
-        {
-            "caption": candidate.caption,
-            "question": candidate.question,
-            "options": format_options(candidate.options),
-        },
-    )
+    prompt = _render(templates["visdep_check"], candidate, caption=candidate.caption)
     if endpoint.role == "vision":
         response, transcript = complete_vision(endpoint, prompt, None)
     else:
@@ -218,17 +177,6 @@ def _visdep_stage(candidate: QACandidate, endpoint, templates, filter_name: str)
     )
 
 
-def check_visual_dependence(
-    candidate: QACandidate, text_endpoint, vision_endpoint, templates
-) -> list[FilterVerdict]:
-    """Both stages of the no-figure check; stage 2 only runs if stage 1 passed."""
-    stage1 = _visdep_stage(candidate, text_endpoint, templates, FILTER_VISDEP_TEXT)
-    if not stage1.passed:
-        return [stage1]
-    stage2 = _visdep_stage(candidate, vision_endpoint, templates, FILTER_VISDEP_VISION)
-    return [stage1, stage2]
-
-
 def check_vision_consistency(
     candidate: QACandidate,
     vision_endpoint,
@@ -241,14 +189,7 @@ def check_vision_consistency(
     so the triple is re-issued atomically on retry. Ambiguous parses are
     recorded as abstentions: they can never agree with a letter majority.
     """
-    prompt = render_template(
-        templates["vision_answer"],
-        {
-            "caption": candidate.caption,
-            "question": candidate.question,
-            "options": format_options(candidate.options),
-        },
-    )
+    prompt = _render(templates["vision_answer"], candidate, caption=candidate.caption)
     responses = []
     digests = []
     for _ in range(VOTE_COUNT):
@@ -283,18 +224,6 @@ def check_vision_consistency(
         majority=majority,
         agreeing_run_index=agreeing_run_index,
         reasoning=reasoning,
-    )
-
-
-def voting_record(verdict: FilterVerdict) -> VotingRecord:
-    """The voting view of a VisionConsistency verdict."""
-    if verdict.filter != FILTER_VISION or verdict.selections is None:
-        raise ValueError("voting_record requires a VisionConsistency verdict")
-    return VotingRecord(
-        selections=list(verdict.selections),
-        majority=verdict.majority or TIE,
-        reasoning=verdict.reasoning,
-        agreeing_run_index=verdict.agreeing_run_index,
     )
 
 
@@ -344,47 +273,29 @@ def run_cascade(
     Already-logged verdicts are reused without new model calls, which is
     both the resume path and the no-duplicate-calls guarantee.
     """
+    checks = {
+        FILTER_SOURCE: lambda: check_source_consistency(
+            candidate, context, text_endpoint, templates
+        ),
+        FILTER_VISDEP_TEXT: lambda: _visdep_stage(
+            candidate, text_endpoint, templates, FILTER_VISDEP_TEXT
+        ),
+        FILTER_VISDEP_VISION: lambda: _visdep_stage(
+            candidate, vision_endpoint, templates, FILTER_VISDEP_VISION
+        ),
+        FILTER_VISION: lambda: check_vision_consistency(
+            candidate, vision_endpoint, templates, require_unanimous
+        ),
+    }
+    assert tuple(checks) == CASCADE_ORDER
     verdicts: list[FilterVerdict] = []
-
-    def recorded(filter_name: str, compute) -> FilterVerdict:
-        existing = log.get(candidate.key, filter_name)
-        if existing is not None:
-            return existing
-        verdict = compute()
-        log.append(verdict)
-        return verdict
-
-    v = recorded(
-        FILTER_SOURCE,
-        lambda: check_source_consistency(candidate, context, text_endpoint, templates),
-    )
-    verdicts.append(v)
-    if not v.passed:
-        return CascadeOutcome(candidate.key, "rejected", FILTER_SOURCE, verdicts)
-
-    v = recorded(
-        FILTER_VISDEP_TEXT,
-        lambda: _visdep_stage(candidate, text_endpoint, templates, FILTER_VISDEP_TEXT),
-    )
-    verdicts.append(v)
-    if not v.passed:
-        return CascadeOutcome(candidate.key, "rejected", FILTER_VISDEP_TEXT, verdicts)
-
-    v = recorded(
-        FILTER_VISDEP_VISION,
-        lambda: _visdep_stage(candidate, vision_endpoint, templates, FILTER_VISDEP_VISION),
-    )
-    verdicts.append(v)
-    if not v.passed:
-        return CascadeOutcome(candidate.key, "rejected", FILTER_VISDEP_VISION, verdicts)
-
-    v = recorded(
-        FILTER_VISION,
-        lambda: check_vision_consistency(candidate, vision_endpoint, templates, require_unanimous),
-    )
-    verdicts.append(v)
-    if not v.passed:
-        return CascadeOutcome(candidate.key, "rejected", FILTER_VISION, verdicts)
-
-    record = build_verified_record(candidate, v)
+    for filter_name, check in checks.items():
+        verdict = log.get(candidate.key, filter_name)
+        if verdict is None:
+            verdict = check()
+            log.append(verdict)
+        verdicts.append(verdict)
+        if not verdict.passed:
+            return CascadeOutcome(candidate.key, "rejected", filter_name, verdicts)
+    record = build_verified_record(candidate, verdicts[-1])
     return CascadeOutcome(candidate.key, "retained", None, verdicts, record)

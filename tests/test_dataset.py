@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -17,7 +18,6 @@ from figqa.dataset import (
     annotate_taxonomy,
     compute_funnel,
     read_dataset,
-    record_digest,
     stratified_sample,
     write_dataset,
 )
@@ -121,7 +121,7 @@ class TestComputeFunnel:
 
     def test_to_json_dict_round_trip(self):
         stats = compute_funnel(3, 6, 5, 2, 1)
-        data = stats.to_json_dict()
+        data = asdict(stats)
         again = FunnelStats(**data)
         assert again == stats
 
@@ -165,11 +165,11 @@ class TestRecordSerialization:
 
 
 def _valid_dict(**overrides):
-    data = make_record(
+    data = asdict(make_record(
         figure_type="Line Plot",
         question_type="Descriptive",
         provenance={"claim_text": "t", "context_digest": "d", "verdict_keys": []},
-    ).to_json_dict()
+    ))
     data.update(overrides)
     return data
 
@@ -270,24 +270,6 @@ class TestSchemaValidation:
         with pytest.raises(SchemaViolation) as exc:
             read_dataset(_write_lines(tmp_path, good, bad))
         assert exc.value.line == 2
-
-
-class TestRecordDigest:
-    def test_stable(self):
-        assert record_digest(make_record()) == record_digest(make_record())
-
-    def test_sensitive_to_content(self):
-        base = record_digest(make_record())
-        assert record_digest(make_record(question="Different?")) != base
-        assert record_digest(make_record(correct_index=1)) != base
-        reordered = make_record(options=["It falls", "It rises", "It is flat", "It oscillates"])
-        assert record_digest(reordered) != base
-
-    def test_ascii_canonicalization(self):
-        # Unicode and its escaped form hash identically via ensure_ascii.
-        a = record_digest(make_record(caption="α"))
-        b = record_digest(make_record(caption="α"))
-        assert a == b
 
 
 class TestVocabularies:

@@ -30,7 +30,7 @@ from figqa.gateway import (
     MockBackend,
     ModelEndpointConfig,
     PromptTemplate,
-    _TokenBucket,
+    TokenBucket,
     complete_text,
     complete_vision,
     format_options,
@@ -40,6 +40,7 @@ from figqa.gateway import (
     render_template,
     request_digest,
 )
+from figqa.pipeline import RunConfig, build_endpoints
 
 
 class TestRenderTemplate:
@@ -464,7 +465,7 @@ class TestHttpEndpoint:
 class TestTokenBucket:
     def test_burst_within_capacity_no_sleep(self, monkeypatch):
         monkeypatch.setattr("figqa.gateway.time.monotonic", lambda: 100.0)
-        bucket = _TokenBucket(3)
+        bucket = TokenBucket(3)
         slept = []
         for _ in range(3):
             bucket.acquire(sleep=slept.append)
@@ -473,7 +474,7 @@ class TestTokenBucket:
     def test_exhausted_bucket_waits_for_refill(self, monkeypatch):
         clock = {"now": 100.0}
         monkeypatch.setattr("figqa.gateway.time.monotonic", lambda: clock["now"])
-        bucket = _TokenBucket(60)  # 1 token per second
+        bucket = TokenBucket(60)  # 1 token per second
         slept = []
 
         def sleep(seconds):
@@ -490,7 +491,7 @@ class TestTokenBucket:
     def test_refill_caps_at_capacity(self, monkeypatch):
         clock = {"now": 0.0}
         monkeypatch.setattr("figqa.gateway.time.monotonic", lambda: clock["now"])
-        bucket = _TokenBucket(2)
+        bucket = TokenBucket(2)
         bucket.acquire(sleep=lambda s: None)
         bucket.acquire(sleep=lambda s: None)
         clock["now"] += 3600.0  # a long idle period refills to capacity, not beyond
@@ -506,3 +507,18 @@ class TestTokenBucket:
         assert slept == []
         bucket.acquire(sleep=sleep)
         assert slept  # third immediate draw exceeds capacity 2
+
+    def test_slots_of_one_address_share_a_bucket(self, tmp_path):
+        cfg = RunConfig(
+            output=str(tmp_path),
+            endpoints={
+                "text": {"base_url": "http://text.test/v1", "requests_per_minute": 60},
+                "vision": {"base_url": "http://vision.test/v1", "requests_per_minute": 60},
+            },
+        )
+        eps = build_endpoints(cfg)
+        assert eps["text"]._bucket is eps["annotator_text"]._bucket
+        assert eps["vision"]._bucket is eps["eval"]._bucket
+        assert eps["vision"]._bucket is eps["annotator_vision"]._bucket
+        assert eps["text"]._bucket is not eps["vision"]._bucket
+        assert isinstance(eps["text"]._bucket, TokenBucket)

@@ -300,6 +300,22 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "INCONSISTENT" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "stage, artifact", [("verify", "candidates.jsonl"), ("stats", "verdict_log.jsonl")]
+    )
+    def test_torn_stage_file_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact
+    ):
+        out = tmp_path / "torn"
+        shutil.copytree(full_run.out, out)
+        config = e2e_bundle.make_config(out)
+        path = out / artifact
+        path.write_bytes(path.read_bytes()[:-10])  # cut inside the last line
+        proc = run_cli([stage, "--config", str(config)])
+        assert proc.returncode == 3
+        assert artifact in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):
         out = tmp_path / "live"
         endpoint = {"base_url": "http://127.0.0.1:9/v1", "api_key_env": "FIGQA_TEST_NO_SUCH_KEY"}

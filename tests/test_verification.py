@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+from dataclasses import asdict
 
 import pytest
 
+from figqa import replay
 from figqa.errors import EndpointUnavailable
 from figqa.gateway import AMBIGUOUS, NONE_SIGNAL, load_templates
 from figqa.verification import (
@@ -22,10 +24,8 @@ from figqa.verification import (
     build_verified_record,
     check_source_consistency,
     check_vision_consistency,
-    check_visual_dependence,
     majority_vote,
     run_cascade,
-    voting_record,
 )
 
 from helpers import StubEndpoint, make_candidate
@@ -111,50 +111,52 @@ class TestSourceConsistency:
 
 
 class TestVisualDependence:
-    def test_stage1_passes_when_model_fails(self):
-        cand = make_candidate(correct_index=0)
-        text_ep = StubEndpoint(responses=[_opt("B")])
-        vision_ep = StubEndpoint(role="vision", responses=[_opt("None")])
-        verdicts = check_visual_dependence(cand, text_ep, vision_ep, TEMPLATES)
+    """The two no-figure stages, reached through run_cascade after a passing source check."""
+
+    def _run(self, tmp_path, visdep_text, visdep_vision=None, context="ctx", **overrides):
+        cand = make_candidate(correct_index=0, **overrides)
+        text_ep, vision_ep = _cascade_endpoints(
+            source=_opt("A"),
+            visdep_text=visdep_text,
+            visdep_vision=visdep_vision,
+            votes=None if visdep_vision is None else [_opt("B")] * 3,
+        )
+        log = VerdictLog(tmp_path / "log.jsonl")
+        outcome = run_cascade(cand, context, text_ep, vision_ep, TEMPLATES, log)
+        return outcome.verdicts[1:3], text_ep, vision_ep
+
+    def test_stage1_passes_when_model_fails(self, tmp_path):
+        verdicts, _, _ = self._run(tmp_path, _opt("B"), _opt("None"))
         assert [v.filter for v in verdicts] == [FILTER_VISDEP_TEXT, FILTER_VISDEP_VISION]
         assert all(v.passed for v in verdicts)
 
-    def test_stage2_skipped_when_stage1_identifies(self):
-        cand = make_candidate(correct_index=0)
-        text_ep = StubEndpoint(responses=[_opt("A")])
-        vision_ep = StubEndpoint(role="vision")  # would raise if touched
-        verdicts = check_visual_dependence(cand, text_ep, vision_ep, TEMPLATES)
+    def test_stage2_skipped_when_stage1_identifies(self, tmp_path):
+        verdicts, _, vision_ep = self._run(tmp_path, _opt("A"))  # vision stub would raise if touched
         assert [v.filter for v in verdicts] == [FILTER_VISDEP_TEXT]
         assert verdicts[0].passed is False
         assert vision_ep.calls == []
 
-    def test_stage2_fails_when_vision_model_identifies_blind(self):
-        cand = make_candidate(correct_index=0)
-        text_ep = StubEndpoint(responses=[_opt("None")])
-        vision_ep = StubEndpoint(role="vision", responses=[_opt("A")])
-        verdicts = check_visual_dependence(cand, text_ep, vision_ep, TEMPLATES)
+    def test_stage2_fails_when_vision_model_identifies_blind(self, tmp_path):
+        verdicts, _, _ = self._run(tmp_path, _opt("None"), _opt("A"))
         assert verdicts[0].passed is True
         assert verdicts[1].passed is False
 
-    def test_stage2_sends_no_image(self):
-        cand = make_candidate(correct_index=0, figure_image_ref="images/real.png")
-        text_ep = StubEndpoint(responses=[_opt("B")])
-        vision_ep = StubEndpoint(role="vision", responses=[_opt("B")])
-        check_visual_dependence(cand, text_ep, vision_ep, TEMPLATES)
+    def test_stage2_sends_no_image(self, tmp_path):
+        _, _, vision_ep = self._run(
+            tmp_path, _opt("B"), _opt("B"), figure_image_ref="images/real.png"
+        )
         assert vision_ep.calls[0][1] is None
 
-    def test_prompt_carries_caption_not_context(self):
-        cand = make_candidate(caption="CAPTION-SENTINEL")
-        text_ep = StubEndpoint(responses=[_opt("B")])
-        check_visual_dependence(cand, text_ep, StubEndpoint(role="vision", responses=[_opt("B")]), TEMPLATES)
-        assert "CAPTION-SENTINEL" in text_ep.calls[0][0]
-
-    def test_ambiguous_counts_as_failure_to_identify(self):
-        cand = make_candidate(correct_index=0)
-        text_ep = StubEndpoint(responses=["no tag at all"])
-        verdicts = check_visual_dependence(
-            cand, text_ep, StubEndpoint(role="vision", responses=[_opt("C")]), TEMPLATES
+    def test_prompt_carries_caption_not_context(self, tmp_path):
+        _, text_ep, vision_ep = self._run(
+            tmp_path, _opt("B"), _opt("B"), context="CONTEXT-SENTINEL", caption="CAPTION-SENTINEL"
         )
+        for prompt in (text_ep.calls[1][0], vision_ep.calls[0][0]):
+            assert "CAPTION-SENTINEL" in prompt
+            assert "CONTEXT-SENTINEL" not in prompt
+
+    def test_ambiguous_counts_as_failure_to_identify(self, tmp_path):
+        verdicts, _, _ = self._run(tmp_path, "no tag at all", _opt("C"))
         assert verdicts[0].passed is True
         assert verdicts[0].model_selection == AMBIGUOUS
 
@@ -252,22 +254,6 @@ class TestVisionConsistency:
         with pytest.raises(EndpointUnavailable):
             check_vision_consistency(cand, ep, TEMPLATES)
 
-    def test_voting_record_view(self):
-        cand = make_candidate(correct_index=0)
-        v = check_vision_consistency(
-            cand, StubEndpoint(role="vision", responses=[_opt("A")] * 3), TEMPLATES
-        )
-        record = voting_record(v)
-        assert record.selections == ["A", "A", "A"]
-        assert record.majority == "A"
-        assert record.agreeing_run_index == 0
-
-    def test_voting_record_rejects_other_filters(self):
-        cand = make_candidate()
-        wrong = check_source_consistency(cand, "ctx", StubEndpoint(responses=[_opt("A")]), TEMPLATES)
-        with pytest.raises(ValueError):
-            voting_record(wrong)
-
 
 class TestVerdictLog:
     def _verdict(self, key="k1", filter_name=FILTER_SOURCE, passed=True):
@@ -315,8 +301,8 @@ class TestVerdictLog:
 
     def test_duplicate_line_first_wins(self, tmp_path, caplog):
         path = tmp_path / "log.jsonl"
-        first = self._verdict(passed=True).to_json_dict()
-        second = self._verdict(passed=False).to_json_dict()
+        first = asdict(self._verdict(passed=True))
+        second = asdict(self._verdict(passed=False))
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         with caplog.at_level(logging.WARNING):
             log = VerdictLog(path)
@@ -360,6 +346,10 @@ def _cascade_endpoints(source, visdep_text, visdep_vision=None, votes=None):
 
 
 class TestRunCascade:
+    def test_order_matches_replay(self):
+        # Replay keeps its own copy of the order on purpose; the two must agree.
+        assert CASCADE_ORDER == replay._CASCADE
+
     def test_full_pass_retained(self, tmp_path):
         cand = make_candidate(correct_index=0)
         text_ep, vision_ep = _cascade_endpoints(
