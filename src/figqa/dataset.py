@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from .errors import InvalidFunnel, SchemaViolation
-from .gateway import complete_text, complete_vision, format_options, render_template
+from .errors import InvalidFunnel, MalformedResponse, SchemaViolation
+from .gateway import complete_parsed, format_options, render_template
 
 logger = logging.getLogger(__name__)
 
@@ -149,8 +149,12 @@ def compute_funnel(
 _TAG_STRIP_RE = re.compile(r"</?[A-Za-z][^>]*>")
 
 
-def _parse_category(response: str, vocabulary: tuple[str, ...]) -> str | None:
-    """Map a model response onto the closed vocabulary, or None."""
+def _parse_category(response: str, vocabulary: tuple[str, ...]) -> str:
+    """Map a model response onto the closed vocabulary.
+
+    The first non-empty line is the answer; anything off-vocabulary raises
+    MalformedResponse.
+    """
     text = _TAG_STRIP_RE.sub(" ", response)
     for line in text.splitlines():
         token = line.strip().strip(".,:;!\"'` ")
@@ -160,8 +164,8 @@ def _parse_category(response: str, vocabulary: tuple[str, ...]) -> str | None:
         for category in vocabulary:
             if lowered == category.lower():
                 return category
-        return None  # first non-empty line is the answer; anything else is off-vocabulary
-    return None
+        break
+    raise MalformedResponse("first line is not a category of the closed vocabulary")
 
 
 def annotate_taxonomy(record: VerifiedRecord, kind: str, endpoint, templates) -> str | None:
@@ -171,29 +175,23 @@ def annotate_taxonomy(record: VerifiedRecord, kind: str, endpoint, templates) ->
     Transport errors propagate so the caller can defer the record.
     """
     if kind == "figure_type":
-        vocabulary = FIGURE_TYPES
+        vocabulary, image_ref = FIGURE_TYPES, record.figure_image_ref
         prompt = render_template(templates["figure_type_label"], {"caption": record.caption})
     elif kind == "question_type":
-        vocabulary = QUESTION_TYPES
+        vocabulary, image_ref = QUESTION_TYPES, None
         prompt = render_template(
             templates["question_type_label"],
             {"question": record.question, "options": format_options(record.options)},
         )
     else:
         raise ValueError(f"unknown taxonomy kind: {kind}")
-
-    for attempt in (0, 1):
-        if kind == "figure_type":
-            response, _ = complete_vision(endpoint, prompt, record.figure_image_ref)
-        else:
-            response, _ = complete_text(endpoint, prompt)
-        category = _parse_category(response, vocabulary)
-        if category is not None:
-            return category
-        if attempt == 0:
-            logger.info("off-vocabulary %s label for %s; retrying once", kind, record.key)
-    logger.warning("record %s left unlabeled for %s", record.key, kind)
-    return None
+    try:
+        return complete_parsed(
+            endpoint, prompt, lambda r: _parse_category(r, vocabulary), image_ref
+        )
+    except MalformedResponse:
+        logger.warning("record %s left unlabeled for %s", record.key, kind)
+        return None
 
 
 def stratified_sample(
@@ -260,6 +258,22 @@ def stratified_sample(
     return sample
 
 
+def _json_object(text: str, path: str | Path, line_no: int) -> dict:
+    """text, starting on line line_no of path, parsed as one JSON object.
+
+    Anything else (a truncated write, say) raises SchemaViolation naming the
+    file and line.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        detail = f"invalid JSON in {path}: {exc.msg} (column {exc.colno})"
+        raise SchemaViolation(line_no + exc.lineno - 1, "<line>", detail) from exc
+    if not isinstance(data, dict):
+        raise SchemaViolation(line_no, "<line>", f"expected JSON object in {path}")
+    return data
+
+
 def read_jsonl(path: str | Path, check=None) -> list[dict]:
     """Every JSON object in a line-delimited file, blank lines skipped.
 
@@ -273,17 +287,32 @@ def read_jsonl(path: str | Path, check=None) -> list[dict]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                detail = f"invalid JSON in {path}: {exc.msg} (column {exc.colno})"
-                raise SchemaViolation(line_no, "<line>", detail) from exc
-            if not isinstance(row, dict):
-                raise SchemaViolation(line_no, "<line>", f"expected JSON object in {path}")
+            row = _json_object(line, path, line_no)
             if check is not None:
                 check(row, line_no)
             rows.append(row)
     return rows
+
+
+def row_keys_check(cls, *extra: str):
+    """A read_jsonl check: each row holds exactly cls's fields plus extra."""
+    names = {f.name for f in fields(cls)} | set(extra)
+
+    def check(row: dict, line_no: int) -> None:
+        missing = sorted(names - row.keys())
+        if missing:
+            raise SchemaViolation(line_no, missing[0], f"missing {cls.__name__} field")
+        unknown = sorted(row.keys() - names)
+        if unknown:
+            raise SchemaViolation(line_no, unknown[0], f"unknown {cls.__name__} field")
+
+    return check
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object a file holds (a manifest, say), checked like read_jsonl's lines."""
+    with open(path, encoding="utf-8") as fh:
+        return _json_object(fh.read(), path, 1)
 
 
 def write_jsonl(path: str | Path, rows) -> None:

@@ -13,7 +13,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 from .dataset import VerifiedRecord
 from .errors import EndpointUnavailable, MalformedResponse
-from .gateway import complete_vision, format_options, parse_option_tag, render_template
+from .gateway import TRANSPORT_ROUNDS, format_options, parse_option_tag, render_template
 
 UNLABELED = "unlabeled"
 
@@ -63,19 +63,14 @@ def _tally(breakdown: dict[str, dict], category: str, is_correct: bool) -> None:
         slot["correct"] += 1
 
 
-def evaluate(
-    endpoint,
-    records: list[VerifiedRecord],
-    templates,
-    retry_rounds: int = 2,
-) -> EvalResult:
+def evaluate(endpoint, records: list[VerifiedRecord], templates) -> EvalResult:
     """Ask the configured model every question; aggregate accuracies."""
     if endpoint.config.temperature != 0:
         raise ValueError("evaluation requires a greedy (temperature 0) endpoint")
 
     predictions: dict[str, str | None] = {}
     pending = list(records)
-    for round_no in range(retry_rounds + 1):
+    for _ in range(TRANSPORT_ROUNDS):
         still_failing = []
         for record in pending:
             prompt = render_template(
@@ -87,7 +82,7 @@ def evaluate(
                 },
             )
             try:
-                response, _ = complete_vision(endpoint, prompt, record.figure_image_ref)
+                response, _ = endpoint.complete(prompt, record.figure_image_ref)
             except EndpointUnavailable:
                 still_failing.append(record)
                 continue

@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .latex_prep import CleanPaper, RawPaper, read_brace_group
+from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
 CITATION_COMMANDS = ("ref", "cref", "autoref")
@@ -212,12 +212,12 @@ def find_citing_paragraphs(
     return hits
 
 
-def _paragraph_spans(paragraphs: list[str], separator: str) -> list[tuple[int, int]]:
+def _paragraph_spans(paragraphs: list[str]) -> list[tuple[int, int]]:
     spans = []
     pos = 0
     for p in paragraphs:
         spans.append((pos, pos + len(p)))
-        pos += len(p) + len(separator)
+        pos += len(p) + len(PARAGRAPH_SEPARATOR)
     return spans
 
 
@@ -225,7 +225,6 @@ def build_figure_contexts(
     clean: CleanPaper,
     raw: RawPaper,
     threshold: float = CAPTION_MATCH_THRESHOLD,
-    separator: str = "\n\n",
     figure_indices: list[int] | None = None,
 ) -> tuple[list[FigureContext], list[tuple[int, DiscardReason]]]:
     """Bind every corpus figure to an environment and its citing paragraphs.
@@ -234,7 +233,7 @@ def build_figure_contexts(
     matched to the same environment are all discarded as ambiguous.
     """
     envs = find_figure_environments(clean.body)
-    para_spans = _paragraph_spans(clean.paragraphs, separator)
+    para_spans = _paragraph_spans(clean.paragraphs)
     pairs = raw.figure_caption_pairs
     if figure_indices is None:
         figure_indices = list(range(len(pairs)))
@@ -292,7 +291,7 @@ def build_figure_contexts(
                 figure_image_ref=image_ref,
                 caption=caption,
                 label=resolved,
-                context=separator.join(citing),
+                context=PARAGRAPH_SEPARATOR.join(citing),
                 citing_paragraph_count=len(citing),
                 latex_caption=env.caption_raw,
             )

@@ -30,6 +30,10 @@ from .errors import (
     UnscriptedRequest,
 )
 
+# Passes verify and evaluate make over their items: the first pass, then
+# retries of the items whose call raised EndpointUnavailable.
+TRANSPORT_ROUNDS = 3
+
 # Sentinel strings: they serialize directly into verdict logs.
 NONE_SIGNAL = "None"
 AMBIGUOUS = "Ambiguous"
@@ -102,21 +106,13 @@ def render_template(template: PromptTemplate, variables: dict[str, str]) -> str:
 
 def load_templates(prompt_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
     """Load all known templates from a directory (default: packaged assets)."""
+    root = resources.files("figqa").joinpath("prompts") if prompt_dir is None else Path(prompt_dir)
     templates: dict[str, PromptTemplate] = {}
-    if prompt_dir is None:
-        root = resources.files("figqa").joinpath("prompts")
-        for name in TEMPLATE_NAMES:
-            ref = root.joinpath(f"{name}.txt")
-            if not ref.is_file():
-                raise ConfigError(f"packaged prompt template missing: {name}")
-            templates[name] = PromptTemplate(name, ref.read_text(encoding="utf-8"))
-        return templates
-    directory = Path(prompt_dir)
     for name in TEMPLATE_NAMES:
-        path = directory / f"{name}.txt"
-        if not path.is_file():
-            raise ConfigError(f"prompt template not found: {path}")
-        templates[name] = PromptTemplate(name, path.read_text(encoding="utf-8"))
+        ref = root.joinpath(f"{name}.txt")
+        if not ref.is_file():
+            raise ConfigError(f"prompt template not found: {ref}")
+        templates[name] = PromptTemplate(name, ref.read_text(encoding="utf-8"))
     return templates
 
 
@@ -425,14 +421,15 @@ class MockEndpoint:
         return self.backend.serve(self.config, prompt, image_ref)
 
 
-def complete_text(endpoint, prompt: str) -> tuple[str, ModelTranscript]:
-    if endpoint.role != "text":
-        raise ValueError(f"complete_text requires a text endpoint, got {endpoint.role}")
-    return endpoint.complete(prompt)
+def complete_parsed(endpoint, prompt: str, parse, image_ref: str | None = None):
+    """parse() of one completion, asking once more if the first is malformed.
 
-
-def complete_vision(endpoint, prompt: str, image_ref: str | None = None) -> tuple[str, ModelTranscript]:
-    """Vision completion; image_ref may be None for no-figure control prompts."""
-    if endpoint.role != "vision":
-        raise ValueError(f"complete_vision requires a vision endpoint, got {endpoint.role}")
-    return endpoint.complete(prompt, image_ref)
+    A MalformedResponse from the second response propagates; transport
+    errors propagate from either call.
+    """
+    response, _ = endpoint.complete(prompt, image_ref)
+    try:
+        return parse(response)
+    except MalformedResponse:
+        response, _ = endpoint.complete(prompt, image_ref)
+        return parse(response)

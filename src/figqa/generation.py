@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedResponse
 from .figure_context import FigureContext
-from .gateway import complete_text, is_bare_none, parse_patterns_block, render_template
+from .gateway import complete_parsed, is_bare_none, parse_patterns_block, render_template
 
 CLAIM_PREFIX = "the figure shows"
 OPTION_COUNT = 4
@@ -94,15 +94,10 @@ def extract_claims(ctx: FigureContext, endpoint, templates) -> list[AtomicClaim]
     prompt = render_template(
         templates["claim_extract"], {"context": ctx.context, "label": ctx.label}
     )
-    lines: list[str] | None = None
-    for attempt in (0, 1):
-        response, _ = complete_text(endpoint, prompt)
-        try:
-            lines = parse_patterns_block(response)
-            break
-        except MalformedResponse:
-            if attempt == 1:
-                return []
+    try:
+        lines = complete_parsed(endpoint, prompt, parse_patterns_block)
+    except MalformedResponse:
+        return []
     if lines is None:
         return []
     return [
@@ -153,18 +148,14 @@ def generate_qa(
         templates["qa_generate"],
         {"claim": claim.text, "caption": ctx.caption, "context": ctx.context},
     )
-    parsed = None
-    for attempt in (0, 1):
-        response, _ = complete_text(endpoint, prompt)
-        if is_bare_none(response):
-            return Declined(claim.key, "model_declined", "model output None")
-        try:
-            parsed = parse_qa_response(response)
-            break
-        except MalformedResponse as exc:
-            if attempt == 1:
-                return Declined(claim.key, "malformed_qa", str(exc))
-    assert parsed is not None
+    try:
+        parsed = complete_parsed(
+            endpoint, prompt, lambda r: None if is_bare_none(r) else parse_qa_response(r)
+        )
+    except MalformedResponse as exc:
+        return Declined(claim.key, "malformed_qa", str(exc))
+    if parsed is None:
+        return Declined(claim.key, "model_declined", "model output None")
 
     question = str(parsed["question"])
     correct = str(parsed["correct"])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .errors import RecursionLimitExceeded
 
-DEFAULT_PARAGRAPH_SEPARATOR = "\n\n"
+PARAGRAPH_SEPARATOR = "\n\n"
 MACRO_DEPTH_LIMIT = 32
 
 # Environments whose content must not be touched by comment stripping.
@@ -248,24 +248,24 @@ def _substitute_once(text: str, table: dict[str, _MacroDef]) -> tuple[str, int]:
     return "".join(out), count
 
 
-def expand_macros(latex: str, max_depth: int = MACRO_DEPTH_LIMIT) -> str:
+def expand_macros(latex: str) -> str:
     """Substitute user-defined macros, removing their definition statements.
 
     Expansion runs in passes; a pass substitutes every known macro occurrence
     once without rescanning substituted bodies, so nesting depth equals pass
-    count. Exceeding max_depth passes means a self-referential macro.
+    count. Exceeding MACRO_DEPTH_LIMIT passes means a self-referential macro.
     """
     text, table = _parse_definitions(latex)
     if not table:
         return text
-    for _ in range(max_depth):
+    for _ in range(MACRO_DEPTH_LIMIT):
         text, count = _substitute_once(text, table)
         if count == 0:
             return text
     _, count = _substitute_once(text, table)
     if count:
         raise RecursionLimitExceeded(
-            f"macro expansion did not terminate within {max_depth} passes"
+            f"macro expansion did not terminate within {MACRO_DEPTH_LIMIT} passes"
         )
     return text
 
@@ -282,29 +282,23 @@ def strip_bibliography(latex: str) -> str:
     return _BIB_CMD_RE.sub("", text)
 
 
-def segment_paragraphs(
-    body: str, separator: str = DEFAULT_PARAGRAPH_SEPARATOR
-) -> list[str]:
-    """Split on the separator, trim each chunk, drop empties."""
-    chunks = [c.strip() for c in body.split(separator)]
+def segment_paragraphs(body: str) -> list[str]:
+    """Split on PARAGRAPH_SEPARATOR, trim each chunk, drop empties."""
+    chunks = [c.strip() for c in body.split(PARAGRAPH_SEPARATOR)]
     return [c for c in chunks if c]
 
 
-def clean_paper(
-    raw: RawPaper,
-    separator: str = DEFAULT_PARAGRAPH_SEPARATOR,
-    macro_depth: int = MACRO_DEPTH_LIMIT,
-) -> CleanPaper:
+def clean_paper(raw: RawPaper) -> CleanPaper:
     """Run the full cleanup chain on one paper.
 
     Raises RecursionLimitExceeded for self-referential macros; the caller
     skips the paper with a logged reason.
     """
     text = strip_comments(raw.latex_source)
-    text = expand_macros(text, max_depth=macro_depth)
+    text = expand_macros(text)
     text = strip_bibliography(text)
-    paragraphs = segment_paragraphs(text, separator)
+    paragraphs = segment_paragraphs(text)
     # Rebuilding the body from paragraphs makes the join/segment round trip
     # exact, which downstream span arithmetic relies on.
-    body = separator.join(paragraphs)
+    body = PARAGRAPH_SEPARATOR.join(paragraphs)
     return CleanPaper(arxiv_id=raw.arxiv_id, body=body, paragraphs=paragraphs)

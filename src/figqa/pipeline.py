@@ -32,9 +32,16 @@ from .errors import (
 )
 from .eval_harness import evaluate, format_report
 from .figure_context import FigureContext, build_figure_contexts
-from .gateway import HttpEndpoint, MockBackend, ModelEndpointConfig, TokenBucket, load_templates
+from .gateway import (
+    TRANSPORT_ROUNDS,
+    HttpEndpoint,
+    MockBackend,
+    ModelEndpointConfig,
+    TokenBucket,
+    load_templates,
+)
 from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
-from .latex_prep import CleanPaper, RawPaper, clean_paper
+from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
 
 logger = logging.getLogger(__name__)
@@ -71,9 +78,6 @@ class RunConfig:
     seed: int = 42
     threshold: float = 0.9
     concurrency: int = 1
-    paragraph_separator: str = "\n\n"
-    target_size: int | None = None
-    require_unanimous_vision: bool = False
     unevaluated_threshold: int = 0
     mock_script: str | None = None
     eval_dataset: str | None = None
@@ -92,9 +96,6 @@ class RunConfig:
         payload = {
             "seed": self.seed,
             "threshold": self.threshold,
-            "paragraph_separator": self.paragraph_separator,
-            "target_size": self.target_size,
-            "require_unanimous_vision": self.require_unanimous_vision,
             "endpoints": {
                 name: {
                     k: v
@@ -228,6 +229,11 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
     ]
 
 
+# Stage-file row checks; a context row is a FigureContext plus its paper's category.
+CONTEXT_ROW = ds.row_keys_check(FigureContext, "primary_category")
+CANDIDATE_ROW = ds.row_keys_check(QACandidate)
+
+
 def _require_file(path: Path, producer: str) -> Path:
     if not path.is_file():
         raise UpstreamInputError(f"missing {path.name}; run the {producer} stage first")
@@ -270,7 +276,7 @@ def stage_prepare(cfg: RunConfig) -> dict:
             figure_caption_pairs=[(r.image, r.caption) for r in fig_rows],
         )
         try:
-            clean = clean_paper(raw, separator=cfg.paragraph_separator)
+            clean = clean_paper(raw)
         except RecursionLimitExceeded:
             skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
             continue
@@ -308,10 +314,9 @@ def stage_extract(cfg: RunConfig) -> dict:
     discard_counts: dict[str, int] = {}
     figures_in = 0
     for paper in papers:
-        sep = cfg.paragraph_separator
         clean = CleanPaper(
             arxiv_id=paper["arxiv_id"],
-            body=sep.join(paper["paragraphs"]),
+            body=PARAGRAPH_SEPARATOR.join(paper["paragraphs"]),
             paragraphs=paper["paragraphs"],
         )
         raw = RawPaper(
@@ -323,11 +328,7 @@ def stage_extract(cfg: RunConfig) -> dict:
         indices = [f["figure_index"] for f in paper["figures"]]
         figures_in += len(indices)
         contexts, discards = build_figure_contexts(
-            clean,
-            raw,
-            threshold=cfg.threshold,
-            separator=sep,
-            figure_indices=indices,
+            clean, raw, threshold=cfg.threshold, figure_indices=indices
         )
         if len(contexts) + len(discards) != len(indices):
             raise AssertionError(
@@ -365,7 +366,7 @@ def stage_extract(cfg: RunConfig) -> dict:
 def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Extract claims per figure, then one QA candidate per claim."""
     out_dir = Path(cfg.output)
-    rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
+    rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"), CONTEXT_ROW)
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
@@ -380,11 +381,8 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         ]
         return claims, results
 
-    if cfg.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-            outputs = list(pool.map(process, rows))
-    else:
-        outputs = [process(row) for row in rows]
+    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
+        outputs = list(pool.map(process, rows))
 
     claim_rows: list[dict] = []
     candidate_rows: list[dict] = []
@@ -420,8 +418,12 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
-    candidate_rows = ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate"))
-    context_rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"))
+    candidate_rows = ds.read_jsonl(
+        _require_file(out_dir / "candidates.jsonl", "generate"), CANDIDATE_ROW
+    )
+    context_rows = ds.read_jsonl(
+        _require_file(out_dir / "figure_contexts.jsonl", "extract"), CONTEXT_ROW
+    )
     contexts = {
         f"{row['arxiv_id']}:f{row['figure_index']}": row["context"] for row in context_rows
     }
@@ -440,27 +442,18 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     retained: list = []
     rejected_by_stage: dict[str, int] = {}
     discarded: list[dict] = []
-    deferred: list = []
     processed = 0
 
     def run_one(candidate: QACandidate):
         context = contexts[f"{candidate.arxiv_id}:f{candidate.figure_index}"]
         return vf.run_cascade(
-            candidate,
-            context,
-            endpoints["text"],
-            endpoints["vision"],
-            templates,
-            log,
-            require_unanimous=cfg.require_unanimous_vision,
+            candidate, context, endpoints["text"], endpoints["vision"], templates, log
         )
 
     queue = candidates
-    for round_no in range(3):  # initial pass + bounded deferral retries
+    for _ in range(TRANSPORT_ROUNDS):
         next_queue = []
         for candidate in queue:
-            if cfg.target_size is not None and len(retained) >= cfg.target_size:
-                break
             try:
                 outcome = run_one(candidate)
             except EndpointUnavailable as exc:
@@ -564,9 +557,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 def stage_stats(cfg: RunConfig) -> dict:
     """Funnel accounting plus an independent verdict-log replay."""
     out_dir = Path(cfg.output)
-    prepare_manifest = json.loads(
-        _require_file(out_dir / "manifest_prepare.json", "prepare").read_text(encoding="utf-8")
-    )
+    prepare_manifest = ds.read_json(_require_file(out_dir / "manifest_prepare.json", "prepare"))
     claims = len(ds.read_jsonl(_require_file(out_dir / "claims.jsonl", "generate")))
     candidates = len(ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate")))
     log_path = _require_file(out_dir / "verdict_log.jsonl", "verify")
@@ -595,9 +586,7 @@ def stage_stats(cfg: RunConfig) -> dict:
     extract_manifest_path = out_dir / "manifest_extract.json"
     discards = {}
     if extract_manifest_path.is_file():
-        discards = json.loads(extract_manifest_path.read_text(encoding="utf-8")).get(
-            "discards", {}
-        )
+        discards = ds.read_json(extract_manifest_path).get("discards", {})
     payload = {
         "funnel": funnel,
         "replay": {"ok": report.ok, "problems": report.problems},

@@ -22,8 +22,6 @@ from .errors import MalformedResponse
 from .gateway import (
     AMBIGUOUS,
     NONE_SIGNAL,
-    complete_text,
-    complete_vision,
     format_options,
     parse_option_tag,
     render_template,
@@ -64,7 +62,27 @@ class VerdictLog:
         self._entries: dict[tuple[str, str], FilterVerdict] = {}
         self._lock = threading.Lock()
         if self.path.exists():
+            self._cut_torn_tail()
             self._load()
+
+    def _cut_torn_tail(self) -> None:
+        """Durably drop a final line that a crash left without its newline.
+
+        Appending after it would glue the next verdict onto the fragment,
+        and that verdict would then be skipped on every later load.
+        """
+        with open(self.path, "rb+") as fh:
+            if fh.seek(0, os.SEEK_END) == 0:
+                return
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            keep = fh.read().rfind(b"\n") + 1
+            logger.warning("verdict log %s: cutting torn final line", self.path)
+            fh.truncate(keep)
+            fh.flush()
+            os.fsync(fh.fileno())
 
     def _load(self) -> None:
         with open(self.path, encoding="utf-8") as fh:
@@ -145,7 +163,7 @@ def check_source_consistency(
 ) -> FilterVerdict:
     """Pass iff the text model uniquely recovers the correct answer from P."""
     prompt = _render(templates["source_check"], candidate, context=context)
-    response, transcript = complete_text(text_endpoint, prompt)
+    response, transcript = text_endpoint.complete(prompt)
     selection = _parse_selection(response, len(candidate.options))
     return FilterVerdict(
         candidate_key=candidate.key,
@@ -163,10 +181,7 @@ def _visdep_stage(candidate: QACandidate, endpoint, templates, filter_name: str)
     text stage and the vision stage alike.
     """
     prompt = _render(templates["visdep_check"], candidate, caption=candidate.caption)
-    if endpoint.role == "vision":
-        response, transcript = complete_vision(endpoint, prompt, None)
-    else:
-        response, transcript = complete_text(endpoint, prompt)
+    response, transcript = endpoint.complete(prompt)
     selection = _parse_selection(response, len(candidate.options))
     return FilterVerdict(
         candidate_key=candidate.key,
@@ -177,12 +192,7 @@ def _visdep_stage(candidate: QACandidate, endpoint, templates, filter_name: str)
     )
 
 
-def check_vision_consistency(
-    candidate: QACandidate,
-    vision_endpoint,
-    templates,
-    require_unanimous: bool = False,
-) -> FilterVerdict:
+def check_vision_consistency(candidate: QACandidate, vision_endpoint, templates) -> FilterVerdict:
     """Three independent answer-with-reasoning votes over (F, C, Q, O).
 
     A transport failure on any vote propagates before anything is recorded,
@@ -193,9 +203,7 @@ def check_vision_consistency(
     responses = []
     digests = []
     for _ in range(VOTE_COUNT):
-        response, transcript = complete_vision(
-            vision_endpoint, prompt, candidate.figure_image_ref
-        )
+        response, transcript = vision_endpoint.complete(prompt, candidate.figure_image_ref)
         responses.append(response)
         digests.append(transcript.request_digest)
 
@@ -211,13 +219,10 @@ def check_vision_consistency(
         agreeing_run_index = selections.index(majority)
         reasoning = responses[agreeing_run_index]  # verbatim, untrimmed
 
-    passed = majority == candidate.correct_letter
-    if require_unanimous and passed:
-        passed = selections.count(majority) == VOTE_COUNT
     return FilterVerdict(
         candidate_key=candidate.key,
         filter=FILTER_VISION,
-        passed=passed,
+        passed=majority == candidate.correct_letter,
         model_selection=majority,
         transcript_ref=digests[0],
         selections=selections,
@@ -266,7 +271,6 @@ def run_cascade(
     vision_endpoint,
     templates,
     log: VerdictLog,
-    require_unanimous: bool = False,
 ) -> CascadeOutcome:
     """Apply the filters in order with short-circuit rejection.
 
@@ -283,9 +287,7 @@ def run_cascade(
         FILTER_VISDEP_VISION: lambda: _visdep_stage(
             candidate, vision_endpoint, templates, FILTER_VISDEP_VISION
         ),
-        FILTER_VISION: lambda: check_vision_consistency(
-            candidate, vision_endpoint, templates, require_unanimous
-        ),
+        FILTER_VISION: lambda: check_vision_consistency(candidate, vision_endpoint, templates),
     }
     assert tuple(checks) == CASCADE_ORDER
     verdicts: list[FilterVerdict] = []

@@ -138,7 +138,7 @@ class TestEvaluate:
             raise EndpointUnavailable("down")
 
         ep = StubEndpoint(role="vision", temperature=0.0, handler=handler)
-        result = evaluate(ep, [record], TEMPLATES, retry_rounds=2)
+        result = evaluate(ep, [record], TEMPLATES)
         assert attempts["n"] == 3
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [record.key]
@@ -158,7 +158,7 @@ class TestEvaluate:
             return "<option>A</option>"
 
         ep = StubEndpoint(role="vision", temperature=0.0, handler=handler)
-        result = evaluate(ep, [record], TEMPLATES, retry_rounds=2)
+        result = evaluate(ep, [record], TEMPLATES)
         assert result.unevaluated == 0
         assert result.overall_correct == 1
 
@@ -176,7 +176,7 @@ class TestEvaluate:
             return "<option>A</option>"
 
         ep = StubEndpoint(role="vision", temperature=0.0, handler=selective)
-        result = evaluate(ep, records, TEMPLATES, retry_rounds=1)
+        result = evaluate(ep, records, TEMPLATES)
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [records[1].key]
         assert result.overall_total == 2

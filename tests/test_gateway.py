@@ -31,8 +31,6 @@ from figqa.gateway import (
     ModelEndpointConfig,
     PromptTemplate,
     TokenBucket,
-    complete_text,
-    complete_vision,
     format_options,
     load_templates,
     parse_option_tag,
@@ -303,23 +301,11 @@ class TestMockBackend:
 
 
 class TestRoleGuards:
-    def test_complete_text_requires_text_role(self):
-        backend = MockBackend({})
-        vision_ep = backend.endpoint(ModelEndpointConfig(role="vision", model_name="v"))
-        with pytest.raises(ValueError):
-            complete_text(vision_ep, "p")
-
-    def test_complete_vision_requires_vision_role(self):
-        backend = MockBackend({})
-        text_ep = backend.endpoint(ModelEndpointConfig(role="text", model_name="m"))
-        with pytest.raises(ValueError):
-            complete_vision(text_ep, "p")
-
     def test_complete_vision_allows_absent_image(self):
         cfg = ModelEndpointConfig(role="vision", model_name="v")
         digest = request_digest("vision", "v", 1.0, "p", None)
         ep = MockBackend({digest: "r"}).endpoint(cfg)
-        assert complete_vision(ep, "p")[0] == "r"
+        assert ep.complete("p")[0] == "r"
 
     def test_endpoint_config_role_validated(self):
         with pytest.raises(ConfigError):

@@ -134,12 +134,12 @@ class TestExpandMacros:
 
     def test_self_recursion_raises(self):
         with pytest.raises(RecursionLimitExceeded):
-            expand_macros("\\def\\loop{\\loop}\n\\loop", max_depth=8)
+            expand_macros("\\def\\loop{\\loop}\n\\loop")
 
     def test_mutual_recursion_raises(self):
         src = "\\newcommand{\\p}{\\q}\n\\newcommand{\\q}{\\p}\n\\p"
         with pytest.raises(RecursionLimitExceeded):
-            expand_macros(src, max_depth=8)
+            expand_macros(src)
 
     def test_deep_but_finite_nesting_ok(self):
         parts = ["\\newcommand{\\mZ}{base}"]

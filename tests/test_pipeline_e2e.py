@@ -47,6 +47,10 @@ def read_jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
 
 
+def artifact_digests(out: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+
+
 def ledger_digests(out: Path) -> Counter:
     return Counter(row["digest"] for row in read_jsonl(out / "mock_calls.jsonl"))
 
@@ -156,11 +160,13 @@ class TestFullRun:
 
 class TestDeterminism:
     def test_artifacts_match_pinned_digests(self, full_run):
-        got = {
-            name: hashlib.sha256((full_run.out / name).read_bytes()).hexdigest()
-            for name in PINNED_SHA256
-        }
-        assert got == PINNED_SHA256
+        assert artifact_digests(full_run.out) == PINNED_SHA256
+
+    def test_pooled_generate_matches_pinned_digests(self, e2e_bundle, run_cli, tmp_path):
+        config = e2e_bundle.make_config(tmp_path, concurrency=4)
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert artifact_digests(tmp_path) == PINNED_SHA256
 
     def test_three_runs_are_byte_identical(self, e2e_bundle, run_cli, tmp_path):
         contents: dict[str, set[bytes]] = {name: set() for name in BYTE_STABLE_ARTIFACTS}
@@ -242,6 +248,19 @@ class TestCrashAndResume:
         verdicts = read_jsonl(crash_resume.out / "verdict_log.jsonl")
         assert len(verdicts) == crash_resume.expect["verdict_lines_total"]
 
+    def test_torn_log_tail_is_cut_before_resuming(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "torn_log"
+        shutil.copytree(full_run.out, out)
+        config = e2e_bundle.make_config(out)
+        log = out / "verdict_log.jsonl"
+        log.write_bytes(log.read_bytes()[:-10])  # a crash tore the last append
+        for stage in ("verify", "stats"):
+            proc = run_cli([stage, "--config", str(config)])
+            assert proc.returncode == 0, (stage, proc.stderr)
+        assert all(isinstance(row, dict) for row in read_jsonl(log))
+        for name in ("verdict_log.jsonl", "retained.jsonl"):
+            assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
+
 
 @pytest.fixture(scope="module")
 def eval_dir(e2e_bundle, run_cli, tmp_path_factory):
@@ -301,7 +320,12 @@ class TestExitCodes:
         assert "INCONSISTENT" in proc.stdout
 
     @pytest.mark.parametrize(
-        "stage, artifact", [("verify", "candidates.jsonl"), ("stats", "verdict_log.jsonl")]
+        "stage, artifact",
+        [
+            ("verify", "candidates.jsonl"),
+            ("stats", "verdict_log.jsonl"),
+            ("stats", "manifest_prepare.json"),
+        ],
     )
     def test_torn_stage_file_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact
@@ -314,6 +338,21 @@ class TestExitCodes:
         proc = run_cli([stage, "--config", str(config)])
         assert proc.returncode == 3
         assert artifact in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_candidate_row_missing_a_key_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "short_row"
+        shutil.copytree(full_run.out, out)
+        config = e2e_bundle.make_config(out)
+        path = out / "candidates.jsonl"
+        rows = read_jsonl(path)
+        del rows[0]["context_digest"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 3
+        assert "context_digest" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):
