@@ -1,8 +1,11 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
-2 configuration error, 3 upstream-input error (a missing, truncated or
-corrupt input file, or a failed verdict replay), 4 endpoint auth error.
+2 configuration error (a mistyped value, an unknown key or endpoint slot,
+or a prompt template naming an unknown variable), 3 upstream-input error
+(a missing, truncated or corrupt input file or row, an unreadable figure
+image, or a failed verdict replay), 4 endpoint auth error, 5 endpoint
+unavailable after every retry (rerun the stage).
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import sys
 
 import click
 
-from .errors import AuthError, ConfigError, SchemaViolation, UpstreamInputError
+from .errors import (
+    AuthError,
+    ConfigError,
+    EndpointUnavailable,
+    ImageUnreadable,
+    MissingVariable,
+    SchemaViolation,
+    UpstreamInputError,
+)
 from .pipeline import STAGE_ORDER, RunConfig, run_stages
 from . import pipeline
 
@@ -21,6 +32,7 @@ EXIT_EVAL_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_UPSTREAM = 3
 EXIT_AUTH = 4
+EXIT_UNAVAILABLE = 5
 
 
 def _build_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -40,15 +52,18 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConfigError as exc:
+        except (ConfigError, MissingVariable) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (UpstreamInputError, SchemaViolation) as exc:
+        except (UpstreamInputError, SchemaViolation, ImageUnreadable) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(EXIT_UPSTREAM)
         except AuthError as exc:
             click.echo(f"auth error: {exc}", err=True)
             sys.exit(EXIT_AUTH)
+        except EndpointUnavailable as exc:
+            click.echo(f"endpoint unavailable; rerun the stage: {exc}", err=True)
+            sys.exit(EXIT_UNAVAILABLE)
 
     return wrapper
 
@@ -146,10 +161,8 @@ def annotate(config_path, **params):
 @click.option("--unevaluated-threshold", type=int, default=None,
               help="Fail when more than this many items stay unevaluated.")
 @_handle_errors
-def evaluate(config_path, unevaluated_threshold, **params):
+def evaluate(config_path, **params):
     cfg = _build_config(config_path, params)
-    if unevaluated_threshold is not None:
-        cfg.unevaluated_threshold = unevaluated_threshold
     summary = pipeline.stage_evaluate(cfg)
     click.echo(summary["report"])
     if summary["unevaluated"] > cfg.unevaluated_threshold:

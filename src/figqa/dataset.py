@@ -11,9 +11,11 @@ import json
 import logging
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidFunnel, MalformedResponse, SchemaViolation
 from .gateway import complete_parsed, format_options, render_template
@@ -65,10 +67,6 @@ class VerifiedRecord:
     @property
     def correct_letter(self) -> str:
         return chr(65 + self.correct_index)
-
-
-# Serialization order for record fields; reads validate against this set.
-RECORD_FIELDS = tuple(f.name for f in fields(VerifiedRecord))
 
 
 @dataclass
@@ -216,44 +214,22 @@ def stratified_sample(
             )
         strata.setdefault(key, []).append(record)
 
-    total = len(records)
+    # Exact integer quotas: n * |stratum| = floor * len(records) + remainder.
     ordered = sorted(strata.keys())
     base: dict[tuple, int] = {}
     remainders: list[tuple] = []
     for key in ordered:
-        quota = Decimal(n * len(strata[key])) / Decimal(total)
-        floor = int(quota)
-        base[key] = floor
-        remainders.append((quota - floor, key))
-    leftover = n - sum(base.values())
+        base[key], remainder = divmod(n * len(strata[key]), len(records))
+        remainders.append((-remainder, key))
     # Largest remainder first; ties broken by stratum key for determinism.
-    for _, key in sorted(remainders, key=lambda rk: (-rk[0], rk[1]))[:leftover]:
+    for _, key in sorted(remainders)[: n - sum(base.values())]:
         base[key] += 1
-
-    # Defensive spill: proportional allocation cannot exceed a stratum's
-    # population when n <= total, but guard and log rather than overdraw.
-    overfull = [k for k in ordered if base[k] > len(strata[k])]
-    if overfull:
-        logger.warning("InsufficientStratum: reallocating from %s", overfull)
-        for key in overfull:
-            excess = base[key] - len(strata[key])
-            base[key] -= excess
-            for other in sorted(ordered, key=lambda k: -len(strata[k])):
-                if excess == 0:
-                    break
-                spare = len(strata[other]) - base[other]
-                take = min(spare, excess)
-                base[other] += take
-                excess -= take
 
     rng = random.Random(seed)
     sample: list[VerifiedRecord] = []
     for key in ordered:
         members = strata[key]
-        take = base[key]
-        if take == 0:
-            continue
-        picked = rng.sample(range(len(members)), take)
+        picked = rng.sample(range(len(members)), base[key])
         sample.extend(members[i] for i in sorted(picked))
     return sample
 
@@ -279,7 +255,7 @@ def read_jsonl(path: str | Path, check=None) -> list[dict]:
 
     A line that is not a JSON object (a truncated write, say) raises
     SchemaViolation naming the file and line; check(row, line_no), when
-    given, validates each row the same way.
+    given, validates each row, and its SchemaViolation gains the file name.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -289,24 +265,71 @@ def read_jsonl(path: str | Path, check=None) -> list[dict]:
                 continue
             row = _json_object(line, path, line_no)
             if check is not None:
-                check(row, line_no)
+                try:
+                    check(row, line_no)
+                except SchemaViolation as exc:
+                    raise SchemaViolation(line_no, exc.field, f"{exc.detail} in {path}") from None
             rows.append(row)
     return rows
 
 
-def row_keys_check(cls, *extra: str):
-    """A read_jsonl check: each row holds exactly cls's fields plus extra."""
-    names = {f.name for f in fields(cls)} | set(extra)
+def _accepts(tp):
+    """A predicate for JSON values of annotation tp, resolved once per field.
+
+    Types match exactly, so a bool is not an int; a float field also takes an int.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        first, rest = _accepts(args[0]), _accepts(Union[args[1:]])
+        return lambda v: first(v) or rest(v)
+    if origin is list:
+        item = _accepts(args[0])
+        return lambda v: type(v) is list and all(map(item, v))
+    if origin is dict:
+        key, value = map(_accepts, args)
+        return lambda v: type(v) is dict and all(key(k) and value(x) for k, x in v.items())
+    kinds = (int, float) if tp is float else (tp,)
+    return lambda v: type(v) in kinds
+
+
+def row_check(cls, closed: bool = False, **extra: type):
+    """A read_jsonl check built from cls's declaration plus extra name=type fields.
+
+    A field without a default is required. A present value must match its
+    annotation: a bool is not an int, an int is a valid float, list[X]
+    checks each item and X | None admits null. Keys cls does not declare
+    are ignored, or rejected when closed.
+    """
+    hints = get_type_hints(cls)
+    spec = []
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        spec.append((f.name, required, _accepts(hints[f.name]), f.type))
+    spec += [(name, True, _accepts(tp), tp.__name__) for name, tp in extra.items()]
+    names = {name for name, *_ in spec}
 
     def check(row: dict, line_no: int) -> None:
-        missing = sorted(names - row.keys())
-        if missing:
-            raise SchemaViolation(line_no, missing[0], f"missing {cls.__name__} field")
-        unknown = sorted(row.keys() - names)
-        if unknown:
-            raise SchemaViolation(line_no, unknown[0], f"unknown {cls.__name__} field")
+        for name, required, ok, expected in spec:
+            if name in row:
+                if not ok(row[name]):
+                    raise SchemaViolation(line_no, name, f"expected {expected}")
+            elif required:
+                raise SchemaViolation(line_no, name, f"missing {cls.__name__} field")
+        if closed and not row.keys() <= names:
+            unknown = next(key for key in row if key not in names)
+            raise SchemaViolation(line_no, unknown, f"unknown {cls.__name__} field")
 
     return check
+
+
+def from_row(cls, row: dict):
+    """cls built from the row's values for cls's own fields; other keys are ignored."""
+    return cls(**{f.name: row[f.name] for f in fields(cls) if f.name in row})
+
+
+def read_rows(path: str | Path, cls, check=None) -> list:
+    """path's rows as cls objects, each checked by check (default: row_check(cls))."""
+    return [from_row(cls, row) for row in read_jsonl(path, check or row_check(cls))]
 
 
 def read_json(path: str | Path) -> dict:
@@ -332,52 +355,25 @@ def write_dataset(records: list[VerifiedRecord], path: str | Path) -> None:
     write_jsonl(path, (asdict(record) for record in records))
 
 
-_FIELD_TYPES = {
-    "key": str,
-    "arxiv_id": str,
-    "primary_category": str,
-    "figure_index": int,
-    "figure_image_ref": str,
-    "caption": str,
-    "question": str,
-    "correct_index": int,
-    "reasoning": str,
-}
+RECORD_ROW = row_check(VerifiedRecord)
 
 
 def _validate_record_dict(data: dict, line_no: int) -> None:
-    for name in RECORD_FIELDS:
-        if name not in data:
-            raise SchemaViolation(line_no, name, "missing field")
-    for name, expected in _FIELD_TYPES.items():
-        value = data[name]
-        if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-            raise SchemaViolation(line_no, name, f"expected {expected.__name__}")
+    RECORD_ROW(data, line_no)
     for name in ("key", "arxiv_id", "caption", "question", "reasoning"):
         if not data[name]:
             raise SchemaViolation(line_no, name, "must be non-empty")
     options = data["options"]
-    if not isinstance(options, list) or len(options) != OPTION_COUNT:
+    if len(options) != OPTION_COUNT:
         raise SchemaViolation(line_no, "options", f"expected list of {OPTION_COUNT}")
-    if not all(isinstance(o, str) for o in options):
-        raise SchemaViolation(line_no, "options", "options must be strings")
-    normalized = [" ".join(o.split()) for o in options]
-    if len(set(normalized)) != OPTION_COUNT:
+    if len({" ".join(o.split()) for o in options}) != OPTION_COUNT:
         raise SchemaViolation(line_no, "options", "options must be pairwise distinct")
     if not 0 <= data["correct_index"] < OPTION_COUNT:
         raise SchemaViolation(line_no, "correct_index", "out of range")
-    if data["figure_type"] is not None and data["figure_type"] not in FIGURE_TYPES:
-        raise SchemaViolation(line_no, "figure_type", f"unknown category {data['figure_type']!r}")
-    if data["question_type"] is not None and data["question_type"] not in QUESTION_TYPES:
-        raise SchemaViolation(
-            line_no, "question_type", f"unknown category {data['question_type']!r}"
-        )
-    if not isinstance(data["provenance"], dict):
-        raise SchemaViolation(line_no, "provenance", "expected object")
+    for name, vocabulary in (("figure_type", FIGURE_TYPES), ("question_type", QUESTION_TYPES)):
+        if data.get(name) is not None and data[name] not in vocabulary:
+            raise SchemaViolation(line_no, name, f"unknown category {data[name]!r}")
 
 
 def read_dataset(path: str | Path) -> list[VerifiedRecord]:
-    return [
-        VerifiedRecord(**{name: row[name] for name in RECORD_FIELDS})
-        for row in read_jsonl(path, _validate_record_dict)
-    ]
+    return read_rows(path, VerifiedRecord, _validate_record_dict)

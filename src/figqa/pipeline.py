@@ -84,12 +84,18 @@ class RunConfig:
     endpoints: dict[str, dict] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_config(CONFIG_CHECK, vars(self), "config")
+        unknown = sorted(self.endpoints.keys() - ROLE_DEFAULTS.keys())
+        if unknown:
+            raise ConfigError(f"unknown endpoint slots: {unknown}")
+        for name in ROLE_DEFAULTS:
+            _check_config(ENDPOINT_CHECK, self._endpoint_dict(name), f"endpoints.{name}")
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if self._endpoint_dict("eval")["temperature"] != 0:
+            raise ConfigError("endpoints.eval.temperature must be 0: evaluation is greedy")
 
     def config_digest(self) -> str:
         """Hash of behavior-relevant settings (paths excluded on purpose)."""
@@ -125,8 +131,6 @@ class RunConfig:
         return merged
 
     def endpoint_config(self, name: str) -> ModelEndpointConfig:
-        if name not in ROLE_DEFAULTS:
-            raise ConfigError(f"unknown endpoint role {name!r}")
         return ModelEndpointConfig(**self._endpoint_dict(name))
 
     @classmethod
@@ -136,10 +140,7 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "output" not in data:
             raise ConfigError("config must define an output directory")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "RunConfig":
@@ -153,6 +154,18 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a mapping")
         return cls.from_dict(data)
+
+
+CONFIG_CHECK = ds.row_check(RunConfig)
+ENDPOINT_CHECK = ds.row_check(ModelEndpointConfig, closed=True)
+
+
+def _check_config(check, values: dict, where: str) -> None:
+    """check (a dataset.row_check) applied to config values; a problem is a ConfigError."""
+    try:
+        check(values, 0)
+    except SchemaViolation as exc:
+        raise ConfigError(f"{where}.{exc.field}: {exc.detail}") from None
 
 
 def build_endpoints(cfg: RunConfig) -> dict[str, object]:
@@ -206,14 +219,10 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
     if not path.is_file():
         raise UpstreamInputError(f"corpus file not found: {path}")
     seen: set[tuple[str, int]] = set()
+    typed = ds.row_check(CorpusRow)
 
     def check(data: dict, line_no: int) -> None:
-        for f in fields(CorpusRow):
-            kind = int if f.name == "figure_index" else str
-            if f.name not in data:
-                raise SchemaViolation(line_no, f.name, "missing field")
-            if not isinstance(data[f.name], kind) or (kind is int and isinstance(data[f.name], bool)):
-                raise SchemaViolation(line_no, f.name, f"expected {kind.__name__}")
+        typed(data, line_no)
         if not data["arxiv_id"]:
             raise SchemaViolation(line_no, "arxiv_id", "must be non-empty")
         if data["figure_index"] < 0:
@@ -223,15 +232,21 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
             raise SchemaViolation(line_no, "figure_index", f"duplicate figure {pair}")
         seen.add(pair)
 
-    return [
-        CorpusRow(**{f.name: row[f.name] for f in fields(CorpusRow)})
-        for row in ds.read_jsonl(path, check)
-    ]
+    return ds.read_rows(path, CorpusRow, check)
 
 
-# Stage-file row checks; a context row is a FigureContext plus its paper's category.
-CONTEXT_ROW = ds.row_keys_check(FigureContext, "primary_category")
-CANDIDATE_ROW = ds.row_keys_check(QACandidate)
+@dataclass
+class PreparedPaper:
+    """One papers_clean.jsonl row: a cleaned paper and its corpus figures."""
+
+    arxiv_id: str
+    primary_category: str
+    paragraphs: list[str]
+    figures: list[dict]  # figure_index, image and caption of each corpus row
+
+
+# A context row is a FigureContext plus its paper's category.
+CONTEXT_ROW = ds.row_check(FigureContext, primary_category=str)
 
 
 def _require_file(path: Path, producer: str) -> Path:
@@ -280,17 +295,12 @@ def stage_prepare(cfg: RunConfig) -> dict:
         except RecursionLimitExceeded:
             skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
             continue
-        prepared_rows.append(
-            {
-                "arxiv_id": arxiv_id,
-                "primary_category": raw.primary_category,
-                "paragraphs": clean.paragraphs,
-                "figures": [
-                    {"figure_index": r.figure_index, "image": r.image, "caption": r.caption}
-                    for r in fig_rows
-                ],
-            }
-        )
+        figures = [
+            {"figure_index": r.figure_index, "image": r.image, "caption": r.caption}
+            for r in fig_rows
+        ]
+        paper = PreparedPaper(arxiv_id, raw.primary_category, clean.paragraphs, figures)
+        prepared_rows.append(asdict(paper))
     ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
     manifest = {
         "stage": "prepare",
@@ -307,7 +317,7 @@ def stage_prepare(cfg: RunConfig) -> dict:
 def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
-    papers = ds.read_jsonl(_require_file(out_dir / "papers_clean.jsonl", "prepare"))
+    papers = ds.read_rows(_require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper)
 
     context_rows: list[dict] = []
     discard_rows: list[dict] = []
@@ -315,35 +325,35 @@ def stage_extract(cfg: RunConfig) -> dict:
     figures_in = 0
     for paper in papers:
         clean = CleanPaper(
-            arxiv_id=paper["arxiv_id"],
-            body=PARAGRAPH_SEPARATOR.join(paper["paragraphs"]),
-            paragraphs=paper["paragraphs"],
+            arxiv_id=paper.arxiv_id,
+            body=PARAGRAPH_SEPARATOR.join(paper.paragraphs),
+            paragraphs=paper.paragraphs,
         )
         raw = RawPaper(
-            arxiv_id=paper["arxiv_id"],
-            primary_category=paper["primary_category"],
+            arxiv_id=paper.arxiv_id,
+            primary_category=paper.primary_category,
             latex_source="",
-            figure_caption_pairs=[(f["image"], f["caption"]) for f in paper["figures"]],
+            figure_caption_pairs=[(f["image"], f["caption"]) for f in paper.figures],
         )
-        indices = [f["figure_index"] for f in paper["figures"]]
+        indices = [f["figure_index"] for f in paper.figures]
         figures_in += len(indices)
         contexts, discards = build_figure_contexts(
             clean, raw, threshold=cfg.threshold, figure_indices=indices
         )
         if len(contexts) + len(discards) != len(indices):
             raise AssertionError(
-                f"conservation violated for {paper['arxiv_id']}: "
+                f"conservation violated for {paper.arxiv_id}: "
                 f"{len(contexts)}+{len(discards)} != {len(indices)}"
             )
         context_rows.extend(
-            {"arxiv_id": ctx.arxiv_id, "primary_category": paper["primary_category"], **asdict(ctx)}
+            {"arxiv_id": ctx.arxiv_id, "primary_category": paper.primary_category, **asdict(ctx)}
             for ctx in contexts
         )
         for figure_index, reason in discards:
             discard_counts[reason.kind.value] = discard_counts.get(reason.kind.value, 0) + 1
             discard_rows.append(
                 {
-                    "arxiv_id": paper["arxiv_id"],
+                    "arxiv_id": paper.arxiv_id,
                     "figure_index": figure_index,
                     "kind": reason.kind.value,
                     "detail": reason.detail,
@@ -373,7 +383,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 
     def process(row: dict):
         category = row["primary_category"]
-        ctx = FigureContext(**{k: v for k, v in row.items() if k != "primary_category"})
+        ctx = ds.from_row(FigureContext, row)
         claims = extract_claims(ctx, text_ep, templates)
         results = [
             generate_qa(claim, ctx, text_ep, templates, cfg.seed, primary_category=category)
@@ -418,8 +428,9 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
-    candidate_rows = ds.read_jsonl(
-        _require_file(out_dir / "candidates.jsonl", "generate"), CANDIDATE_ROW
+    candidates = sorted(
+        ds.read_rows(_require_file(out_dir / "candidates.jsonl", "generate"), QACandidate),
+        key=lambda c: c.key,
     )
     context_rows = ds.read_jsonl(
         _require_file(out_dir / "figure_contexts.jsonl", "extract"), CONTEXT_ROW
@@ -431,7 +442,6 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
-    candidates = sorted((QACandidate(**row) for row in candidate_rows), key=lambda c: c.key)
     for candidate in candidates:
         figure_key = f"{candidate.arxiv_id}:f{candidate.figure_index}"
         if figure_key not in contexts:
@@ -564,8 +574,8 @@ def stage_stats(cfg: RunConfig) -> dict:
     retained_path = _require_file(out_dir / "retained.jsonl", "verify")
     after_text = sum(
         1
-        for row in ds.read_jsonl(log_path)
-        if row["filter"] == vf.FILTER_VISDEP_VISION and row["passed"]
+        for verdict in ds.read_rows(log_path, vf.FilterVerdict)
+        if verdict.filter == vf.FILTER_VISDEP_VISION and verdict.passed
     )
     retained = len(ds.read_jsonl(retained_path))
 

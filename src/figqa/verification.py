@@ -17,7 +17,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .dataset import VerifiedRecord
+from .dataset import VerifiedRecord, read_rows
 from .errors import MalformedResponse
 from .gateway import (
     AMBIGUOUS,
@@ -63,7 +63,13 @@ class VerdictLog:
         self._lock = threading.Lock()
         if self.path.exists():
             self._cut_torn_tail()
-            self._load()
+            # The first verdict per key wins; a row that is not a verdict raises SchemaViolation.
+            for verdict in read_rows(self.path, FilterVerdict):
+                key = (verdict.candidate_key, verdict.filter)
+                if key in self._entries:
+                    logger.warning("verdict log %s: duplicate entry %s ignored", self.path, key)
+                    continue
+                self._entries[key] = verdict
 
     def _cut_torn_tail(self) -> None:
         """Durably drop a final line that a crash left without its newline.
@@ -84,29 +90,6 @@ class VerdictLog:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    # A crash can tear the final line; everything before the
-                    # torn tail is intact because appends are fsynced.
-                    logger.warning("verdict log %s: skipping torn line %d", self.path, line_no)
-                    continue
-                verdict = FilterVerdict(**data)
-                key = (verdict.candidate_key, verdict.filter)
-                if key in self._entries:
-                    logger.warning("verdict log %s: duplicate entry %s ignored", self.path, key)
-                    continue
-                self._entries[key] = verdict
-
-    def has(self, candidate_key: str, filter_name: str) -> bool:
-        return (candidate_key, filter_name) in self._entries
-
     def get(self, candidate_key: str, filter_name: str) -> FilterVerdict | None:
         return self._entries.get((candidate_key, filter_name))
 
@@ -120,9 +103,6 @@ class VerdictLog:
                 fh.flush()
                 os.fsync(fh.fileno())
             self._entries[key] = verdict
-
-    def entries(self) -> list[FilterVerdict]:
-        return list(self._entries.values())
 
     def __len__(self) -> int:
         return len(self._entries)

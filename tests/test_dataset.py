@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -12,12 +12,13 @@ import pytest
 from figqa.dataset import (
     FIGURE_TYPES,
     QUESTION_TYPES,
-    RECORD_FIELDS,
     FunnelStats,
     VerifiedRecord,
     annotate_taxonomy,
     compute_funnel,
+    from_row,
     read_dataset,
+    row_check,
     stratified_sample,
     write_dataset,
 )
@@ -155,7 +156,7 @@ class TestRecordSerialization:
         path = tmp_path / "data.jsonl"
         write_dataset([make_record()], path)
         keys = list(json.loads(path.read_text().splitlines()[0]))
-        assert keys == list(RECORD_FIELDS)
+        assert keys == [f.name for f in fields(VerifiedRecord)]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -272,6 +273,70 @@ class TestSchemaValidation:
         assert exc.value.line == 2
 
 
+@dataclass
+class _Row:
+    name: str
+    count: int
+    weight: float
+    flags: list[bool]
+    tags: list[str] | None = None
+    meta: dict[str, int] = field(default_factory=dict)
+
+
+_ROW = dict(name="a", count=1, weight=0.5, flags=[True])
+
+
+class TestRowCheck:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("count", True),
+            ("count", 1.0),
+            ("name", None),
+            ("weight", "0.5"),
+            ("weight", False),
+            ("flags", [1]),
+            ("flags", "x"),
+            ("tags", ["a", 2]),
+            ("meta", {"k": "1"}),
+        ],
+    )
+    def test_wrong_type(self, name, value):
+        with pytest.raises(SchemaViolation) as exc:
+            row_check(_Row)({**_ROW, name: value}, 7)
+        assert (exc.value.field, exc.value.line) == (name, 7)
+
+    def test_int_is_a_float_and_none_fills_an_optional(self):
+        row_check(_Row)({**_ROW, "weight": 2, "tags": None, "meta": {"k": 1}}, 1)
+
+    def test_field_without_a_default_is_required(self):
+        row = dict(_ROW)
+        del row["flags"]
+        with pytest.raises(SchemaViolation) as exc:
+            row_check(_Row)(row, 1)
+        assert exc.value.field == "flags"
+
+    def test_defaulted_fields_may_be_absent(self):
+        row_check(_Row)(_ROW, 1)
+        assert from_row(_Row, _ROW) == _Row("a", 1, 0.5, [True])
+
+    def test_unknown_keys_ignored_unless_closed(self):
+        row = {**_ROW, "extra": 1}
+        row_check(_Row)(row, 1)
+        assert from_row(_Row, row) == from_row(_Row, _ROW)
+        with pytest.raises(SchemaViolation) as exc:
+            row_check(_Row, closed=True)(row, 1)
+        assert exc.value.field == "extra"
+
+    def test_extra_fields_are_required_and_typed(self):
+        check = row_check(_Row, origin=str)
+        with pytest.raises(SchemaViolation):
+            check(_ROW, 1)
+        with pytest.raises(SchemaViolation):
+            check({**_ROW, "origin": 3}, 1)
+        check({**_ROW, "origin": "x"}, 1)
+
+
 class TestVocabularies:
     def test_figure_types(self):
         assert len(FIGURE_TYPES) == 12
@@ -375,17 +440,22 @@ class TestStratifiedSample:
             by_cat[r.primary_category] = by_cat.get(r.primary_category, 0) + 1
         assert by_cat == {"cs.LG": 3, "math.NA": 2, "stat.ML": 1}
 
-    def test_three_key_allocation_matches_oracle(self):
-        rng = random.Random(11)
+    # (population seed, population size, n): 80 possible strata, so the
+    # small populations have strata of size 1; two cases take everything.
+    @pytest.mark.parametrize(
+        "seed, population, n",
+        [(11, 1000, 137), (11, 1000, 1000), (3, 60, 17), (3, 60, 60), (8, 25, 1), (8, 25, 24)],
+    )
+    def test_three_key_allocation_matches_oracle(self, seed, population, n):
+        rng = random.Random(seed)
         cats = ["cs.LG", "cs.CV", "math.NA", "physics.comp-ph"]
         ftypes = ["Line Plot", "Bar Chart", "Scatter Plot", "Heatmap"]
         qtypes = list(QUESTION_TYPES)
         records = [
             _labeled_record(i, rng.choice(cats), rng.choice(ftypes), rng.choice(qtypes))
-            for i in range(1000)
+            for i in range(population)
         ]
         keys = ("primary_category", "figure_type", "question_type")
-        n = 137
         sample = stratified_sample(records, n, keys, seed=5)
         assert len(sample) == n
 
@@ -393,6 +463,7 @@ class TestStratifiedSample:
         for r in records:
             k = tuple(getattr(r, a) for a in keys)
             sizes[k] = sizes.get(k, 0) + 1
+        assert population > 100 or 1 in sizes.values()
         expected = proportional_allocation_oracle(sizes, n)
 
         got: dict[tuple, int] = {}

@@ -340,19 +340,99 @@ class TestExitCodes:
         assert artifact in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_candidate_row_missing_a_key_is_an_input_error(
-        self, full_run, e2e_bundle, run_cli, tmp_path
+    @pytest.mark.parametrize(
+        "stage, artifact, key",
+        [
+            ("verify", "candidates.jsonl", "context_digest"),
+            ("verify", "verdict_log.jsonl", "passed"),
+            ("stats", "verdict_log.jsonl", "passed"),
+            ("extract", "papers_clean.jsonl", "figures"),
+        ],
+        ids=["verify-candidates", "verify-verdict_log", "stats-verdict_log", "extract-papers_clean"],
+    )
+    def test_row_missing_a_field_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact, key
     ):
         out = tmp_path / "short_row"
         shutil.copytree(full_run.out, out)
         config = e2e_bundle.make_config(out)
-        path = out / "candidates.jsonl"
+        path = out / artifact
         rows = read_jsonl(path)
-        del rows[0]["context_digest"]
+        del rows[0][key]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        proc = run_cli(["verify", "--config", str(config)])
+        proc = run_cli([stage, "--config", str(config)])
         assert proc.returncode == 3
-        assert "context_digest" in proc.stderr
+        assert key in proc.stderr and artifact in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"endpoints": {"text": {"modle_name": "m"}}}, "modle_name"),
+            ({"endpoints": {"text": {"temperature": "1"}}}, "temperature"),
+            ({"endpoints": {"eval": {"temperature": 0.5}}}, "temperature"),
+            ({"endpoints": {"txt": {"model_name": "m"}}}, "txt"),
+            ({"seed": True}, "seed"),
+            ({"threshold": "0.9"}, "threshold"),
+        ],
+        ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
+             "unknown-slot", "bool-seed", "string-threshold"],
+    )
+    def test_bad_config_value_is_a_config_error(
+        self, e2e_bundle, run_cli, tmp_path, overrides, named
+    ):
+        config = e2e_bundle.make_config(tmp_path / "bad_config", **overrides)
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 2
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_template_variable_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
+    ):
+        out = tmp_path / "prompts_run"
+        shutil.copytree(full_run.out, out)
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        for name, template in templates.items():
+            (prompts / f"{name}.txt").write_text(template.body, encoding="utf-8")
+        (prompts / "claim_extract.txt").write_text("{{no_such_variable}}", encoding="utf-8")
+        config = e2e_bundle.make_config(out, prompts=str(prompts))
+        proc = run_cli(["generate", "--config", str(config)])
+        assert proc.returncode == 2
+        assert "no_such_variable" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @staticmethod
+    def _live_config(e2e_bundle, out):
+        """A config whose endpoints sit on a closed local port, with no retries."""
+        endpoint = {"base_url": "http://127.0.0.1:9/v1", "max_retries": 0}
+        return e2e_bundle.make_config(
+            out, mock_script=None, endpoints={"text": dict(endpoint), "vision": dict(endpoint)}
+        )
+
+    def test_unavailable_endpoint_exits_5(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "closed_port"
+        shutil.copytree(full_run.out, out)
+        proc = run_cli(["generate", "--config", str(self._live_config(e2e_bundle, out))])
+        assert proc.returncode == 5
+        assert "rerun the stage" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("stage", ["annotate", "evaluate"])
+    def test_unreadable_image_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage
+    ):
+        out = tmp_path / "no_images"
+        shutil.copytree(full_run.out, out)
+        for name in ("retained.jsonl", "annotated.jsonl"):
+            rows = read_jsonl(out / name)
+            for row in rows:
+                row["figure_image_ref"] = str(tmp_path / "missing.png")
+            (out / name).write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        proc = run_cli([stage, "--config", str(self._live_config(e2e_bundle, out))])
+        assert proc.returncode == 3
+        assert "image" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):

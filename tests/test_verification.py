@@ -10,7 +10,7 @@ from dataclasses import asdict
 import pytest
 
 from figqa import replay
-from figqa.errors import EndpointUnavailable
+from figqa.errors import EndpointUnavailable, SchemaViolation
 from figqa.gateway import AMBIGUOUS, NONE_SIGNAL, load_templates
 from figqa.verification import (
     CASCADE_ORDER,
@@ -254,9 +254,8 @@ class TestVerdictLog:
 
     def test_append_get_has(self, tmp_path):
         log = VerdictLog(tmp_path / "log.jsonl")
-        assert not log.has("k1", FILTER_SOURCE)
+        assert log.get("k1", FILTER_SOURCE) is None
         log.append(self._verdict())
-        assert log.has("k1", FILTER_SOURCE)
         assert log.get("k1", FILTER_SOURCE).passed is True
         assert len(log) == 1
 
@@ -287,6 +286,24 @@ class TestVerdictLog:
         assert any("torn" in r.message for r in caplog.records)
         fresh.append(self._verdict(key="k3"))  # lands on its own line, not on the fragment
         assert len(VerdictLog(path)) == 2
+
+    def test_corrupt_line_before_the_tail_raises(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        good = json.dumps(asdict(self._verdict()))
+        path.write_text(good + "\n{not json}\n" + good + "\n")
+        with pytest.raises(SchemaViolation) as exc:
+            VerdictLog(path)
+        assert exc.value.line == 2
+
+    def test_row_missing_a_field_raises(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        row = asdict(self._verdict())
+        del row["passed"]
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(SchemaViolation) as exc:
+            VerdictLog(path)
+        assert exc.value.field == "passed"
+        assert "log.jsonl" in str(exc.value)
 
     def test_duplicate_line_first_wins(self, tmp_path, caplog):
         path = tmp_path / "log.jsonl"
