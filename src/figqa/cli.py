@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
-2 configuration error (a mistyped value, an unknown key or endpoint slot,
-or a prompt template naming an unknown variable), 3 upstream-input error
+2 configuration error (a mistyped or out-of-range value, an unknown key or
+endpoint slot, or a prompt template naming an unknown variable), 3 upstream-input error
 (a missing, truncated or corrupt input file or row, an unreadable figure
 image, or a failed verdict replay), 4 endpoint auth error, 5 endpoint
 unavailable after every retry (rerun the stage).
@@ -36,15 +36,11 @@ EXIT_UNAVAILABLE = 5
 
 
 def _build_config(config_path: str | None, overrides: dict) -> RunConfig:
-    data: dict = {}
+    """The config file (if any) with the command-line options that were given on top."""
+    given = {key: value for key, value in overrides.items() if value is not None}
     if config_path:
-        data.update(RunConfig.from_yaml(config_path).__dict__)
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    if "output" not in data or not data["output"]:
-        raise ConfigError("an output directory is required (--output or config file)")
-    return RunConfig.from_dict(data)
+        return RunConfig.from_yaml(config_path, given)
+    return RunConfig.from_dict(given)
 
 
 def _handle_errors(fn):
@@ -84,7 +80,8 @@ def _common_options(fn):
         click.option("--threshold", type=float, default=None,
                      help="Caption match threshold (default 0.9)."),
         click.option("--concurrency", type=int, default=None,
-                     help="Worker pool size."),
+                     help="Worker threads for generate, verify, annotate and evaluate "
+                          "(default 1); outputs are the same at any value."),
         click.option("--mock", "mock_script", type=click.Path(), default=None,
                      help="Mock-backend script (JSON digest map)."),
     ]

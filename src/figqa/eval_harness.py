@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 from .dataset import VerifiedRecord
-from .errors import EndpointUnavailable, MalformedResponse
-from .gateway import TRANSPORT_ROUNDS, format_options, parse_option_tag, render_template
+from .errors import MalformedResponse
+from .gateway import format_options, map_rounds, parse_option_tag, render_template
 
 UNLABELED = "unlabeled"
 
@@ -63,36 +63,30 @@ def _tally(breakdown: dict[str, dict], category: str, is_correct: bool) -> None:
         slot["correct"] += 1
 
 
-def evaluate(endpoint, records: list[VerifiedRecord], templates) -> EvalResult:
-    """Ask the configured model every question; aggregate accuracies."""
+def evaluate(
+    endpoint, records: list[VerifiedRecord], templates, concurrency: int = 1
+) -> EvalResult:
+    """Ask the configured model every question on `concurrency` workers; aggregate accuracies."""
     if endpoint.config.temperature != 0:
         raise ValueError("evaluation requires a greedy (temperature 0) endpoint")
 
-    predictions: dict[str, str | None] = {}
-    pending = list(records)
-    for _ in range(TRANSPORT_ROUNDS):
-        still_failing = []
-        for record in pending:
-            prompt = render_template(
-                templates["eval_zero_shot"],
-                {
-                    "caption": record.caption,
-                    "question": record.question,
-                    "options": format_options(record.options),
-                },
-            )
-            try:
-                response, _ = endpoint.complete(prompt, record.figure_image_ref)
-            except EndpointUnavailable:
-                still_failing.append(record)
-                continue
-            try:
-                predictions[record.key] = parse_option_tag(response, len(record.options))
-            except MalformedResponse:
-                predictions[record.key] = None  # unparseable counts as wrong
-        pending = still_failing
-        if not pending:
-            break
+    def predict(record: VerifiedRecord) -> str | None:
+        prompt = render_template(
+            templates["eval_zero_shot"],
+            {
+                "caption": record.caption,
+                "question": record.question,
+                "options": format_options(record.options),
+            },
+        )
+        response, _ = endpoint.complete(prompt, record.figure_image_ref)
+        try:
+            return parse_option_tag(response, len(record.options))
+        except MalformedResponse:
+            return None  # unparseable counts as wrong
+
+    done, pending = map_rounds(predict, records, concurrency)
+    predictions = {record.key: predicted for record, predicted in done}
 
     unevaluated_keys = [r.key for r in pending]
     result = EvalResult(

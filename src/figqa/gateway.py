@@ -14,6 +14,7 @@ import os
 import re
 import threading
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -73,6 +74,15 @@ class ModelEndpointConfig:
     def __post_init__(self):
         if self.role not in ("text", "vision"):
             raise ConfigError(f"endpoint role must be text or vision, got {self.role!r}")
+        # Each message starts with the field name, which the config loader prefixes with the slot.
+        if self.max_retries < 0:
+            raise ConfigError(f"max_retries: must be at least 0, got {self.max_retries}")
+        if self.timeout <= 0:
+            raise ConfigError(f"timeout: must be positive, got {self.timeout}")
+        if self.requests_per_minute is not None and self.requests_per_minute < 1:
+            raise ConfigError(
+                f"requests_per_minute: must be at least 1, got {self.requests_per_minute}"
+            )
 
 
 @dataclass
@@ -419,6 +429,62 @@ class MockEndpoint:
         if image_ref is not None and self.config.role != "vision":
             raise ValueError("text endpoint cannot accept an image attachment")
         return self.backend.serve(self.config, prompt, image_ref)
+
+
+def pool_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items] on a pool of `workers` threads, in item order.
+
+    At most 2 x workers calls are queued or running at once, so the pool's
+    bookkeeping does not grow with the number of items. The first exception
+    cancels the queued calls, so a fatal error (bad credentials, say) is not
+    repeated for every remaining item, and propagates once the running
+    calls finish.
+    """
+    results = [None] * len(items)
+    running: dict = {}  # future -> index of its item
+
+    def collect(return_when) -> None:
+        done, _ = futures.wait(running, return_when=return_when)
+        for future in done:
+            results[running.pop(future)] = future.result()
+
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for index, item in enumerate(items):
+                if len(running) >= 2 * workers:
+                    collect(futures.FIRST_COMPLETED)
+                running[pool.submit(fn, item)] = index
+            collect(futures.ALL_COMPLETED)
+        except BaseException:
+            for future in running:
+                future.cancel()
+            raise
+    return results
+
+
+def map_rounds(fn, items, workers: int) -> tuple[list[tuple], list]:
+    """fn over items on a worker pool, in up to TRANSPORT_ROUNDS passes.
+
+    An item whose call raised EndpointUnavailable is retried in the next
+    pass. Returns the (item, result) pairs in pass, then item, order, and
+    the items that still failed after the last pass.
+    """
+
+    def attempt(item):
+        try:
+            return False, fn(item)
+        except EndpointUnavailable as exc:
+            return True, exc
+
+    done: list[tuple] = []
+    pending = list(items)
+    for _ in range(TRANSPORT_ROUNDS):
+        outcomes = pool_map(attempt, pending, workers)
+        done += [(item, result) for item, (failed, result) in zip(pending, outcomes) if not failed]
+        pending = [item for item, (failed, _) in zip(pending, outcomes) if failed]
+        if not pending:
+            break
+    return done, pending
 
 
 def complete_parsed(endpoint, prompt: str, parse, image_ref: str | None = None):

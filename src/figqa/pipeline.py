@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -33,12 +32,13 @@ from .errors import (
 from .eval_harness import evaluate, format_report
 from .figure_context import FigureContext, build_figure_contexts
 from .gateway import (
-    TRANSPORT_ROUNDS,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
     TokenBucket,
     load_templates,
+    map_rounds,
+    pool_map,
 )
 from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
 from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, clean_paper
@@ -90,6 +90,10 @@ class RunConfig:
             raise ConfigError(f"unknown endpoint slots: {unknown}")
         for name in ROLE_DEFAULTS:
             _check_config(ENDPOINT_CHECK, self._endpoint_dict(name), f"endpoints.{name}")
+            try:
+                self.endpoint_config(name)
+            except ConfigError as exc:
+                raise ConfigError(f"endpoints.{name}.{exc}") from None
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.concurrency < 1:
@@ -138,12 +142,13 @@ class RunConfig:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "output" not in data:
-            raise ConfigError("config must define an output directory")
+        if not data.get("output"):
+            raise ConfigError("an output directory is required (--output or the config's output)")
         return cls(**data)
 
     @classmethod
-    def from_yaml(cls, path: str | Path) -> "RunConfig":
+    def from_yaml(cls, path: str | Path, overrides: dict | None = None) -> "RunConfig":
+        """The config file's mapping, updated with overrides, as one RunConfig."""
         try:
             with open(path, encoding="utf-8") as fh:
                 data = yaml.safe_load(fh)
@@ -153,7 +158,7 @@ class RunConfig:
             raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must be a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **(overrides or {})})
 
 
 CONFIG_CHECK = ds.row_check(RunConfig)
@@ -236,13 +241,32 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
 
 
 @dataclass
+class PreparedFigure:
+    """One entry of a PreparedPaper's figures: a corpus row without its paper fields."""
+
+    figure_index: int
+    image: str
+    caption: str
+
+
+@dataclass
 class PreparedPaper:
     """One papers_clean.jsonl row: a cleaned paper and its corpus figures."""
 
     arxiv_id: str
     primary_category: str
     paragraphs: list[str]
-    figures: list[dict]  # figure_index, image and caption of each corpus row
+    figures: list[dict]  # PreparedFigure rows
+
+
+PAPER_ROW = ds.row_check(PreparedPaper)
+FIGURE_ROW = ds.row_check(PreparedFigure)
+
+
+def _check_paper_row(row: dict, line_no: int) -> None:
+    PAPER_ROW(row, line_no)
+    for figure in row["figures"]:
+        FIGURE_ROW(figure, line_no)
 
 
 # A context row is a FigureContext plus its paper's category.
@@ -295,10 +319,7 @@ def stage_prepare(cfg: RunConfig) -> dict:
         except RecursionLimitExceeded:
             skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
             continue
-        figures = [
-            {"figure_index": r.figure_index, "image": r.image, "caption": r.caption}
-            for r in fig_rows
-        ]
+        figures = [asdict(PreparedFigure(r.figure_index, r.image, r.caption)) for r in fig_rows]
         paper = PreparedPaper(arxiv_id, raw.primary_category, clean.paragraphs, figures)
         prepared_rows.append(asdict(paper))
     ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
@@ -317,13 +338,16 @@ def stage_prepare(cfg: RunConfig) -> dict:
 def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
-    papers = ds.read_rows(_require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper)
+    papers = ds.read_rows(
+        _require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper, _check_paper_row
+    )
 
     context_rows: list[dict] = []
     discard_rows: list[dict] = []
     discard_counts: dict[str, int] = {}
     figures_in = 0
     for paper in papers:
+        figures = [ds.from_row(PreparedFigure, f) for f in paper.figures]
         clean = CleanPaper(
             arxiv_id=paper.arxiv_id,
             body=PARAGRAPH_SEPARATOR.join(paper.paragraphs),
@@ -333,9 +357,9 @@ def stage_extract(cfg: RunConfig) -> dict:
             arxiv_id=paper.arxiv_id,
             primary_category=paper.primary_category,
             latex_source="",
-            figure_caption_pairs=[(f["image"], f["caption"]) for f in paper.figures],
+            figure_caption_pairs=[(f.image, f.caption) for f in figures],
         )
-        indices = [f["figure_index"] for f in paper.figures]
+        indices = [f.figure_index for f in figures]
         figures_in += len(indices)
         contexts, discards = build_figure_contexts(
             clean, raw, threshold=cfg.threshold, figure_indices=indices
@@ -391,8 +415,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         ]
         return claims, results
 
-    with ThreadPoolExecutor(max_workers=cfg.concurrency) as pool:
-        outputs = list(pool.map(process, rows))
+    outputs = pool_map(process, rows, cfg.concurrency)
 
     claim_rows: list[dict] = []
     candidate_rows: list[dict] = []
@@ -442,48 +465,46 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
+    seen: set[str] = set()
     for candidate in candidates:
         figure_key = f"{candidate.arxiv_id}:f{candidate.figure_index}"
         if figure_key not in contexts:
             raise UpstreamInputError(
                 f"candidate {candidate.key} has no figure context {figure_key}"
             )
+        # Two workers must never run one candidate's cascade at once.
+        if candidate.key in seen:
+            raise UpstreamInputError(f"candidate {candidate.key} appears twice")
+        seen.add(candidate.key)
+
+    def run_one(candidate: QACandidate):
+        context = contexts[f"{candidate.arxiv_id}:f{candidate.figure_index}"]
+        try:
+            return vf.run_cascade(
+                candidate, context, endpoints["text"], endpoints["vision"], templates, log
+            )
+        except EndpointUnavailable as exc:
+            logger.warning("deferring %s: %s", candidate.key, exc)
+            raise
+        except ImageUnreadable as exc:
+            return exc
+
+    done, deferred = map_rounds(run_one, candidates, cfg.concurrency)
+    # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
+    log.sort_file()
 
     retained: list = []
     rejected_by_stage: dict[str, int] = {}
     discarded: list[dict] = []
-    processed = 0
-
-    def run_one(candidate: QACandidate):
-        context = contexts[f"{candidate.arxiv_id}:f{candidate.figure_index}"]
-        return vf.run_cascade(
-            candidate, context, endpoints["text"], endpoints["vision"], templates, log
-        )
-
-    queue = candidates
-    for _ in range(TRANSPORT_ROUNDS):
-        next_queue = []
-        for candidate in queue:
-            try:
-                outcome = run_one(candidate)
-            except EndpointUnavailable as exc:
-                logger.warning("deferring %s: %s", candidate.key, exc)
-                next_queue.append(candidate)
-                continue
-            except ImageUnreadable as exc:
-                discarded.append({"key": candidate.key, "reason": str(exc)})
-                processed += 1
-                continue
-            processed += 1
-            if outcome.status == "retained":
-                retained.append(outcome.record)
-            else:
-                rejected_by_stage[outcome.rejected_stage] = (
-                    rejected_by_stage.get(outcome.rejected_stage, 0) + 1
-                )
-        queue = next_queue
-        if not queue:
-            break
+    for candidate, outcome in done:
+        if isinstance(outcome, ImageUnreadable):
+            discarded.append({"key": candidate.key, "reason": str(outcome)})
+        elif outcome.status == "retained":
+            retained.append(outcome.record)
+        else:
+            rejected_by_stage[outcome.rejected_stage] = (
+                rejected_by_stage.get(outcome.rejected_stage, 0) + 1
+            )
 
     retained.sort(key=lambda r: r.key)
     ds.write_dataset(retained, out_dir / "retained.jsonl")
@@ -491,11 +512,11 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     manifest = {
         "stage": "verify",
         "candidates": len(candidates),
-        "processed": processed,
+        "processed": len(done),
         "retained": len(retained),
         "rejected_by_stage": dict(sorted(rejected_by_stage.items())),
         "discarded": len(discarded),
-        "deferred": len(queue),
+        "deferred": len(deferred),
         "config_digest": cfg.config_digest(),
     }
     ds.write_json(out_dir / "manifest_verify.json", manifest)
@@ -509,8 +530,9 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
 
-    deferred = 0
-    for record in records:
+    def label(record: ds.VerifiedRecord) -> int:
+        """Both labels of one record, set in place; the number of deferred calls."""
+        deferred = 0
         try:
             record.figure_type = ds.annotate_taxonomy(
                 record, "figure_type", endpoints["annotator_vision"], templates
@@ -523,6 +545,9 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
             )
         except EndpointUnavailable:
             deferred += 1
+        return deferred
+
+    deferred = sum(pool_map(label, records, cfg.concurrency))
     ds.write_dataset(records, out_dir / "annotated.jsonl")
     manifest = {
         "stage": "annotate",
@@ -550,7 +575,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     records = ds.read_dataset(dataset_path)
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
-    result = evaluate(endpoints["eval"], records, templates)
+    result = evaluate(endpoints["eval"], records, templates, concurrency=cfg.concurrency)
     ds.write_json(out_dir / "eval_summary.json", result.to_json_dict())
     report = format_report(result)
     (out_dir / "eval_report.txt").write_text(report + "\n", encoding="utf-8")

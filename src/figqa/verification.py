@@ -54,22 +54,50 @@ class FilterVerdict:
     reasoning: str | None = None
 
 
+_CASCADE_RANK = {name: i for i, name in enumerate(CASCADE_ORDER)}
+
+
+def _file_order(key: tuple[str, str]) -> tuple[str, int, str]:
+    """A verdict's place in a sorted log: by candidate, then by position in the cascade."""
+    candidate_key, filter_name = key
+    return candidate_key, _CASCADE_RANK.get(filter_name, len(CASCADE_ORDER)), filter_name
+
+
+def _line(verdict: FilterVerdict) -> str:
+    return json.dumps(asdict(verdict), ensure_ascii=False) + "\n"
+
+
 class VerdictLog:
-    """File-backed append-only map of (candidate, filter) to verdict."""
+    """File-backed append-only map of (candidate, filter) to verdict.
+
+    Appends are lock-guarded, so pool workers share one log. Whether the
+    file's lines are in _file_order is tracked as they are read and
+    appended, so that sort_file rewrites only a log that needs it.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], FilterVerdict] = {}
         self._lock = threading.Lock()
+        self._last: tuple | None = None  # _file_order of the file's last line
+        self._sorted = True
         if self.path.exists():
             self._cut_torn_tail()
             # The first verdict per key wins; a row that is not a verdict raises SchemaViolation.
             for verdict in read_rows(self.path, FilterVerdict):
                 key = (verdict.candidate_key, verdict.filter)
+                self._note_line(key)
                 if key in self._entries:
                     logger.warning("verdict log %s: duplicate entry %s ignored", self.path, key)
                     continue
                 self._entries[key] = verdict
+
+    def _note_line(self, key: tuple[str, str]) -> None:
+        """A line not strictly after the one before it (a duplicate, say) unsorts the file."""
+        order = _file_order(key)
+        if self._last is not None and order <= self._last:
+            self._sorted = False
+        self._last = order
 
     def _cut_torn_tail(self) -> None:
         """Durably drop a final line that a crash left without its newline.
@@ -99,10 +127,38 @@ class VerdictLog:
             if key in self._entries:
                 raise ValueError(f"verdict already recorded for {key}")
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(verdict), ensure_ascii=False) + "\n")
+                fh.write(_line(verdict))
                 fh.flush()
                 os.fsync(fh.fileno())
             self._entries[key] = verdict
+            self._note_line(key)
+
+    def sort_file(self) -> bool:
+        """Durably rewrite the file as one line per verdict in _file_order, unless it is already.
+
+        The sorted lines go to a temp file that is fsynced and renamed over
+        the log, and then the directory is fsynced, so a crash leaves either
+        the old log or the sorted one. Returns whether the file was rewritten.
+        """
+        with self._lock:
+            if self._sorted:
+                return False
+            keys = sorted(self._entries, key=_file_order)
+            tmp = self.path.with_name(self.path.name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for key in keys:
+                    fh.write(_line(self._entries[key]))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+            dir_fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+            self._sorted = True
+            self._last = _file_order(keys[-1])
+            return True
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from figqa.errors import EndpointUnavailable
@@ -105,6 +107,24 @@ class TestEvaluate:
         item = next(it for it in result.per_item if it["key"] == "2000.00007:f0:c0")
         assert item["predicted"] == "None"
         assert item["correct"] is False
+
+    def test_pooled_result_equals_serial(self):
+        records = _records()
+        for i, record in enumerate(records):
+            record.question = f"What does panel {i} show?"
+
+        def answer(prompt, image_ref):
+            return HAND_SET[int(re.search(r"panel (\d)", prompt).group(1))][5]
+
+        results = [
+            evaluate(
+                StubEndpoint(role="vision", temperature=0.0, handler=answer), records, TEMPLATES,
+                concurrency=concurrency,
+            ).to_json_dict()
+            for concurrency in (1, 4)
+        ]
+        assert results[0] == results[1]
+        assert results[0]["overall"]["correct"] == 6
 
     def test_temperature_guard(self):
         ep = StubEndpoint(role="vision", temperature=1.0)

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from figqa.gateway import (
     AMBIGUOUS,
     NONE_SIGNAL,
     TEMPLATE_NAMES,
+    TRANSPORT_ROUNDS,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
@@ -33,8 +36,10 @@ from figqa.gateway import (
     TokenBucket,
     format_options,
     load_templates,
+    map_rounds,
     parse_option_tag,
     parse_patterns_block,
+    pool_map,
     render_template,
     request_digest,
 )
@@ -508,3 +513,53 @@ class TestTokenBucket:
         assert eps["vision"]._bucket is eps["annotator_vision"]._bucket
         assert eps["text"]._bucket is not eps["vision"]._bucket
         assert isinstance(eps["text"]._bucket, TokenBucket)
+
+
+class TestPoolMap:
+    def test_results_keep_item_order(self):
+        # Later items finish first, yet come back in item order.
+        def slow_first(i):
+            time.sleep(0.002 * (8 - i))
+            return i * i
+
+        assert pool_map(slow_first, range(8), 4) == [i * i for i in range(8)]
+
+    def test_a_slow_item_does_not_hold_up_the_rest(self):
+        # Item 0 finishes only after the last item has run.
+        last_done = threading.Event()
+
+        def wait_for_last(i):
+            if i == 0:
+                assert last_done.wait(timeout=10)
+            if i == 99:
+                last_done.set()
+            return i
+
+        assert pool_map(wait_for_last, list(range(100)), 2) == list(range(100))
+
+    def test_first_error_cancels_the_items_not_yet_started(self):
+        started = []
+
+        def fail_first(i):
+            started.append(i)
+            if i == 0:
+                raise AuthError("bad key")
+            time.sleep(0.05)
+
+        with pytest.raises(AuthError):
+            pool_map(fail_first, range(20), 1)
+        assert len(started) <= 2
+
+    def test_rounds_retry_only_the_transport_failures(self):
+        failures = {"b": 1, "c": 99}
+
+        def flaky(item):
+            if failures.get(item, 0) > 0:
+                failures[item] -= 1
+                raise EndpointUnavailable(item)
+            return item.upper()
+
+        done, pending = map_rounds(flaky, ["a", "b", "c"], 1)
+        assert done == [("a", "A"), ("b", "B")]
+        assert pending == ["c"]
+        assert failures["c"] == 99 - TRANSPORT_ROUNDS

@@ -8,6 +8,7 @@ the verdict log, the call ledger, the funnel, and the exit codes.
 import hashlib
 import json
 import shutil
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,9 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
-from figqa.pipeline import CRASH_AFTER_ENV
+from figqa.errors import EndpointUnavailable
+from figqa.pipeline import CRASH_AFTER_ENV, RunConfig, build_endpoints, stage_verify
+from figqa.verification import VOTE_COUNT
 
 LETTERS = "ABCD"
 
@@ -263,6 +266,114 @@ class TestCrashAndResume:
 
 
 @pytest.fixture(scope="module")
+def pooled_crash_resume(e2e_bundle, run_cli, tmp_path_factory):
+    """crash_resume at concurrency 4, followed by annotate."""
+    expect = e2e_bundle.expectations
+    out = tmp_path_factory.mktemp("pooled_crash_resume")
+    config = e2e_bundle.make_config(out, concurrency=4)
+    prep = run_cli(
+        ["run", "--config", str(config),
+         "--stage", "prepare", "--stage", "extract", "--stage", "generate"]
+    )
+    assert prep.returncode == 0, prep.stderr
+    crash = run_cli(
+        ["verify", "--config", str(config)],
+        env_extra={CRASH_AFTER_ENV: str(expect["crash_after"])},
+    )
+    mid_ledger = read_jsonl(out / "mock_calls.jsonl")
+    resume = run_cli(["verify", "--config", str(config)])
+    resumed_ledger = read_jsonl(out / "mock_calls.jsonl")
+    annotate = run_cli(["annotate", "--config", str(config)])
+    return SimpleNamespace(
+        out=out,
+        expect=expect,
+        procs=(crash, resume, annotate),
+        mid_ledger=mid_ledger,
+        resumed_ledger=resumed_ledger,
+    )
+
+
+class TestPooledCrashAndResume:
+    def test_exit_codes(self, pooled_crash_resume):
+        crash, resume, annotate = pooled_crash_resume.procs
+        assert crash.returncode == 70, crash.stderr
+        assert resume.returncode == 0, resume.stderr
+        assert annotate.returncode == 0, annotate.stderr
+
+    def test_artifacts_match_pinned_digests(self, pooled_crash_resume):
+        assert artifact_digests(pooled_crash_resume.out) == PINNED_SHA256
+
+    def test_resume_repeats_at_most_the_in_flight_checks(self, pooled_crash_resume):
+        expect = pooled_crash_resume.expect
+        mid_calls = len(pooled_crash_resume.mid_ledger)
+        assert mid_calls == expect["generate_calls"] + expect["crash_after"]
+        got = Counter(row["digest"] for row in pooled_crash_resume.resumed_ledger)
+        want = scripted_call_counter(expect, "generate", "verify")
+        assert not want - got  # every scripted call was made
+        repeated = sum((got - want).values())
+        # A crash loses the calls of checks whose verdicts were not yet logged:
+        # at most one check per worker, and only two candidates reach the votes.
+        assert repeated == sum(got.values()) - sum(want.values())
+        assert repeated <= 3 * VOTE_COUNT
+
+
+class FlakyVotes:
+    """A vision endpoint whose vote calls for one question fail `failures` times."""
+
+    def __init__(self, inner, question: str, failures: int):
+        self.inner = inner
+        self.config = inner.config
+        self.question = question
+        self.failures = failures
+        self._lock = threading.Lock()
+
+    @property
+    def role(self) -> str:
+        return self.inner.role
+
+    def complete(self, prompt: str, image_ref: str | None = None):
+        if image_ref is not None and self.question in prompt:
+            with self._lock:
+                self.failures -= 1
+                if self.failures >= 0:
+                    raise EndpointUnavailable("scripted outage")
+        return self.inner.complete(prompt, image_ref)
+
+
+class TestTransportRounds:
+    """verify's later rounds retry the candidates whose calls failed in transport."""
+
+    @staticmethod
+    def _verify(full_run, e2e_bundle, out: Path, concurrency: int, failures: int) -> dict:
+        out.mkdir()
+        for name in ("candidates.jsonl", "figure_contexts.jsonl"):
+            shutil.copy(full_run.out / name, out / name)
+        cfg = RunConfig.from_yaml(e2e_bundle.make_config(out, concurrency=concurrency))
+        endpoints = build_endpoints(cfg)
+        question = full_run.expect["retained_question"]
+        endpoints["vision"] = FlakyVotes(endpoints["vision"], question, failures)
+        return stage_verify(cfg, endpoints)
+
+    def test_deferred_candidate_is_retained_in_the_next_round(self, full_run, e2e_bundle, tmp_path):
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            manifest = self._verify(full_run, e2e_bundle, out, concurrency, failures=1)
+            assert manifest["deferred"] == 0
+            assert manifest["retained"] == 1
+            assert manifest["processed"] == full_run.expect["candidates"]
+            # The deferred candidate sorts first, so its round-2 verdicts were
+            # appended last; the log is left in (candidate, cascade) order.
+            for name in ("verdict_log.jsonl", "retained.jsonl"):
+                assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
+
+    def test_candidate_failing_every_round_stays_deferred(self, full_run, e2e_bundle, tmp_path):
+        manifest = self._verify(full_run, e2e_bundle, tmp_path / "out", 4, failures=99)
+        assert manifest["deferred"] == 1
+        assert manifest["retained"] == 0
+        assert manifest["processed"] == full_run.expect["candidates"] - 1
+
+
+@pytest.fixture(scope="module")
 def eval_dir(e2e_bundle, run_cli, tmp_path_factory):
     out = tmp_path_factory.mktemp("eval_run")
     config = e2e_bundle.make_config(out)
@@ -305,6 +416,29 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "output" in proc.stderr
 
+    def test_output_option_completes_a_config_without_output(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run.out, out)
+        data = yaml.safe_load(e2e_bundle.make_config(tmp_path / "unused").read_text())
+        del data["output"]
+        config = tmp_path / "no_output.yaml"
+        config.write_text(yaml.safe_dump(data))
+        proc = run_cli(["stats", "--config", str(config), "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict replay: consistent" in proc.stdout
+
+    def test_duplicate_candidate_is_an_input_error(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "duplicate"
+        shutil.copytree(full_run.out, out)
+        config = e2e_bundle.make_config(out, concurrency=4)
+        path = out / "candidates.jsonl"
+        path.write_text(path.read_text() + path.read_text().splitlines(keepends=True)[0])
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 3
+        assert "appears twice" in proc.stderr
+
     def test_verify_without_upstream_candidates(self, e2e_bundle, run_cli, tmp_path):
         config = e2e_bundle.make_config(tmp_path / "empty")
         proc = run_cli(["verify", "--config", str(config)])
@@ -341,24 +475,29 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "stage, artifact, key",
+        "stage, artifact, where, key",
         [
-            ("verify", "candidates.jsonl", "context_digest"),
-            ("verify", "verdict_log.jsonl", "passed"),
-            ("stats", "verdict_log.jsonl", "passed"),
-            ("extract", "papers_clean.jsonl", "figures"),
+            ("verify", "candidates.jsonl", (), "context_digest"),
+            ("verify", "verdict_log.jsonl", (), "passed"),
+            ("stats", "verdict_log.jsonl", (), "passed"),
+            ("extract", "papers_clean.jsonl", (), "figures"),
+            ("extract", "papers_clean.jsonl", ("figures", 0), "image"),
         ],
-        ids=["verify-candidates", "verify-verdict_log", "stats-verdict_log", "extract-papers_clean"],
+        ids=["verify-candidates", "verify-verdict_log", "stats-verdict_log", "extract-papers_clean",
+             "extract-papers_clean-figure"],
     )
     def test_row_missing_a_field_is_an_input_error(
-        self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact, key
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact, where, key
     ):
         out = tmp_path / "short_row"
         shutil.copytree(full_run.out, out)
         config = e2e_bundle.make_config(out)
         path = out / artifact
         rows = read_jsonl(path)
-        del rows[0][key]
+        row = rows[0]
+        for step in where:
+            row = row[step]
+        del row[key]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         proc = run_cli([stage, "--config", str(config)])
         assert proc.returncode == 3
@@ -374,9 +513,14 @@ class TestExitCodes:
             ({"endpoints": {"txt": {"model_name": "m"}}}, "txt"),
             ({"seed": True}, "seed"),
             ({"threshold": "0.9"}, "threshold"),
+            ({"endpoints": {"text": {"max_retries": -1}}}, "endpoints.text.max_retries"),
+            ({"endpoints": {"vision": {"timeout": 0}}}, "endpoints.vision.timeout"),
+            ({"endpoints": {"eval": {"requests_per_minute": 0}}},
+             "endpoints.eval.requests_per_minute"),
         ],
         ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
-             "unknown-slot", "bool-seed", "string-threshold"],
+             "unknown-slot", "bool-seed", "string-threshold", "negative-max-retries",
+             "zero-timeout", "zero-requests-per-minute"],
     )
     def test_bad_config_value_is_a_config_error(
         self, e2e_bundle, run_cli, tmp_path, overrides, named

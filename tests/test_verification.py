@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -334,6 +336,78 @@ class TestVerdictLog:
         assert loaded.selections == ["A", "A", "None"]
         assert loaded.reasoning == "  spaced reasoning kept verbatim  "
         assert loaded.agreeing_run_index == 0
+
+    def test_sort_file_leaves_a_sorted_log_untouched(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = VerdictLog(path)
+        for key in ("k1", "k2"):
+            for name in CASCADE_ORDER[:2]:
+                log.append(self._verdict(key=key, filter_name=name))
+        before = path.stat()
+        assert log.sort_file() is False
+        assert VerdictLog(path).sort_file() is False
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_sort_file_orders_by_candidate_then_cascade(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        expected = tmp_path / "expected.jsonl"
+        in_order = [("k1", name) for name in CASCADE_ORDER] + [("k2", FILTER_SOURCE)]
+        reference = VerdictLog(expected)
+        for key, name in in_order:
+            reference.append(self._verdict(key=key, filter_name=name))
+        log = VerdictLog(path)
+        for key, name in [in_order[i] for i in (4, 3, 0, 2, 1)]:
+            log.append(self._verdict(key=key, filter_name=name))
+        assert log.sort_file() is True
+        assert path.read_bytes() == expected.read_bytes()
+        assert not path.with_name("log.jsonl.tmp").exists()
+        log.append(self._verdict(key="k0"))  # out of order again after the rewrite
+        assert log.sort_file() is True
+        assert path.read_text().splitlines()[0].startswith('{"candidate_key": "k0"')
+
+    def test_sort_file_drops_a_duplicate_line_and_keeps_the_first(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        first, second = (json.dumps(asdict(self._verdict(passed=p))) for p in (True, False))
+        path.write_text(first + "\n" + second + "\n")
+        assert VerdictLog(path).sort_file() is True
+        assert path.read_text() == first + "\n"
+
+    def test_out_of_order_file_is_sorted_on_load(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        rows = [asdict(self._verdict(key=key)) for key in ("k2", "k1")]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert VerdictLog(path).sort_file() is True
+        assert [json.loads(line)["candidate_key"] for line in path.read_text().splitlines()] == [
+            "k1",
+            "k2",
+        ]
+
+    def test_concurrent_appends_lose_nothing(self, tmp_path):
+        """Eight threads on at most a few cores, with a short switch interval."""
+        path = tmp_path / "log.jsonl"
+        log = VerdictLog(path)
+        keys = [f"k{i:02d}" for i in range(50)]
+
+        def record(key):
+            for name in CASCADE_ORDER:
+                log.append(self._verdict(key=key, filter_name=name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(record, key) for key in keys]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [(key, name) for key in keys for name in CASCADE_ORDER]
+        assert len(log) == len(expected)
+        log.sort_file()
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["candidate_key"], r["filter"]) for r in rows] == expected
+        assert len(VerdictLog(path)) == len(expected)
 
 
 def _cascade_endpoints(source, visdep_text, visdep_vision=None, votes=None):
