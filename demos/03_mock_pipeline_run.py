@@ -44,7 +44,6 @@ class ScriptedEndpoint:
         self.config = SimpleNamespace(
             role=role, model_name=f"scripted-{role}", temperature=temperature
         )
-        self.role = role
         self.queue = list(responses)
 
     def complete(self, prompt, image_ref=None):

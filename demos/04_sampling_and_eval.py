@@ -40,7 +40,6 @@ def make_record(key, domain, ftype, qtype, correct_index=0):
 
 class ScriptedEndpoint:
     def __init__(self, responses):
-        self.role = "vision"
         self.config = SimpleNamespace(
             role="vision", model_name="scripted-eval", temperature=0.0
         )

@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
 endpoint slot, or a prompt template naming an unknown variable), 3 upstream-input error
 (a missing, truncated or corrupt input file or row, an unreadable figure
 image, or a failed verdict replay), 4 endpoint auth error, 5 endpoint
-unavailable after every retry (rerun the stage).
+unavailable after every retry (rerun the stage), 6 file-system error (an
+output path that cannot be created or written, say). Every file a stage
+writes is replaced atomically, so a failed or killed stage leaves the old
+file or the new one, never a half-written one.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ EXIT_CONFIG = 2
 EXIT_UPSTREAM = 3
 EXIT_AUTH = 4
 EXIT_UNAVAILABLE = 5
+EXIT_FILE = 6
 
 
 def _build_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -60,6 +64,9 @@ def _handle_errors(fn):
         except EndpointUnavailable as exc:
             click.echo(f"endpoint unavailable; rerun the stage: {exc}", err=True)
             sys.exit(EXIT_UNAVAILABLE)
+        except OSError as exc:
+            click.echo(f"file error: {exc}", err=True)
+            sys.exit(EXIT_FILE)
 
     return wrapper
 

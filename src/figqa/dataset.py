@@ -1,14 +1,17 @@
 """Dataset assembly: verified records, funnel stats, taxonomy, sampling, IO.
 
 Records are line-delimited JSON with a stable field order so runs are
-byte-comparable. Funnel percentages follow the published-table presentation
-(half-up at two decimals, then half-up at one).
+byte-comparable. This module is the one place figqa writes files: whole
+files are replaced atomically, logs grow by fsynced appends. Funnel
+percentages follow the published-table presentation (half-up at two
+decimals, then half-up at one).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -338,17 +341,77 @@ def read_json(path: str | Path) -> dict:
         return _json_object(fh.read(), path, 1)
 
 
+def _replace(path: str | Path, write) -> None:
+    """Durably replace path with what write(fh) writes to a text file.
+
+    The text goes to a temp file beside path, which is fsynced and renamed
+    over path, and then the directory is fsynced, so a crash leaves either
+    the old file or the new one. On error the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def _line(row: dict) -> str:
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(path: str | Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    """One JSON line per row, written atomically."""
+    _replace(path, lambda fh: fh.writelines(map(_line, rows)))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Pretty, key-sorted JSON for manifests and summaries."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    """Pretty, key-sorted JSON for manifests and summaries, written atomically."""
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """text as the whole of path, written atomically."""
+    _replace(path, lambda fh: fh.write(text))
+
+
+def append_jsonl(path: str | Path, row: dict) -> None:
+    """Durably append one JSON line: it is fsynced before this returns."""
+    with open(path, "a", encoding="utf-8", newline="\n") as fh:
+        fh.write(_line(row))
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def cut_torn_tail(path: str | Path) -> None:
+    """Durably drop a final line that a crash left without its newline.
+
+    Appending after it would glue the next row onto the fragment, and that
+    row would then be lost to every later read.
+    """
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        keep = fh.read().rfind(b"\n") + 1
+        logger.warning("%s: cutting torn final line", path)
+        fh.truncate(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def write_dataset(records: list[VerifiedRecord], path: str | Path) -> None:

@@ -239,10 +239,6 @@ class HttpEndpoint:
             bucket = TokenBucket(config.requests_per_minute)
         self._bucket = bucket
 
-    @property
-    def role(self) -> str:
-        return self.config.role
-
     def _api_key(self) -> str | None:
         if not self.config.api_key_env:
             return None
@@ -306,6 +302,10 @@ class HttpEndpoint:
             else:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
+                if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                    raise EndpointUnavailable(
+                        f"{cfg.model_name}: HTTP {resp.status_code} is not retryable"
+                    )
                 if resp.status_code == 200:
                     try:
                         text = resp.json()["choices"][0]["message"]["content"]
@@ -334,7 +334,7 @@ class MockBackend:
     The script maps request digests to either a single response string or a
     list consumed sequentially (for repeated identical requests such as vote
     triples). An unscripted digest is a hard test failure, never a silent
-    default. Every served call is appended to an optional file ledger;
+    default. Each served call's row is given to the optional ledger callable;
     crash_after=N hard-exits the process at the start of call N+1, before
     that call is ledgered, so the ledger only ever records completed calls.
     """
@@ -344,11 +344,11 @@ class MockBackend:
     def __init__(
         self,
         script: dict[str, str | list[str]],
-        ledger_path: str | Path | None = None,
+        ledger=None,
         crash_after: int | None = None,
     ):
         self.script = script
-        self.ledger_path = Path(ledger_path) if ledger_path else None
+        self.ledger = ledger
         self.crash_after = crash_after
         self.calls: list[str] = []
         self._cursor: dict[str, int] = {}
@@ -391,20 +391,10 @@ class MockBackend:
             else:
                 response = entry
             self.calls.append(digest)
-            if self.ledger_path is not None:
-                with open(self.ledger_path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "digest": digest,
-                                "model": config.model_name,
-                                "image": image_ref is not None,
-                            }
-                        )
-                        + "\n"
-                    )
-                    fh.flush()
-                    os.fsync(fh.fileno())
+            if self.ledger is not None:
+                self.ledger(
+                    {"digest": digest, "model": config.model_name, "image": image_ref is not None}
+                )
         transcript = ModelTranscript(
             request_digest=digest,
             raw_response=response,
@@ -420,10 +410,6 @@ class MockEndpoint:
     def __init__(self, config: ModelEndpointConfig, backend: MockBackend):
         self.config = config
         self.backend = backend
-
-    @property
-    def role(self) -> str:
-        return self.config.role
 
     def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, ModelTranscript]:
         if image_ref is not None and self.config.role != "vision":

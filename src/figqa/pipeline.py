@@ -9,6 +9,7 @@ log, which is what makes crashed runs resumable without duplicate calls.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -89,6 +90,8 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown endpoint slots: {unknown}")
         for name in ROLE_DEFAULTS:
+            if "role" in self.endpoints.get(name, {}):  # fixed per slot
+                raise ConfigError(f"endpoints.{name}.role: unknown endpoint key")
             _check_config(ENDPOINT_CHECK, self._endpoint_dict(name), f"endpoints.{name}")
             try:
                 self.endpoint_config(name)
@@ -131,7 +134,6 @@ class RunConfig:
             }
             merged.update(inherited)
         merged.update(self.endpoints.get(name, {}))
-        merged["role"] = ROLE_DEFAULTS[name]["role"]  # role is fixed per slot
         return merged
 
     def endpoint_config(self, name: str) -> ModelEndpointConfig:
@@ -182,7 +184,7 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
             crash_after = int(raw)
         backend = MockBackend.from_file(
             cfg.mock_script,
-            ledger_path=Path(cfg.output) / "mock_calls.jsonl",
+            ledger=functools.partial(ds.append_jsonl, Path(cfg.output) / "mock_calls.jsonl"),
             crash_after=crash_after,
         )
         return {name: backend.endpoint(cfg.endpoint_config(name)) for name in ROLE_DEFAULTS}
@@ -578,7 +580,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     result = evaluate(endpoints["eval"], records, templates, concurrency=cfg.concurrency)
     ds.write_json(out_dir / "eval_summary.json", result.to_json_dict())
     report = format_report(result)
-    (out_dir / "eval_report.txt").write_text(report + "\n", encoding="utf-8")
+    ds.write_text(out_dir / "eval_report.txt", report + "\n")
     return {
         "stage": "evaluate",
         "dataset": str(dataset_path),

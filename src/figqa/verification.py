@@ -10,14 +10,12 @@ so crashed runs resume without repeating model calls.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .dataset import VerifiedRecord, read_rows
+from .dataset import VerifiedRecord, append_jsonl, cut_torn_tail, read_rows, write_jsonl
 from .errors import MalformedResponse
 from .gateway import (
     AMBIGUOUS,
@@ -63,60 +61,25 @@ def _file_order(key: tuple[str, str]) -> tuple[str, int, str]:
     return candidate_key, _CASCADE_RANK.get(filter_name, len(CASCADE_ORDER)), filter_name
 
 
-def _line(verdict: FilterVerdict) -> str:
-    return json.dumps(asdict(verdict), ensure_ascii=False) + "\n"
-
-
 class VerdictLog:
     """File-backed append-only map of (candidate, filter) to verdict.
 
-    Appends are lock-guarded, so pool workers share one log. Whether the
-    file's lines are in _file_order is tracked as they are read and
-    appended, so that sort_file rewrites only a log that needs it.
+    Appends are lock-guarded, so pool workers share one log.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], FilterVerdict] = {}
         self._lock = threading.Lock()
-        self._last: tuple | None = None  # _file_order of the file's last line
-        self._sorted = True
         if self.path.exists():
-            self._cut_torn_tail()
+            cut_torn_tail(self.path)
             # The first verdict per key wins; a row that is not a verdict raises SchemaViolation.
             for verdict in read_rows(self.path, FilterVerdict):
                 key = (verdict.candidate_key, verdict.filter)
-                self._note_line(key)
                 if key in self._entries:
                     logger.warning("verdict log %s: duplicate entry %s ignored", self.path, key)
                     continue
                 self._entries[key] = verdict
-
-    def _note_line(self, key: tuple[str, str]) -> None:
-        """A line not strictly after the one before it (a duplicate, say) unsorts the file."""
-        order = _file_order(key)
-        if self._last is not None and order <= self._last:
-            self._sorted = False
-        self._last = order
-
-    def _cut_torn_tail(self) -> None:
-        """Durably drop a final line that a crash left without its newline.
-
-        Appending after it would glue the next verdict onto the fragment,
-        and that verdict would then be skipped on every later load.
-        """
-        with open(self.path, "rb+") as fh:
-            if fh.seek(0, os.SEEK_END) == 0:
-                return
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return
-            fh.seek(0)
-            keep = fh.read().rfind(b"\n") + 1
-            logger.warning("verdict log %s: cutting torn final line", self.path)
-            fh.truncate(keep)
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def get(self, candidate_key: str, filter_name: str) -> FilterVerdict | None:
         return self._entries.get((candidate_key, filter_name))
@@ -126,39 +89,14 @@ class VerdictLog:
         with self._lock:
             if key in self._entries:
                 raise ValueError(f"verdict already recorded for {key}")
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(_line(verdict))
-                fh.flush()
-                os.fsync(fh.fileno())
+            append_jsonl(self.path, asdict(verdict))
             self._entries[key] = verdict
-            self._note_line(key)
 
-    def sort_file(self) -> bool:
-        """Durably rewrite the file as one line per verdict in _file_order, unless it is already.
-
-        The sorted lines go to a temp file that is fsynced and renamed over
-        the log, and then the directory is fsynced, so a crash leaves either
-        the old log or the sorted one. Returns whether the file was rewritten.
-        """
+    def sort_file(self) -> None:
+        """Atomically rewrite the file as one line per verdict in _file_order."""
         with self._lock:
-            if self._sorted:
-                return False
             keys = sorted(self._entries, key=_file_order)
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for key in keys:
-                    fh.write(_line(self._entries[key]))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-            self._sorted = True
-            self._last = _file_order(keys[-1])
-            return True
+            write_jsonl(self.path, (asdict(self._entries[key]) for key in keys))
 
     def __len__(self) -> int:
         return len(self._entries)

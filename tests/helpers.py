@@ -26,10 +26,6 @@ class StubEndpoint:
         self.handler = handler
         self.calls: list[tuple[str, str | None]] = []
 
-    @property
-    def role(self) -> str:
-        return self.config.role
-
     def complete(self, prompt: str, image_ref: str | None = None):
         self.calls.append((prompt, image_ref))
         if self.handler is not None:

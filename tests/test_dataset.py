@@ -21,6 +21,7 @@ from figqa.dataset import (
     row_check,
     stratified_sample,
     write_dataset,
+    write_jsonl,
 )
 from figqa.errors import EndpointUnavailable, InvalidFunnel, SchemaViolation
 from figqa.gateway import load_templates
@@ -163,6 +164,20 @@ class TestRecordSerialization:
         write_dataset([make_record()], path)
         path.write_text(path.read_text() + "\n\n")
         assert len(read_dataset(path)) == 1
+
+    def test_failed_write_leaves_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"old": 1}\n', encoding="utf-8")
+
+        def rows():
+            yield {"new": 1}
+            yield {"new": 2}
+            raise RuntimeError("crash mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, rows())
+        assert path.read_bytes() == b'{"old": 1}\n'
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def _valid_dict(**overrides):

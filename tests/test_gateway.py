@@ -10,11 +10,13 @@ import sys
 import textwrap
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 import requests
 
+from figqa.dataset import append_jsonl
 from figqa.errors import (
     AuthError,
     ConfigError,
@@ -248,7 +250,7 @@ class TestMockBackend:
 
     def test_ledger_rows(self, tmp_path):
         ledger = tmp_path / "calls.jsonl"
-        backend = MockBackend({self._digest("p"): "r"}, ledger_path=ledger)
+        backend = MockBackend({self._digest("p"): "r"}, ledger=partial(append_jsonl, ledger))
         vision_cfg = ModelEndpointConfig(role="vision", model_name="v")
         vdigest = request_digest("vision", "v", 1.0, "q", "img.png")
         backend.script[vdigest] = "vr"
@@ -283,10 +285,12 @@ class TestMockBackend:
         program = textwrap.dedent(
             f"""
             import json
+            from functools import partial
+            from figqa.dataset import append_jsonl
             from figqa.gateway import MockBackend, ModelEndpointConfig
             backend = MockBackend(
                 json.loads({json.dumps(json.dumps(script))}),
-                ledger_path={str(tmp_path / "led.jsonl")!r},
+                ledger=partial(append_jsonl, {str(tmp_path / "led.jsonl")!r}),
                 crash_after=2,
             )
             ep = backend.endpoint(ModelEndpointConfig(role="text", model_name="m"))
@@ -376,6 +380,26 @@ class TestHttpEndpoint:
         assert text == "ok"
         assert transcript.attempt_count == 3
         assert sleeps == [1, 2]
+
+    def test_non_retryable_status_fails_on_the_first_response(self):
+        sleeps = []
+        session = FakeSession([FakeResponse(400)])
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
+        with pytest.raises(EndpointUnavailable) as exc:
+            ep.complete("p")
+        assert "HTTP 400" in str(exc.value)
+        assert len(session.posts) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_statuses_are_retried(self, status):
+        sleeps = []
+        session = FakeSession([FakeResponse(status), _ok("ok")])
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
+        text, transcript = ep.complete("p")
+        assert text == "ok"
+        assert transcript.attempt_count == 2
+        assert sleeps == [1]
 
     def test_retries_exhausted(self):
         session = FakeSession([FakeResponse(503)] * 3)

@@ -75,6 +75,9 @@ def full_run(e2e_bundle, run_cli, tmp_path_factory):
 
 
 class TestFullRun:
+    def test_leaves_no_temp_files(self, full_run):
+        assert list(full_run.out.rglob("*.tmp")) == []
+
     def test_reports_every_stage_and_a_consistent_replay(self, full_run):
         for stage in ("prepare", "extract", "generate", "verify", "annotate"):
             assert f"stage {stage}: done" in full_run.proc.stdout
@@ -327,10 +330,6 @@ class FlakyVotes:
         self.failures = failures
         self._lock = threading.Lock()
 
-    @property
-    def role(self) -> str:
-        return self.inner.role
-
     def complete(self, prompt: str, image_ref: str | None = None):
         if image_ref is not None and self.question in prompt:
             with self._lock:
@@ -429,6 +428,15 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "verdict replay: consistent" in proc.stdout
 
+    def test_output_under_a_regular_file_is_a_file_error(self, e2e_bundle, run_cli, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory", encoding="utf-8")
+        config = e2e_bundle.make_config(tmp_path / "unused")
+        proc = run_cli(["prepare", "--config", str(config), "--output", str(blocker / "sub")])
+        assert proc.returncode == 6
+        assert "file error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_duplicate_candidate_is_an_input_error(self, full_run, e2e_bundle, run_cli, tmp_path):
         out = tmp_path / "duplicate"
         shutil.copytree(full_run.out, out)
@@ -517,10 +525,11 @@ class TestExitCodes:
             ({"endpoints": {"vision": {"timeout": 0}}}, "endpoints.vision.timeout"),
             ({"endpoints": {"eval": {"requests_per_minute": 0}}},
              "endpoints.eval.requests_per_minute"),
+            ({"endpoints": {"text": {"role": "vision"}}}, "endpoints.text.role"),
         ],
         ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
              "unknown-slot", "bool-seed", "string-threshold", "negative-max-retries",
-             "zero-timeout", "zero-requests-per-minute"],
+             "zero-timeout", "zero-requests-per-minute", "role-key"],
     )
     def test_bad_config_value_is_a_config_error(
         self, e2e_bundle, run_cli, tmp_path, overrides, named

@@ -343,11 +343,10 @@ class TestVerdictLog:
         for key in ("k1", "k2"):
             for name in CASCADE_ORDER[:2]:
                 log.append(self._verdict(key=key, filter_name=name))
-        before = path.stat()
-        assert log.sort_file() is False
-        assert VerdictLog(path).sort_file() is False
-        after = path.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        before = path.read_bytes()
+        log.sort_file()
+        VerdictLog(path).sort_file()
+        assert path.read_bytes() == before
 
     def test_sort_file_orders_by_candidate_then_cascade(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -359,29 +358,34 @@ class TestVerdictLog:
         log = VerdictLog(path)
         for key, name in [in_order[i] for i in (4, 3, 0, 2, 1)]:
             log.append(self._verdict(key=key, filter_name=name))
-        assert log.sort_file() is True
+        log.sort_file()
         assert path.read_bytes() == expected.read_bytes()
         assert not path.with_name("log.jsonl.tmp").exists()
         log.append(self._verdict(key="k0"))  # out of order again after the rewrite
-        assert log.sort_file() is True
+        log.sort_file()
         assert path.read_text().splitlines()[0].startswith('{"candidate_key": "k0"')
 
     def test_sort_file_drops_a_duplicate_line_and_keeps_the_first(self, tmp_path):
         path = tmp_path / "log.jsonl"
         first, second = (json.dumps(asdict(self._verdict(passed=p))) for p in (True, False))
         path.write_text(first + "\n" + second + "\n")
-        assert VerdictLog(path).sort_file() is True
+        VerdictLog(path).sort_file()
         assert path.read_text() == first + "\n"
 
     def test_out_of_order_file_is_sorted_on_load(self, tmp_path):
         path = tmp_path / "log.jsonl"
         rows = [asdict(self._verdict(key=key)) for key in ("k2", "k1")]
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        assert VerdictLog(path).sort_file() is True
+        VerdictLog(path).sort_file()
         assert [json.loads(line)["candidate_key"] for line in path.read_text().splitlines()] == [
             "k1",
             "k2",
         ]
+
+    def test_sort_file_of_an_empty_log_leaves_an_empty_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        VerdictLog(path).sort_file()
+        assert path.read_bytes() == b""
 
     def test_concurrent_appends_lose_nothing(self, tmp_path):
         """Eight threads on at most a few cores, with a short switch interval."""
