@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
 2 configuration error (a mistyped or out-of-range value, an unknown key or
-endpoint slot, or a prompt template naming an unknown variable), 3 upstream-input error
-(a missing, truncated or corrupt input file or row, an unreadable figure
-image, or a failed verdict replay), 4 endpoint auth error, 5 endpoint
-unavailable after every retry (rerun the stage), 6 file-system error (an
-output path that cannot be created or written, say). Every file a stage
-writes is replaced atomically, so a failed or killed stage leaves the old
-file or the new one, never a half-written one.
+endpoint slot, a prompt template naming an unknown variable, or a request
+the mock script has no response for), 3 upstream-input error (a missing,
+truncated or corrupt input file or row, an unreadable figure image, stage
+files whose funnel counts are inconsistent, or a failed verdict replay),
+4 endpoint auth error, 5 endpoint unavailable after every retry, or a
+request it refused (rerun the stage), 6 file-system error (an output path
+that cannot be created or written, say). Every file a stage writes is
+replaced atomically, so a failed or killed stage leaves the old file or
+the new one, never a half-written one.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .errors import (
     ConfigError,
     EndpointUnavailable,
     ImageUnreadable,
+    InvalidFunnel,
     MissingVariable,
     SchemaViolation,
+    UnscriptedRequest,
     UpstreamInputError,
 )
 from .pipeline import STAGE_ORDER, RunConfig, run_stages
@@ -52,10 +56,10 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, MissingVariable) as exc:
+        except (ConfigError, MissingVariable, UnscriptedRequest) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (UpstreamInputError, SchemaViolation, ImageUnreadable) as exc:
+        except (UpstreamInputError, SchemaViolation, ImageUnreadable, InvalidFunnel) as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(EXIT_UPSTREAM)
         except AuthError as exc:
@@ -84,8 +88,6 @@ def _common_options(fn):
         click.option("--prompts", type=click.Path(), default=None,
                      help="Prompt template directory (default: packaged)."),
         click.option("--seed", type=int, default=None, help="Run seed."),
-        click.option("--threshold", type=float, default=None,
-                     help="Caption match threshold (default 0.9)."),
         click.option("--concurrency", type=int, default=None,
                      help="Worker threads for generate, verify, annotate and evaluate "
                           "(default 1); outputs are the same at any value."),

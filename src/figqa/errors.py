@@ -28,6 +28,13 @@ class EndpointUnavailable(FigqaError):
     """Transport-level failure that persisted through all retry attempts."""
 
 
+class RequestRejected(EndpointUnavailable):
+    """The endpoint refused the request itself (a 4xx other than 408/429).
+
+    Sending the same request again cannot help, so it is not retried.
+    """
+
+
 class AuthError(FigqaError):
     """The endpoint rejected our credentials; retrying cannot help."""
 

@@ -163,27 +163,26 @@ def find_figure_environments(body: str) -> list[FigureEnvironment]:
 def match_caption_to_environment(
     corpus_caption: str,
     environments: list[FigureEnvironment],
-    threshold: float = CAPTION_MATCH_THRESHOLD,
 ) -> FigureEnvironment | DiscardReason:
-    """Return the unique environment whose caption clears the threshold."""
+    """Return the unique environment whose caption clears CAPTION_MATCH_THRESHOLD."""
     target = _comparison_form(corpus_caption)
     hits = []
     best = 0.0
     for i, env in enumerate(environments):
         sim = levenshtein_similarity(target, _comparison_form(env.caption_normalized))
         best = max(best, sim)
-        if sim >= threshold:
+        if sim >= CAPTION_MATCH_THRESHOLD:
             hits.append((i, sim))
     if not hits:
         return DiscardReason(
             DiscardKind.NO_ENVIRONMENT_MATCH,
-            f"best similarity {best:.3f} below threshold {threshold}",
+            f"best similarity {best:.3f} below threshold {CAPTION_MATCH_THRESHOLD}",
         )
     if len(hits) > 1:
         idxs = ", ".join(str(i) for i, _ in hits)
         return DiscardReason(
             DiscardKind.AMBIGUOUS_MATCH,
-            f"caption matches environments [{idxs}] at or above {threshold}",
+            f"caption matches environments [{idxs}] at or above {CAPTION_MATCH_THRESHOLD}",
         )
     return environments[hits[0][0]]
 
@@ -224,7 +223,6 @@ def _paragraph_spans(paragraphs: list[str]) -> list[tuple[int, int]]:
 def build_figure_contexts(
     clean: CleanPaper,
     raw: RawPaper,
-    threshold: float = CAPTION_MATCH_THRESHOLD,
     figure_indices: list[int] | None = None,
 ) -> tuple[list[FigureContext], list[tuple[int, DiscardReason]]]:
     """Bind every corpus figure to an environment and its citing paragraphs.
@@ -244,7 +242,7 @@ def build_figure_contexts(
         if not caption.strip():
             discards[pos] = DiscardReason(DiscardKind.EMPTY_CAPTION, "empty corpus caption")
             continue
-        result = match_caption_to_environment(caption, envs, threshold)
+        result = match_caption_to_environment(caption, envs)
         if isinstance(result, DiscardReason):
             discards[pos] = result
         else:

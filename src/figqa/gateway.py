@@ -28,11 +28,13 @@ from .errors import (
     ImageUnreadable,
     MalformedResponse,
     MissingVariable,
+    RequestRejected,
     UnscriptedRequest,
 )
 
 # Passes verify and evaluate make over their items: the first pass, then
-# retries of the items whose call raised EndpointUnavailable.
+# retries of the items whose call raised EndpointUnavailable (but not
+# RequestRejected, which a resend cannot mend).
 TRANSPORT_ROUNDS = 3
 
 # Sentinel strings: they serialize directly into verdict logs.
@@ -303,7 +305,7 @@ class HttpEndpoint:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
                 if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
-                    raise EndpointUnavailable(
+                    raise RequestRejected(
                         f"{cfg.model_name}: HTTP {resp.status_code} is not retryable"
                     )
                 if resp.status_code == 200:
@@ -452,25 +454,33 @@ def map_rounds(fn, items, workers: int) -> tuple[list[tuple], list]:
     """fn over items on a worker pool, in up to TRANSPORT_ROUNDS passes.
 
     An item whose call raised EndpointUnavailable is retried in the next
-    pass. Returns the (item, result) pairs in pass, then item, order, and
-    the items that still failed after the last pass.
+    pass, unless the error was a RequestRejected. Returns the (item, result)
+    pairs in pass, then item, order, and the items that failed: the rejected
+    ones in pass order, then those that still failed after the last pass.
     """
 
     def attempt(item):
         try:
-            return False, fn(item)
+            return None, fn(item)
         except EndpointUnavailable as exc:
-            return True, exc
+            return exc, None
 
     done: list[tuple] = []
+    rejected: list = []
     pending = list(items)
     for _ in range(TRANSPORT_ROUNDS):
-        outcomes = pool_map(attempt, pending, workers)
-        done += [(item, result) for item, (failed, result) in zip(pending, outcomes) if not failed]
-        pending = [item for item, (failed, _) in zip(pending, outcomes) if failed]
+        retry = []
+        for item, (error, result) in zip(pending, pool_map(attempt, pending, workers)):
+            if error is None:
+                done.append((item, result))
+            elif isinstance(error, RequestRejected):
+                rejected.append(item)
+            else:
+                retry.append(item)
+        pending = retry
         if not pending:
             break
-    return done, pending
+    return done, rejected + pending
 
 
 def complete_parsed(endpoint, prompt: str, parse, image_ref: str | None = None):

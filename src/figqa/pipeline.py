@@ -77,7 +77,6 @@ class RunConfig:
     latex_cache: str | None = None
     prompts: str | None = None
     seed: int = 42
-    threshold: float = 0.9
     concurrency: int = 1
     unevaluated_threshold: int = 0
     mock_script: str | None = None
@@ -97,8 +96,6 @@ class RunConfig:
                 self.endpoint_config(name)
             except ConfigError as exc:
                 raise ConfigError(f"endpoints.{name}.{exc}") from None
-        if not 0 < self.threshold <= 1:
-            raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
         if self._endpoint_dict("eval")["temperature"] != 0:
@@ -108,7 +105,6 @@ class RunConfig:
         """Hash of behavior-relevant settings (paths excluded on purpose)."""
         payload = {
             "seed": self.seed,
-            "threshold": self.threshold,
             "endpoints": {
                 name: {
                     k: v
@@ -363,9 +359,7 @@ def stage_extract(cfg: RunConfig) -> dict:
         )
         indices = [f.figure_index for f in figures]
         figures_in += len(indices)
-        contexts, discards = build_figure_contexts(
-            clean, raw, threshold=cfg.threshold, figure_indices=indices
-        )
+        contexts, discards = build_figure_contexts(clean, raw, figure_indices=indices)
         if len(contexts) + len(discards) != len(indices):
             raise AssertionError(
                 f"conservation violated for {paper.arxiv_id}: "
@@ -535,18 +529,11 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     def label(record: ds.VerifiedRecord) -> int:
         """Both labels of one record, set in place; the number of deferred calls."""
         deferred = 0
-        try:
-            record.figure_type = ds.annotate_taxonomy(
-                record, "figure_type", endpoints["annotator_vision"], templates
-            )
-        except EndpointUnavailable:
-            deferred += 1
-        try:
-            record.question_type = ds.annotate_taxonomy(
-                record, "question_type", endpoints["annotator_text"], templates
-            )
-        except EndpointUnavailable:
-            deferred += 1
+        for kind, slot in (("figure_type", "annotator_vision"), ("question_type", "annotator_text")):
+            try:
+                setattr(record, kind, ds.annotate_taxonomy(record, kind, endpoints[slot], templates))
+            except EndpointUnavailable:
+                deferred += 1
         return deferred
 
     deferred = sum(pool_map(label, records, cfg.concurrency))

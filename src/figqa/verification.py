@@ -1,11 +1,11 @@
 """Cascaded verification filters and the append-only verdict log.
 
-A candidate faces four recorded checks in fixed order: source consistency,
-visual dependence (text stage then vision stage, both without the figure),
-and vision consistency (three votes with the figure). The first failure
-short-circuits the cascade; a candidate is retained iff every recorded
-verdict passed. The log keeps exactly one verdict per (candidate, filter)
-so crashed runs resume without repeating model calls.
+A candidate faces the four recorded checks of CASCADE in order: source
+consistency, visual dependence (text stage then vision stage, both without
+the figure), and vision consistency (three votes with the figure). The
+first failure short-circuits the cascade; a candidate is retained iff every
+recorded verdict passed. The log keeps exactly one verdict per (candidate,
+filter) so crashed runs resume without repeating model calls.
 """
 
 from __future__ import annotations
@@ -32,10 +32,32 @@ FILTER_SOURCE = "SourceConsistency"
 FILTER_VISDEP_TEXT = "VisualDependenceText"
 FILTER_VISDEP_VISION = "VisualDependenceVision"
 FILTER_VISION = "VisionConsistency"
-CASCADE_ORDER = (FILTER_SOURCE, FILTER_VISDEP_TEXT, FILTER_VISDEP_VISION, FILTER_VISION)
 
 TIE = "Tie"
 VOTE_COUNT = 3
+
+
+@dataclass(frozen=True)
+class Filter:
+    """One cascade stage: its prompt, its endpoint, and what counts as a pass."""
+
+    name: str
+    template: str
+    endpoint: str  # "text" or "vision"
+    evidence: str  # the prompt variable beside question and options: "context" or "caption"
+    pass_if_correct: bool = True  # False: pass iff the model FAILS to identify the answer
+    votes: int = 1  # more than 1: every vote sees the figure, and a majority decides
+
+
+# The visual-dependence stages see the caption but neither the figure nor
+# the citing paragraphs, for the text and the vision model alike.
+CASCADE = (
+    Filter(FILTER_SOURCE, "source_check", "text", "context"),
+    Filter(FILTER_VISDEP_TEXT, "visdep_check", "text", "caption", pass_if_correct=False),
+    Filter(FILTER_VISDEP_VISION, "visdep_check", "vision", "caption", pass_if_correct=False),
+    Filter(FILTER_VISION, "vision_answer", "vision", "caption", votes=VOTE_COUNT),
+)
+CASCADE_ORDER = tuple(step.name for step in CASCADE)
 
 
 @dataclass
@@ -124,85 +146,49 @@ def _parse_selection(response: str, option_count: int) -> str:
         return AMBIGUOUS
 
 
-def _render(template, candidate: QACandidate, **variables: str) -> str:
-    """A check prompt: the candidate's question and options plus variables."""
-    return render_template(
-        template,
-        {"question": candidate.question, "options": format_options(candidate.options), **variables},
-    )
-
-
-def check_source_consistency(
-    candidate: QACandidate, context: str, text_endpoint, templates
+def apply_filter(
+    step: Filter, candidate: QACandidate, context: str, endpoint, templates
 ) -> FilterVerdict:
-    """Pass iff the text model uniquely recovers the correct answer from P."""
-    prompt = _render(templates["source_check"], candidate, context=context)
-    response, transcript = text_endpoint.complete(prompt)
-    selection = _parse_selection(response, len(candidate.options))
-    return FilterVerdict(
-        candidate_key=candidate.key,
-        filter=FILTER_SOURCE,
-        passed=selection == candidate.correct_letter,
-        model_selection=selection,
-        transcript_ref=transcript.request_digest,
-    )
+    """One filter's verdict on candidate, asked of the endpoint step.endpoint names.
 
-
-def _visdep_stage(candidate: QACandidate, endpoint, templates, filter_name: str) -> FilterVerdict:
-    """One visual-dependence stage: pass iff the model FAILS to identify A*.
-
-    The prompt carries caption, question, and options but no figure, for the
-    text stage and the vision stage alike.
+    The prompt carries the candidate's question and options plus the one
+    evidence variable of the step. Every vote is asked before any is parsed,
+    so a transport failure on any vote propagates before anything is
+    recorded and the votes are re-issued together on retry.
     """
-    prompt = _render(templates["visdep_check"], candidate, caption=candidate.caption)
-    response, transcript = endpoint.complete(prompt)
-    selection = _parse_selection(response, len(candidate.options))
-    return FilterVerdict(
-        candidate_key=candidate.key,
-        filter=filter_name,
-        passed=selection != candidate.correct_letter,
-        model_selection=selection,
-        transcript_ref=transcript.request_digest,
+    evidence = context if step.evidence == "context" else candidate.caption
+    prompt = render_template(
+        templates[step.template],
+        {
+            "question": candidate.question,
+            "options": format_options(candidate.options),
+            step.evidence: evidence,
+        },
     )
-
-
-def check_vision_consistency(candidate: QACandidate, vision_endpoint, templates) -> FilterVerdict:
-    """Three independent answer-with-reasoning votes over (F, C, Q, O).
-
-    A transport failure on any vote propagates before anything is recorded,
-    so the triple is re-issued atomically on retry. Ambiguous parses are
-    recorded as abstentions: they can never agree with a letter majority.
-    """
-    prompt = _render(templates["vision_answer"], candidate, caption=candidate.caption)
-    responses = []
-    digests = []
-    for _ in range(VOTE_COUNT):
-        response, transcript = vision_endpoint.complete(prompt, candidate.figure_image_ref)
-        responses.append(response)
-        digests.append(transcript.request_digest)
-
-    selections = []
-    for response in responses:
-        selection = _parse_selection(response, len(candidate.options))
-        selections.append(NONE_SIGNAL if selection == AMBIGUOUS else selection)
-
-    majority = majority_vote(selections)
-    agreeing_run_index = None
-    reasoning = None
-    if majority != TIE:
-        agreeing_run_index = selections.index(majority)
-        reasoning = responses[agreeing_run_index]  # verbatim, untrimmed
-
+    image_ref = candidate.figure_image_ref if step.votes > 1 else None
+    answers = [endpoint.complete(prompt, image_ref) for _ in range(step.votes)]
+    selections = [_parse_selection(response, len(candidate.options)) for response, _ in answers]
+    tally = {}
+    if step.votes == 1:
+        selection = selections[0]
+    else:
+        # Ambiguous parses are abstentions: they can never agree with a letter majority.
+        selections = [NONE_SIGNAL if s == AMBIGUOUS else s for s in selections]
+        selection = majority_vote(selections)
+        agreeing = None if selection == TIE else selections.index(selection)
+        tally = {
+            "selections": selections,
+            "majority": selection,
+            "agreeing_run_index": agreeing,
+            "reasoning": None if agreeing is None else answers[agreeing][0],  # verbatim
+        }
     return FilterVerdict(
         candidate_key=candidate.key,
-        filter=FILTER_VISION,
-        passed=majority == candidate.correct_letter,
-        model_selection=majority,
-        transcript_ref=digests[0],
-        selections=selections,
-        majority=majority,
-        agreeing_run_index=agreeing_run_index,
-        reasoning=reasoning,
+        filter=step.name,
+        passed=(selection == candidate.correct_letter) == step.pass_if_correct,
+        model_selection=selection,
+        transcript_ref=answers[0][1].request_digest,
+        **tally,
     )
 
 
@@ -251,27 +237,15 @@ def run_cascade(
     Already-logged verdicts are reused without new model calls, which is
     both the resume path and the no-duplicate-calls guarantee.
     """
-    checks = {
-        FILTER_SOURCE: lambda: check_source_consistency(
-            candidate, context, text_endpoint, templates
-        ),
-        FILTER_VISDEP_TEXT: lambda: _visdep_stage(
-            candidate, text_endpoint, templates, FILTER_VISDEP_TEXT
-        ),
-        FILTER_VISDEP_VISION: lambda: _visdep_stage(
-            candidate, vision_endpoint, templates, FILTER_VISDEP_VISION
-        ),
-        FILTER_VISION: lambda: check_vision_consistency(candidate, vision_endpoint, templates),
-    }
-    assert tuple(checks) == CASCADE_ORDER
+    endpoints = {"text": text_endpoint, "vision": vision_endpoint}
     verdicts: list[FilterVerdict] = []
-    for filter_name, check in checks.items():
-        verdict = log.get(candidate.key, filter_name)
+    for step in CASCADE:
+        verdict = log.get(candidate.key, step.name)
         if verdict is None:
-            verdict = check()
+            verdict = apply_filter(step, candidate, context, endpoints[step.endpoint], templates)
             log.append(verdict)
         verdicts.append(verdict)
         if not verdict.passed:
-            return CascadeOutcome(candidate.key, "rejected", filter_name, verdicts)
+            return CascadeOutcome(candidate.key, "rejected", step.name, verdicts)
     record = build_verified_record(candidate, verdicts[-1])
     return CascadeOutcome(candidate.key, "retained", None, verdicts, record)

@@ -28,7 +28,7 @@ from figqa.gateway import load_templates
 from figqa.latex_prep import clean_paper
 from figqa.pipeline import CRASH_AFTER_ENV
 from figqa.replay import replay_verdicts
-from figqa.verification import TIE, check_vision_consistency, majority_vote
+from figqa.verification import CASCADE, TIE, apply_filter, majority_vote
 
 from helpers import StubEndpoint, make_candidate, make_record
 from oracles import (
@@ -111,7 +111,7 @@ def test_criterion_3_majority_vote_and_retention_decisions():
                     role="vision",
                     responses=[f"<option>{s}</option>" for s in triple],
                 )
-                verdict = check_vision_consistency(candidate, endpoint, TEMPLATES)
+                verdict = apply_filter(CASCADE[3], candidate, "ctx", endpoint, TEMPLATES)
                 should_retain = majority_oracle(triple) == letter
                 assert verdict.passed == should_retain, (letter, triple)
 

@@ -203,7 +203,7 @@ class TestMatchCaption:
     def test_threshold_boundary_inclusive(self):
         # 10-char target, distance 1 gives similarity exactly 0.9.
         envs = [_env("abcdefghij")]
-        assert match_caption_to_environment("abcdefghiX", envs, threshold=0.9) is envs[0]
+        assert match_caption_to_environment("abcdefghiX", envs) is envs[0]
 
     def test_default_threshold_constant(self):
         assert CAPTION_MATCH_THRESHOLD == 0.9

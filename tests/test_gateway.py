@@ -587,3 +587,11 @@ class TestPoolMap:
         assert done == [("a", "A"), ("b", "B")]
         assert pending == ["c"]
         assert failures["c"] == 99 - TRANSPORT_ROUNDS
+
+    def test_rounds_do_not_repost_a_rejected_request(self):
+        session = FakeSession([FakeResponse(400)] * TRANSPORT_ROUNDS)
+        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
+        done, pending = map_rounds(ep.complete, ["p"], 1)
+        assert done == []
+        assert pending == ["p"]
+        assert len(session.posts) == 1

@@ -556,6 +556,49 @@ class TestExitCodes:
         assert "no_such_variable" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_visdep_prompt_naming_the_context_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
+    ):
+        # The visual-dependence stages are never handed the citing paragraphs.
+        out = tmp_path / "visdep_context"
+        shutil.copytree(full_run.out, out)
+        (out / "verdict_log.jsonl").unlink()
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        for name, template in templates.items():
+            (prompts / f"{name}.txt").write_text(template.body, encoding="utf-8")
+        (prompts / "visdep_check.txt").write_text(
+            templates["visdep_check"].body + "\n{{context}}\n", encoding="utf-8"
+        )
+        config = e2e_bundle.make_config(out, prompts=str(prompts))
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 2
+        assert "'context'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unscripted_mock_request_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "edited_context"
+        shutil.copytree(full_run.out, out)
+        path = out / "figure_contexts.jsonl"
+        rows = read_jsonl(path)
+        rows[0]["context"] += " An edited sentence."
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        proc = run_cli(["generate", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 2
+        assert "no scripted response" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inconsistent_funnel_is_an_input_error(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "short_claims"
+        shutil.copytree(full_run.out, out)
+        path = out / "claims.jsonl"
+        path.write_text(path.read_text().splitlines(keepends=True)[0], encoding="utf-8")
+        proc = run_cli(["stats", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+
     @staticmethod
     def _live_config(e2e_bundle, out):
         """A config whose endpoints sit on a closed local port, with no retries."""

@@ -15,6 +15,7 @@ from figqa import replay
 from figqa.errors import EndpointUnavailable, SchemaViolation
 from figqa.gateway import AMBIGUOUS, NONE_SIGNAL, load_templates
 from figqa.verification import (
+    CASCADE,
     CASCADE_ORDER,
     FILTER_SOURCE,
     FILTER_VISDEP_TEXT,
@@ -23,9 +24,8 @@ from figqa.verification import (
     TIE,
     FilterVerdict,
     VerdictLog,
+    apply_filter,
     build_verified_record,
-    check_source_consistency,
-    check_vision_consistency,
     majority_vote,
     run_cascade,
 )
@@ -76,7 +76,7 @@ class TestSourceConsistency:
     def test_pass_on_exact_correct_letter(self):
         cand = make_candidate(correct_index=2)
         ep = StubEndpoint(responses=[_opt("C")])
-        v = check_source_consistency(cand, "context text", ep, TEMPLATES)
+        v = apply_filter(CASCADE[0], cand, "context text", ep, TEMPLATES)
         assert v.passed is True
         assert v.filter == FILTER_SOURCE
         assert v.model_selection == "C"
@@ -84,19 +84,23 @@ class TestSourceConsistency:
 
     def test_fail_on_wrong_letter(self):
         cand = make_candidate(correct_index=0)
-        v = check_source_consistency(cand, "ctx", StubEndpoint(responses=[_opt("B")]), TEMPLATES)
+        v = apply_filter(
+            CASCADE[0], cand, "ctx", StubEndpoint(responses=[_opt("B")]), TEMPLATES
+        )
         assert v.passed is False
 
     def test_fail_on_abstention(self):
         cand = make_candidate(correct_index=0)
-        v = check_source_consistency(cand, "ctx", StubEndpoint(responses=[_opt("None")]), TEMPLATES)
+        v = apply_filter(
+            CASCADE[0], cand, "ctx", StubEndpoint(responses=[_opt("None")]), TEMPLATES
+        )
         assert v.passed is False
         assert v.model_selection == NONE_SIGNAL
 
     def test_fail_closed_on_missing_tag(self):
         cand = make_candidate(correct_index=0)
-        v = check_source_consistency(
-            cand, "ctx", StubEndpoint(responses=["I think the answer is A"]), TEMPLATES
+        v = apply_filter(
+            CASCADE[0], cand, "ctx", StubEndpoint(responses=["I think the answer is A"]), TEMPLATES
         )
         assert v.passed is False
         assert v.model_selection == AMBIGUOUS
@@ -104,7 +108,7 @@ class TestSourceConsistency:
     def test_prompt_carries_context_not_caption(self):
         cand = make_candidate(caption="CAPTION-SENTINEL")
         ep = StubEndpoint(responses=[_opt("A")])
-        check_source_consistency(cand, "CONTEXT-SENTINEL", ep, TEMPLATES)
+        apply_filter(CASCADE[0], cand, "CONTEXT-SENTINEL", ep, TEMPLATES)
         prompt = ep.calls[0][0]
         assert "CONTEXT-SENTINEL" in prompt
         assert "CAPTION-SENTINEL" not in prompt
@@ -172,7 +176,7 @@ class TestVisionConsistency:
             "Agreed, B. " + _opt("B"),
         ]
         ep = StubEndpoint(role="vision", responses=responses)
-        v = check_vision_consistency(cand, ep, TEMPLATES)
+        v = apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
         assert v.passed is True
         assert v.selections == ["B", "C", "B"]
         assert v.majority == "B"
@@ -182,22 +186,28 @@ class TestVisionConsistency:
     def test_reasoning_from_first_agreeing_run(self):
         cand = make_candidate(correct_index=0)
         responses = [_opt("C"), "first agreeing " + _opt("A"), "second " + _opt("A")]
-        v = check_vision_consistency(cand, StubEndpoint(role="vision", responses=responses), TEMPLATES)
+        v = apply_filter(
+            CASCADE[3], cand, "ctx", StubEndpoint(role="vision", responses=responses), TEMPLATES
+        )
         assert v.agreeing_run_index == 1
         assert v.reasoning == responses[1]
 
     def test_majority_wrong_letter_fails(self):
         cand = make_candidate(correct_index=0)
         responses = [_opt("B"), _opt("B"), _opt("A")]
-        v = check_vision_consistency(cand, StubEndpoint(role="vision", responses=responses), TEMPLATES)
+        v = apply_filter(
+            CASCADE[3], cand, "ctx", StubEndpoint(role="vision", responses=responses), TEMPLATES
+        )
         assert v.passed is False
         assert v.majority == "B"
         assert v.reasoning == responses[0]
 
     def test_three_way_tie_fails_with_no_reasoning(self):
         cand = make_candidate(correct_index=0)
-        v = check_vision_consistency(
+        v = apply_filter(
+            CASCADE[3],
             cand,
+            "ctx",
             StubEndpoint(role="vision", responses=[_opt("A"), _opt("B"), _opt("C")]),
             TEMPLATES,
         )
@@ -208,8 +218,10 @@ class TestVisionConsistency:
 
     def test_abstention_majority_is_tie(self):
         cand = make_candidate(correct_index=0)
-        v = check_vision_consistency(
+        v = apply_filter(
+            CASCADE[3],
             cand,
+            "ctx",
             StubEndpoint(role="vision", responses=[_opt("None"), _opt("None"), _opt("A")]),
             TEMPLATES,
         )
@@ -219,8 +231,10 @@ class TestVisionConsistency:
 
     def test_ambiguous_recorded_as_abstention(self):
         cand = make_candidate(correct_index=0)
-        v = check_vision_consistency(
+        v = apply_filter(
+            CASCADE[3],
             cand,
+            "ctx",
             StubEndpoint(role="vision", responses=["no tag", _opt("A"), _opt("A")]),
             TEMPLATES,
         )
@@ -231,7 +245,7 @@ class TestVisionConsistency:
     def test_votes_carry_the_figure(self):
         cand = make_candidate(figure_image_ref="images/fig7.png")
         ep = StubEndpoint(role="vision", responses=[_opt("A")] * 3)
-        check_vision_consistency(cand, ep, TEMPLATES)
+        apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
         assert [image for _, image in ep.calls] == ["images/fig7.png"] * 3
 
     def test_transport_error_propagates(self):
@@ -241,7 +255,7 @@ class TestVisionConsistency:
             responses=[_opt("A"), EndpointUnavailable("down"), _opt("A")],
         )
         with pytest.raises(EndpointUnavailable):
-            check_vision_consistency(cand, ep, TEMPLATES)
+            apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
 
 
 class TestVerdictLog:
@@ -433,6 +447,20 @@ class TestRunCascade:
     def test_order_matches_replay(self):
         # Replay keeps its own copy of the order on purpose; the two must agree.
         assert CASCADE_ORDER == replay._CASCADE
+
+    def test_vote_transport_error_records_no_vision_verdict(self, tmp_path):
+        cand = make_candidate(correct_index=0)
+        text_ep, vision_ep = _cascade_endpoints(
+            source=_opt("A"),
+            visdep_text=_opt("None"),
+            visdep_vision=_opt("B"),
+            votes=[_opt("A"), EndpointUnavailable("down")],
+        )
+        log = VerdictLog(tmp_path / "log.jsonl")
+        with pytest.raises(EndpointUnavailable):
+            run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
+        assert len(log) == 3
+        assert log.get(cand.key, FILTER_VISION) is None
 
     def test_full_pass_retained(self, tmp_path):
         cand = make_candidate(correct_index=0)
