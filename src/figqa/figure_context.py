@@ -40,6 +40,11 @@ class FigureEnvironment:
     caption_normalized: str
     labels: list[str] = field(default_factory=list)
     outer_labels: list[str] = field(default_factory=list)
+    # What binding compares corpus captions against, computed once per environment.
+    compared: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.compared = _comparison_form(self.caption_normalized)
 
 
 @dataclass
@@ -65,21 +70,43 @@ _LABEL_RE = re.compile(r"\\label\s*\{([^{}]*)\}")
 
 
 def levenshtein_distance(a: str, b: str) -> int:
-    """Unit-cost edit distance, two-row DP over Unicode scalars."""
+    """Unit-cost edit distance over Unicode scalars, exact.
+
+    Myers' bit-vector recurrence in Hyyrö's form for the global distance
+    (G. Myers, JACM 1999; H. Hyyrö, 2001): bit i of pv/mv says whether
+    D[i+1][j] - D[i][j] is +1/-1 for the current column j, one int as wide
+    as the shorter string, so each character of the longer string costs a
+    fixed handful of int operations instead of one DP row.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in b:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 is D[0][j] = j, so a +1 enters at the bottom of every column.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -169,7 +196,7 @@ def match_caption_to_environment(
     hits = []
     best = 0.0
     for i, env in enumerate(environments):
-        sim = levenshtein_similarity(target, _comparison_form(env.caption_normalized))
+        sim = levenshtein_similarity(target, env.compared)
         best = max(best, sim)
         if sim >= CAPTION_MATCH_THRESHOLD:
             hits.append((i, sim))

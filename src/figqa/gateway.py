@@ -290,6 +290,7 @@ class HttpEndpoint:
         start = time.monotonic()
         last_error = "no attempt made"
         for attempt in range(1, cfg.max_retries + 2):
+            wait = 2 ** (attempt - 1)  # 1s, 2s, 4s...
             if self._bucket is not None:
                 self._bucket.acquire(self._sleep)
             try:
@@ -323,8 +324,13 @@ class HttpEndpoint:
                     )
                     return text, transcript
                 last_error = f"HTTP {resp.status_code}"
+                if resp.status_code in (429, 503):
+                    # Integer seconds only; an HTTP-date value keeps the backoff step.
+                    retry_after = resp.headers.get("Retry-After", "").strip()
+                    if retry_after.isascii() and retry_after.isdigit():
+                        wait = int(retry_after)
             if attempt <= cfg.max_retries:
-                self._sleep(2 ** (attempt - 1))  # 1s, 2s, 4s...
+                self._sleep(wait)
         raise EndpointUnavailable(
             f"{cfg.model_name}: {last_error} after {cfg.max_retries + 1} attempts"
         )

@@ -33,6 +33,7 @@ from .errors import (
 from .eval_harness import evaluate, format_report
 from .figure_context import FigureContext, build_figure_contexts
 from .gateway import (
+    TRANSPORT_ROUNDS,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
@@ -488,6 +489,13 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     done, deferred = map_rounds(run_one, candidates, cfg.concurrency)
     # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
     log.sort_file()
+    if deferred:
+        # Writing now would replace retained.jsonl with a partial set; the
+        # logged verdicts stay, so a rerun pays only for the deferred checks.
+        raise EndpointUnavailable(
+            f"{len(deferred)} of {len(candidates)} candidates deferred after up to "
+            f"{TRANSPORT_ROUNDS} transport rounds; no verify output written"
+        )
 
     retained: list = []
     rejected_by_stage: dict[str, int] = {}

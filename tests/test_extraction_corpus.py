@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from figqa import figure_context
 from figqa.errors import RecursionLimitExceeded
 from figqa.figure_context import build_figure_contexts
 from figqa.latex_prep import RawPaper, clean_paper
+
+from oracles import levenshtein_full_matrix
 
 DATA = Path(__file__).parent / "data" / "extraction"
 PAIRS = json.loads((DATA / "pairs.json").read_text(encoding="utf-8"))
@@ -66,6 +69,22 @@ def test_discards_match_golden(doc_id):
     _, _, _, discards = bind(doc_id)
     got = [[index, reason.kind.value] for index, reason in discards]
     assert got == GOLDENS[doc_id]["discards"]
+
+
+@pytest.mark.parametrize("doc_id", BOUND_IDS)
+def test_binding_matches_the_full_matrix_oracle(doc_id, monkeypatch):
+    # Same contexts and same discards, the "best similarity" detail text
+    # included, when every distance comes from the full-matrix oracle.
+    raw, clean, contexts, discards = bind(doc_id)
+    calls = []
+
+    def oracle(a, b):
+        calls.append((a, b))
+        return levenshtein_full_matrix(a, b)
+
+    monkeypatch.setattr(figure_context, "levenshtein_distance", oracle)
+    assert build_figure_contexts(clean, raw) == (contexts, discards)
+    assert calls
 
 
 @pytest.mark.parametrize("doc_id", BOUND_IDS)

@@ -53,6 +53,41 @@ class TestLevenshtein:
             assert levenshtein_distance(a, b) == levenshtein_full_matrix(a, b)
             assert levenshtein_similarity(a, b) == similarity_from_distance(a, b)
 
+    def test_long_pairs_match_oracle(self):
+        # Past one machine word of the bit vectors: 60-400 characters, with
+        # astral-plane characters and combining marks in the alphabet.
+        rng = random.Random(2024)
+        alphabet = "abcde .é\U0001F600\U0001D538\u0301\u0308"
+
+        def text(n):
+            return "".join(rng.choice(alphabet) for _ in range(n))
+
+        def near_duplicate(a):
+            chars = list(a)
+            for _ in range(rng.randint(1, 12)):
+                i = rng.randrange(len(chars) + 1)
+                op = rng.choice(("insert", "delete", "substitute"))
+                if op == "insert" or i == len(chars):
+                    chars.insert(i, rng.choice(alphabet))
+                elif op == "delete":
+                    del chars[i]
+                else:
+                    chars[i] = rng.choice(alphabet)
+            return "".join(chars)
+
+        pairs = []
+        for _ in range(8):
+            a = text(rng.randint(60, 400))
+            pairs.append((a, near_duplicate(a)))
+            short = text(rng.randint(60, 300))
+            pairs.append((short, text(len(short) + rng.randint(65, 100))))
+            pairs.append((short, short + text(rng.randint(65, 100))))
+            pairs.append((text(rng.randint(60, 400)), ""))
+        for a, b in pairs:
+            want = levenshtein_full_matrix(a, b)
+            assert levenshtein_distance(a, b) == want, (a, b)
+            assert levenshtein_distance(b, a) == want, (a, b)
+
     @given(st.text(max_size=24), st.text(max_size=24))
     @settings(max_examples=150, deadline=None)
     def test_symmetry_and_bounds(self, a, b):

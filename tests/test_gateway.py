@@ -322,9 +322,10 @@ class TestRoleGuards:
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._payload, Exception):
@@ -399,6 +400,35 @@ class TestHttpEndpoint:
         text, transcript = ep.complete("p")
         assert text == "ok"
         assert transcript.attempt_count == 2
+        assert sleeps == [1]
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_seconds_replace_the_backoff_step(self, status):
+        sleeps = []
+        session = FakeSession(
+            [FakeResponse(status, headers={"Retry-After": "7"}), FakeResponse(status), _ok("ok")]
+        )
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
+        text, transcript = ep.complete("p")
+        assert text == "ok"
+        assert transcript.attempt_count == 3
+        assert sleeps == [7, 2]
+
+    @pytest.mark.parametrize(
+        "status, headers",
+        [
+            (503, {}),
+            (503, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (500, {"Retry-After": "7"}),
+        ],
+        ids=["no-header", "http-date", "not-429-or-503"],
+    )
+    def test_backoff_without_integer_retry_after(self, status, headers):
+        sleeps = []
+        session = FakeSession([FakeResponse(status, headers=headers), _ok("ok")])
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
+        text, _ = ep.complete("p")
+        assert text == "ok"
         assert sleeps == [1]
 
     def test_retries_exhausted(self):

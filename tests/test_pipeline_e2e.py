@@ -344,7 +344,7 @@ class TestTransportRounds:
 
     @staticmethod
     def _verify(full_run, e2e_bundle, out: Path, concurrency: int, failures: int) -> dict:
-        out.mkdir()
+        out.mkdir(exist_ok=True)
         for name in ("candidates.jsonl", "figure_contexts.jsonl"):
             shutil.copy(full_run.out / name, out / name)
         cfg = RunConfig.from_yaml(e2e_bundle.make_config(out, concurrency=concurrency))
@@ -366,10 +366,29 @@ class TestTransportRounds:
                 assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
 
     def test_candidate_failing_every_round_stays_deferred(self, full_run, e2e_bundle, tmp_path):
-        manifest = self._verify(full_run, e2e_bundle, tmp_path / "out", 4, failures=99)
-        assert manifest["deferred"] == 1
-        assert manifest["retained"] == 0
-        assert manifest["processed"] == full_run.expect["candidates"] - 1
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(full_run.out / "retained.jsonl", out / "retained.jsonl")
+        with pytest.raises(EndpointUnavailable) as exc:
+            self._verify(full_run, e2e_bundle, out, 4, failures=99)
+        candidates = full_run.expect["candidates"]
+        # deferred == 1, so processed == candidates - 1.
+        assert f"1 of {candidates} candidates deferred" in str(exc.value)
+        # No verify output is written: retained.jsonl keeps its old bytes.
+        retained = (full_run.out / "retained.jsonl").read_bytes()
+        assert (out / "retained.jsonl").read_bytes() == retained
+        assert not (out / "verify_discards.jsonl").exists()
+        assert not (out / "manifest_verify.json").exists()
+        # retained == 0: the deferred candidate is the one the full run
+        # retained, and it never reached a VisionConsistency verdict.
+        (deferred_key,) = [row["key"] for row in read_jsonl(full_run.out / "retained.jsonl")]
+        log = read_jsonl(out / "verdict_log.jsonl")
+        deferred_filters = [r["filter"] for r in log if r["candidate_key"] == deferred_key]
+        assert "VisionConsistency" not in deferred_filters
+        # The other candidates' cascades finished, with the full run's verdicts.
+        full_log = read_jsonl(full_run.out / "verdict_log.jsonl")
+        others = [r for r in full_log if r["candidate_key"] != deferred_key]
+        assert [r for r in log if r["candidate_key"] != deferred_key] == others
 
 
 @pytest.fixture(scope="module")
@@ -614,6 +633,21 @@ class TestExitCodes:
         assert proc.returncode == 5
         assert "rerun the stage" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_verify_with_the_endpoint_down_writes_no_outputs(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "verify_down"
+        shutil.copytree(full_run.out, out)
+        (out / "verdict_log.jsonl").unlink()
+        names = ("retained.jsonl", "verify_discards.jsonl", "manifest_verify.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        proc = run_cli(["verify", "--config", str(self._live_config(e2e_bundle, out))])
+        assert proc.returncode == 5, proc.stderr
+        candidates = full_run.expect["candidates"]
+        assert f"{candidates} of {candidates} candidates deferred" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     @pytest.mark.parametrize("stage", ["annotate", "evaluate"])
     def test_unreadable_image_is_an_input_error(
