@@ -91,8 +91,7 @@ def main() -> None:
         "<Distractor>It drops to zero</Distractor>\n"
         "</QA>",
     ])
-    candidate = generate_qa(claims[0], ctx, qa_endpoint, templates, seed=11,
-                            primary_category=raw.primary_category)
+    candidate = generate_qa(claims[0], ctx, qa_endpoint, templates, seed=11)
     letter = "ABCD"[candidate.correct_index]
     print(f"candidate {candidate.key}: {candidate.question}")
     for i, option in enumerate(candidate.options):

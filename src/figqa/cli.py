@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
 2 configuration error (a mistyped or out-of-range value, an unknown key or
-endpoint slot, a prompt template naming an unknown variable, or a request
-the mock script has no response for), 3 upstream-input error (a missing,
-truncated or corrupt input file or row, an unreadable figure image, stage
-files whose funnel counts are inconsistent, or a failed verdict replay),
-4 endpoint auth error, 5 endpoint unavailable after every retry, or a
-request it refused (rerun the stage), 6 file-system error (an output path
-that cannot be created or written, say). Every file a stage writes is
-replaced atomically, so a failed or killed stage leaves the old file or
-the new one, never a half-written one.
+endpoint slot, a prompt template naming an unknown variable, a mock script
+that is not JSON, or a request the mock script has no response for),
+3 upstream-input error (a missing, truncated, corrupt or non-UTF-8 input
+file or row, an unreadable figure image, stage files whose funnel counts
+are inconsistent, or a failed verdict replay), 4 endpoint auth error,
+5 endpoint unavailable after every retry, or a request it refused (rerun
+the stage; generate, verify and annotate write nothing while any item is
+deferred), 6 file-system error (an output path that cannot be created or
+written, say). Every file a stage writes is replaced atomically, so a
+failed or killed stage leaves the old file or the new one, never a
+half-written one.
 """
 
 from __future__ import annotations

@@ -237,6 +237,18 @@ def stratified_sample(
     return sample
 
 
+def _utf8(data: bytes, path: str | Path, line_no: int) -> str:
+    """data, starting on line line_no of path, decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise SchemaViolation naming the file and line.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = line_no + data.count(b"\n", 0, exc.start)
+        raise SchemaViolation(line, "<line>", f"not UTF-8 in {path}") from exc
+
+
 def _json_object(text: str, path: str | Path, line_no: int) -> dict:
     """text, starting on line line_no of path, parsed as one JSON object.
 
@@ -256,14 +268,14 @@ def _json_object(text: str, path: str | Path, line_no: int) -> dict:
 def read_jsonl(path: str | Path, check=None) -> list[dict]:
     """Every JSON object in a line-delimited file, blank lines skipped.
 
-    A line that is not a JSON object (a truncated write, say) raises
-    SchemaViolation naming the file and line; check(row, line_no), when
+    A line that is not UTF-8 or not a JSON object (a truncated write, say)
+    raises SchemaViolation naming the file and line; check(row, line_no), when
     given, validates each row, and its SchemaViolation gains the file name.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, data in enumerate(fh, 1):
+            line = _utf8(data, path, line_no).strip()
             if not line:
                 continue
             row = _json_object(line, path, line_no)
@@ -295,8 +307,8 @@ def _accepts(tp):
     return lambda v: type(v) in kinds
 
 
-def row_check(cls, closed: bool = False, **extra: type):
-    """A read_jsonl check built from cls's declaration plus extra name=type fields.
+def row_check(cls, closed: bool = False):
+    """A read_jsonl check built from cls's declaration.
 
     A field without a default is required. A present value must match its
     annotation: a bool is not an int, an int is a valid float, list[X]
@@ -308,7 +320,6 @@ def row_check(cls, closed: bool = False, **extra: type):
     for f in fields(cls):
         required = f.default is MISSING and f.default_factory is MISSING
         spec.append((f.name, required, _accepts(hints[f.name]), f.type))
-    spec += [(name, True, _accepts(tp), tp.__name__) for name, tp in extra.items()]
     names = {name for name, *_ in spec}
 
     def check(row: dict, line_no: int) -> None:
@@ -337,8 +348,8 @@ def read_rows(path: str | Path, cls, check=None) -> list:
 
 def read_json(path: str | Path) -> dict:
     """The JSON object a file holds (a manifest, say), checked like read_jsonl's lines."""
-    with open(path, encoding="utf-8") as fh:
-        return _json_object(fh.read(), path, 1)
+    with open(path, "rb") as fh:
+        return _json_object(_utf8(fh.read(), path, 1), path, 1)
 
 
 def _replace(path: str | Path, write) -> None:

@@ -85,10 +85,8 @@ def evaluate(
         except MalformedResponse:
             return None  # unparseable counts as wrong
 
-    done, pending = map_rounds(predict, records, concurrency)
-    predictions = {record.key: predicted for record, predicted in done}
-
-    unevaluated_keys = [r.key for r in pending]
+    predictions, failed = map_rounds(predict, records, concurrency)
+    unevaluated_keys = [r.key for r in failed]
     result = EvalResult(
         model_name=endpoint.config.model_name,
         overall_correct=0,
@@ -99,10 +97,9 @@ def evaluate(
     )
 
     skipped = set(unevaluated_keys)
-    for record in records:
+    for record, predicted in zip(records, predictions):
         if record.key in skipped:
             continue
-        predicted = predictions[record.key]
         is_correct = predicted == record.correct_letter
         result.overall_total += 1
         if is_correct:

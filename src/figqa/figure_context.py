@@ -50,6 +50,7 @@ class FigureEnvironment:
 @dataclass
 class FigureContext:
     arxiv_id: str
+    primary_category: str
     figure_index: int
     figure_image_ref: str
     caption: str
@@ -312,6 +313,7 @@ def build_figure_contexts(
         contexts.append(
             FigureContext(
                 arxiv_id=clean.arxiv_id,
+                primary_category=raw.primary_category,
                 figure_index=figure_indices[pos],
                 figure_image_ref=image_ref,
                 caption=caption,

@@ -10,10 +10,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import logging
 import os
 import re
 import threading
 import time
+from collections import deque
 from concurrent import futures
 from dataclasses import dataclass, field
 from importlib import resources
@@ -32,9 +34,10 @@ from .errors import (
     UnscriptedRequest,
 )
 
-# Passes verify and evaluate make over their items: the first pass, then
-# retries of the items whose call raised EndpointUnavailable (but not
-# RequestRejected, which a resend cannot mend).
+logger = logging.getLogger(__name__)
+
+# Calls map_rounds makes for one item: the first, then retries while the call
+# raises EndpointUnavailable (but not RequestRejected, which a resend cannot mend).
 TRANSPORT_ROUNDS = 3
 
 # Sentinel strings: they serialize directly into verdict logs.
@@ -365,7 +368,10 @@ class MockBackend:
     @classmethod
     def from_file(cls, script_path: str | Path, **kwargs) -> "MockBackend":
         with open(script_path, encoding="utf-8") as fh:
-            script = json.load(fh)
+            try:
+                script = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ConfigError(f"mock script {script_path} is not JSON: {exc}") from None
         if not isinstance(script, dict):
             raise ConfigError(f"mock script {script_path} must be a JSON object")
         return cls(script, **kwargs)
@@ -425,68 +431,53 @@ class MockEndpoint:
         return self.backend.serve(self.config, prompt, image_ref)
 
 
-def pool_map(fn, items: list, workers: int) -> list:
+def map_rounds(fn, items, workers: int) -> tuple[list, list]:
     """[fn(item) for item in items] on a pool of `workers` threads, in item order.
 
+    A call that raises EndpointUnavailable goes to the back of the queue
+    until its item has had TRANSPORT_ROUNDS calls; a RequestRejected is not
+    posted again. Each failed call is logged as a warning. Returns the
+    results, None for an item whose calls all failed, and the failed items,
+    both in item order.
+
     At most 2 x workers calls are queued or running at once, so the pool's
-    bookkeeping does not grow with the number of items. The first exception
+    bookkeeping does not grow with the number of items. Any other exception
     cancels the queued calls, so a fatal error (bad credentials, say) is not
     repeated for every remaining item, and propagates once the running
     calls finish.
     """
+    items = list(items)
     results = [None] * len(items)
+    calls = [0] * len(items)
+    failed: list[int] = []
+    queue = deque(range(len(items)))
     running: dict = {}  # future -> index of its item
-
-    def collect(return_when) -> None:
-        done, _ = futures.wait(running, return_when=return_when)
-        for future in done:
-            results[running.pop(future)] = future.result()
 
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            for index, item in enumerate(items):
-                if len(running) >= 2 * workers:
-                    collect(futures.FIRST_COMPLETED)
-                running[pool.submit(fn, item)] = index
-            collect(futures.ALL_COMPLETED)
+            while queue or running:
+                while queue and len(running) < 2 * workers:
+                    index = queue.popleft()
+                    calls[index] += 1
+                    running[pool.submit(fn, items[index])] = index
+                done, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
+                for future in done:
+                    index = running.pop(future)
+                    try:
+                        results[index] = future.result()
+                    except EndpointUnavailable as exc:
+                        logger.warning(
+                            "item %d, call %d of %d: %s", index, calls[index], TRANSPORT_ROUNDS, exc
+                        )
+                        if isinstance(exc, RequestRejected) or calls[index] == TRANSPORT_ROUNDS:
+                            failed.append(index)
+                        else:
+                            queue.append(index)
         except BaseException:
             for future in running:
                 future.cancel()
             raise
-    return results
-
-
-def map_rounds(fn, items, workers: int) -> tuple[list[tuple], list]:
-    """fn over items on a worker pool, in up to TRANSPORT_ROUNDS passes.
-
-    An item whose call raised EndpointUnavailable is retried in the next
-    pass, unless the error was a RequestRejected. Returns the (item, result)
-    pairs in pass, then item, order, and the items that failed: the rejected
-    ones in pass order, then those that still failed after the last pass.
-    """
-
-    def attempt(item):
-        try:
-            return None, fn(item)
-        except EndpointUnavailable as exc:
-            return exc, None
-
-    done: list[tuple] = []
-    rejected: list = []
-    pending = list(items)
-    for _ in range(TRANSPORT_ROUNDS):
-        retry = []
-        for item, (error, result) in zip(pending, pool_map(attempt, pending, workers)):
-            if error is None:
-                done.append((item, result))
-            elif isinstance(error, RequestRejected):
-                rejected.append(item)
-            else:
-                retry.append(item)
-        pending = retry
-        if not pending:
-            break
-    return done, rejected + pending
+    return results, [items[index] for index in sorted(failed)]
 
 
 def complete_parsed(endpoint, prompt: str, parse, image_ref: str | None = None):

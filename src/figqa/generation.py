@@ -136,7 +136,6 @@ def generate_qa(
     endpoint,
     templates,
     seed: int,
-    primary_category: str = "",
 ) -> QACandidate | Declined:
     """Turn one claim into a four-option candidate, or a typed decline.
 
@@ -183,7 +182,7 @@ def generate_qa(
         correct_index=correct_index,
         caption=ctx.caption,
         figure_image_ref=ctx.figure_image_ref,
-        primary_category=primary_category,
+        primary_category=ctx.primary_category,
         claim_text=claim.text,
         option_permutation=permutation,
         context_digest=context_digest(ctx.context),

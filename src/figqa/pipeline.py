@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import os
 import random
 from dataclasses import asdict, dataclass, field, fields
@@ -40,13 +39,10 @@ from .gateway import (
     TokenBucket,
     load_templates,
     map_rounds,
-    pool_map,
 )
 from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
 from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
-
-logger = logging.getLogger(__name__)
 
 CRASH_AFTER_ENV = "FIGQA_MOCK_CRASH_AFTER"
 
@@ -268,14 +264,25 @@ def _check_paper_row(row: dict, line_no: int) -> None:
         FIGURE_ROW(figure, line_no)
 
 
-# A context row is a FigureContext plus its paper's category.
-CONTEXT_ROW = ds.row_check(FigureContext, primary_category=str)
-
-
 def _require_file(path: Path, producer: str) -> Path:
     if not path.is_file():
         raise UpstreamInputError(f"missing {path.name}; run the {producer} stage first")
     return path
+
+
+def _run_paid(fn, items: list, cfg: RunConfig, noun: str, stage: str) -> list:
+    """map_rounds(fn, items) results, or EndpointUnavailable if any item still failed.
+
+    Writing then would replace the stage's files with a partial set, so the
+    stage writes nothing and is rerun once the endpoint is back.
+    """
+    results, failed = map_rounds(fn, items, cfg.concurrency)
+    if failed:
+        raise EndpointUnavailable(
+            f"{len(failed)} of {len(items)} {noun} deferred after up to "
+            f"{TRANSPORT_ROUNDS} transport rounds; no {stage} output written"
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +314,15 @@ def stage_prepare(cfg: RunConfig) -> dict:
         if not tex_path.is_file():
             skipped.append({"arxiv_id": arxiv_id, "reason": "missing_latex_source"})
             continue
+        try:
+            latex_source = tex_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            skipped.append({"arxiv_id": arxiv_id, "reason": "latex_not_utf8"})
+            continue
         raw = RawPaper(
             arxiv_id=arxiv_id,
             primary_category=fig_rows[0].primary_category,
-            latex_source=tex_path.read_text(encoding="utf-8"),
+            latex_source=latex_source,
             figure_caption_pairs=[(r.image, r.caption) for r in fig_rows],
         )
         try:
@@ -366,10 +378,7 @@ def stage_extract(cfg: RunConfig) -> dict:
                 f"conservation violated for {paper.arxiv_id}: "
                 f"{len(contexts)}+{len(discards)} != {len(indices)}"
             )
-        context_rows.extend(
-            {"arxiv_id": ctx.arxiv_id, "primary_category": paper.primary_category, **asdict(ctx)}
-            for ctx in contexts
-        )
+        context_rows.extend(asdict(ctx) for ctx in contexts)
         for figure_index, reason in discards:
             discard_counts[reason.kind.value] = discard_counts.get(reason.kind.value, 0) + 1
             discard_rows.append(
@@ -397,22 +406,18 @@ def stage_extract(cfg: RunConfig) -> dict:
 def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     """Extract claims per figure, then one QA candidate per claim."""
     out_dir = Path(cfg.output)
-    rows = ds.read_jsonl(_require_file(out_dir / "figure_contexts.jsonl", "extract"), CONTEXT_ROW)
+    contexts = ds.read_rows(
+        _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
+    )
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
-    def process(row: dict):
-        category = row["primary_category"]
-        ctx = ds.from_row(FigureContext, row)
+    def process(ctx: FigureContext):
         claims = extract_claims(ctx, text_ep, templates)
-        results = [
-            generate_qa(claim, ctx, text_ep, templates, cfg.seed, primary_category=category)
-            for claim in claims
-        ]
-        return claims, results
+        return claims, [generate_qa(claim, ctx, text_ep, templates, cfg.seed) for claim in claims]
 
-    outputs = pool_map(process, rows, cfg.concurrency)
+    outputs = _run_paid(process, contexts, cfg, "contexts", "generate")
 
     claim_rows: list[dict] = []
     candidate_rows: list[dict] = []
@@ -434,7 +439,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     ds.write_jsonl(out_dir / "declined.jsonl", declined_rows)
     manifest = {
         "stage": "generate",
-        "contexts": len(rows),
+        "contexts": len(contexts),
         "claims": len(claim_rows),
         "candidates": len(candidate_rows),
         "declined": len(declined_rows),
@@ -452,11 +457,11 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         ds.read_rows(_require_file(out_dir / "candidates.jsonl", "generate"), QACandidate),
         key=lambda c: c.key,
     )
-    context_rows = ds.read_jsonl(
-        _require_file(out_dir / "figure_contexts.jsonl", "extract"), CONTEXT_ROW
-    )
     contexts = {
-        f"{row['arxiv_id']}:f{row['figure_index']}": row["context"] for row in context_rows
+        f"{ctx.arxiv_id}:f{ctx.figure_index}": ctx.context
+        for ctx in ds.read_rows(
+            _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
+        )
     }
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
@@ -480,27 +485,19 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
             return vf.run_cascade(
                 candidate, context, endpoints["text"], endpoints["vision"], templates, log
             )
-        except EndpointUnavailable as exc:
-            logger.warning("deferring %s: %s", candidate.key, exc)
-            raise
         except ImageUnreadable as exc:
             return exc
 
-    done, deferred = map_rounds(run_one, candidates, cfg.concurrency)
-    # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
-    log.sort_file()
-    if deferred:
-        # Writing now would replace retained.jsonl with a partial set; the
-        # logged verdicts stay, so a rerun pays only for the deferred checks.
-        raise EndpointUnavailable(
-            f"{len(deferred)} of {len(candidates)} candidates deferred after up to "
-            f"{TRANSPORT_ROUNDS} transport rounds; no verify output written"
-        )
+    try:
+        outcomes = _run_paid(run_one, candidates, cfg, "candidates", "verify")
+    finally:
+        # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
+        log.sort_file()
 
     retained: list = []
     rejected_by_stage: dict[str, int] = {}
     discarded: list[dict] = []
-    for candidate, outcome in done:
+    for candidate, outcome in zip(candidates, outcomes):
         if isinstance(outcome, ImageUnreadable):
             discarded.append({"key": candidate.key, "reason": str(outcome)})
         elif outcome.status == "retained":
@@ -516,11 +513,10 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     manifest = {
         "stage": "verify",
         "candidates": len(candidates),
-        "processed": len(done),
         "retained": len(retained),
         "rejected_by_stage": dict(sorted(rejected_by_stage.items())),
         "discarded": len(discarded),
-        "deferred": len(deferred),
+        "deferred": 0,
         "config_digest": cfg.config_digest(),
     }
     ds.write_json(out_dir / "manifest_verify.json", manifest)
@@ -534,24 +530,24 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
 
-    def label(record: ds.VerifiedRecord) -> int:
-        """Both labels of one record, set in place; the number of deferred calls."""
-        deferred = 0
-        for kind, slot in (("figure_type", "annotator_vision"), ("question_type", "annotator_text")):
-            try:
-                setattr(record, kind, ds.annotate_taxonomy(record, kind, endpoints[slot], templates))
-            except EndpointUnavailable:
-                deferred += 1
-        return deferred
-
-    deferred = sum(pool_map(label, records, cfg.concurrency))
+    # One paid item per label, so a retry re-pays only the label that failed.
+    labels = [
+        (record, kind, endpoints[slot])
+        for record in records
+        for kind, slot in (("figure_type", "annotator_vision"), ("question_type", "annotator_text"))
+    ]
+    values = _run_paid(
+        lambda label: ds.annotate_taxonomy(*label, templates), labels, cfg, "labels", "annotate"
+    )
+    for (record, kind, _), value in zip(labels, values):
+        setattr(record, kind, value)
     ds.write_dataset(records, out_dir / "annotated.jsonl")
     manifest = {
         "stage": "annotate",
         "records": len(records),
         "figure_type_labeled": sum(1 for r in records if r.figure_type is not None),
         "question_type_labeled": sum(1 for r in records if r.question_type is not None),
-        "deferred_calls": deferred,
+        "deferred_calls": 0,
         "config_digest": cfg.config_digest(),
     }
     ds.write_json(out_dir / "manifest_annotate.json", manifest)

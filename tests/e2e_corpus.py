@@ -446,14 +446,7 @@ def build_corpus(root: Path) -> CorpusBundle:
     declined = []
     for claim in claims:
         ctx = contexts[claim.figure_key]
-        result = generate_qa(
-            claim,
-            ctx,
-            text_ep,
-            templates,
-            SEED,
-            primary_category=CATEGORIES[claim.arxiv_id],
-        )
+        result = generate_qa(claim, ctx, text_ep, templates, SEED)
         if isinstance(result, Declined):
             declined.append(result)
         else:

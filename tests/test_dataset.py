@@ -343,14 +343,6 @@ class TestRowCheck:
             row_check(_Row, closed=True)(row, 1)
         assert exc.value.field == "extra"
 
-    def test_extra_fields_are_required_and_typed(self):
-        check = row_check(_Row, origin=str)
-        with pytest.raises(SchemaViolation):
-            check(_ROW, 1)
-        with pytest.raises(SchemaViolation):
-            check({**_ROW, "origin": 3}, 1)
-        check({**_ROW, "origin": "x"}, 1)
-
 
 class TestVocabularies:
     def test_figure_types(self):

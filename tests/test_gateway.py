@@ -24,6 +24,7 @@ from figqa.errors import (
     ImageUnreadable,
     MalformedResponse,
     MissingVariable,
+    RequestRejected,
     UnscriptedRequest,
 )
 from figqa.gateway import (
@@ -41,7 +42,6 @@ from figqa.gateway import (
     map_rounds,
     parse_option_tag,
     parse_patterns_block,
-    pool_map,
     render_template,
     request_digest,
 )
@@ -570,13 +570,15 @@ class TestTokenBucket:
 
 
 class TestPoolMap:
+    """map_rounds, the one worker pool every paid stage runs on."""
+
     def test_results_keep_item_order(self):
         # Later items finish first, yet come back in item order.
         def slow_first(i):
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        assert pool_map(slow_first, range(8), 4) == [i * i for i in range(8)]
+        assert map_rounds(slow_first, range(8), 4) == ([i * i for i in range(8)], [])
 
     def test_a_slow_item_does_not_hold_up_the_rest(self):
         # Item 0 finishes only after the last item has run.
@@ -589,7 +591,7 @@ class TestPoolMap:
                 last_done.set()
             return i
 
-        assert pool_map(wait_for_last, list(range(100)), 2) == list(range(100))
+        assert map_rounds(wait_for_last, list(range(100)), 2) == (list(range(100)), [])
 
     def test_first_error_cancels_the_items_not_yet_started(self):
         started = []
@@ -601,7 +603,7 @@ class TestPoolMap:
             time.sleep(0.05)
 
         with pytest.raises(AuthError):
-            pool_map(fail_first, range(20), 1)
+            map_rounds(fail_first, range(20), 1)
         assert len(started) <= 2
 
     def test_rounds_retry_only_the_transport_failures(self):
@@ -613,15 +615,42 @@ class TestPoolMap:
                 raise EndpointUnavailable(item)
             return item.upper()
 
-        done, pending = map_rounds(flaky, ["a", "b", "c"], 1)
-        assert done == [("a", "A"), ("b", "B")]
-        assert pending == ["c"]
+        results, failed = map_rounds(flaky, ["a", "b", "c"], 1)
+        assert results == ["A", "B", None]
+        assert failed == ["c"]
         assert failures["c"] == 99 - TRANSPORT_ROUNDS
 
     def test_rounds_do_not_repost_a_rejected_request(self):
         session = FakeSession([FakeResponse(400)] * TRANSPORT_ROUNDS)
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        done, pending = map_rounds(ep.complete, ["p"], 1)
-        assert done == []
-        assert pending == ["p"]
+        results, failed = map_rounds(ep.complete, ["p"], 1)
+        assert results == [None]
+        assert failed == ["p"]
         assert len(session.posts) == 1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_items_come_back_in_item_order(self, workers, caplog):
+        # An exhausted item before a rejected one, with good items around them.
+        calls = {}
+        lock = threading.Lock()
+
+        def call(item):
+            with lock:
+                calls[item] = calls.get(item, 0) + 1
+            if item.startswith("exhausted"):
+                raise EndpointUnavailable(item)
+            if item.startswith("rejected"):
+                raise RequestRejected(item)
+            return item.upper()
+
+        items = ["a", "exhausted1", "rejected1", "b", "exhausted2", "rejected2", "c"]
+        with caplog.at_level("WARNING", logger="figqa.gateway"):
+            results, failed = map_rounds(call, items, workers)
+        assert results == ["A", None, None, "B", None, None, "C"]
+        assert failed == ["exhausted1", "rejected1", "exhausted2", "rejected2"]
+        assert calls == {
+            "a": 1, "b": 1, "c": 1, "rejected1": 1, "rejected2": 1,
+            "exhausted1": TRANSPORT_ROUNDS, "exhausted2": TRANSPORT_ROUNDS,
+        }
+        # One warning per failed call.
+        assert len(caplog.records) == 2 * TRANSPORT_ROUNDS + 2

@@ -26,6 +26,7 @@ from helpers import StubEndpoint
 def _ctx(**overrides) -> FigureContext:
     fields = dict(
         arxiv_id="2000.00001",
+        primary_category="cs.LG",
         figure_index=0,
         figure_image_ref="images/x.png",
         caption="Accuracy over epochs.",
@@ -175,8 +176,7 @@ class TestParseQaResponse:
 class TestGenerateQa:
     def test_candidate_assembly(self):
         ep = StubEndpoint(responses=[QA_OK])
-        cand = generate_qa(_claim(), _ctx(), ep, _templates(), seed=7,
-                           primary_category="cs.LG")
+        cand = generate_qa(_claim(), _ctx(), ep, _templates(), seed=7)
         assert isinstance(cand, QACandidate)
         assert cand.key == "2000.00001:f0:c0"
         assert sorted(cand.options) == sorted(["By 20%", "By 5%", "By 50%", "It falls"])

@@ -17,7 +17,14 @@ import pytest
 import yaml
 
 from figqa.errors import EndpointUnavailable
-from figqa.pipeline import CRASH_AFTER_ENV, RunConfig, build_endpoints, stage_verify
+from figqa.pipeline import (
+    CRASH_AFTER_ENV,
+    RunConfig,
+    build_endpoints,
+    stage_annotate,
+    stage_generate,
+    stage_verify,
+)
 from figqa.verification import VOTE_COUNT
 
 LETTERS = "ABCD"
@@ -339,19 +346,88 @@ class FlakyVotes:
         return self.inner.complete(prompt, image_ref)
 
 
+class LostResponse:
+    """An endpoint that loses its first response to a prompt holding `marker`.
+
+    The call reaches the inner endpoint, so the mock ledger records it, and
+    then fails in transport.
+    """
+
+    def __init__(self, inner, marker: str):
+        self.inner = inner
+        self.config = inner.config
+        self.marker = marker
+        self.lost = False
+        self._lock = threading.Lock()
+
+    def complete(self, prompt: str, image_ref: str | None = None):
+        response = self.inner.complete(prompt, image_ref)
+        if self.marker in prompt:
+            with self._lock:
+                lose, self.lost = not self.lost, True
+            if lose:
+                raise EndpointUnavailable("response lost")
+        return response
+
+
 class TestTransportRounds:
-    """verify's later rounds retry the candidates whose calls failed in transport."""
+    """A paid stage retries the items whose calls failed in transport."""
 
     @staticmethod
-    def _verify(full_run, e2e_bundle, out: Path, concurrency: int, failures: int) -> dict:
+    def _stage_config(full_run, e2e_bundle, out: Path, concurrency: int, *inputs: str):
         out.mkdir(exist_ok=True)
-        for name in ("candidates.jsonl", "figure_contexts.jsonl"):
+        for name in inputs:
             shutil.copy(full_run.out / name, out / name)
         cfg = RunConfig.from_yaml(e2e_bundle.make_config(out, concurrency=concurrency))
-        endpoints = build_endpoints(cfg)
+        return cfg, build_endpoints(cfg)
+
+    @classmethod
+    def _verify(cls, full_run, e2e_bundle, out: Path, concurrency: int, failures: int) -> dict:
+        cfg, endpoints = cls._stage_config(
+            full_run, e2e_bundle, out, concurrency, "candidates.jsonl", "figure_contexts.jsonl"
+        )
         question = full_run.expect["retained_question"]
         endpoints["vision"] = FlakyVotes(endpoints["vision"], question, failures)
         return stage_verify(cfg, endpoints)
+
+    def test_context_whose_call_failed_is_generated_in_a_later_round(
+        self, full_run, e2e_bundle, tmp_path
+    ):
+        context = read_jsonl(full_run.out / "figure_contexts.jsonl")[0]["context"]
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            cfg, endpoints = self._stage_config(
+                full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
+            )
+            endpoints["text"] = LostResponse(endpoints["text"], context)
+            stage_generate(cfg, endpoints)
+            assert endpoints["text"].lost
+            for name in ("claims.jsonl", "candidates.jsonl", "declined.jsonl"):
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
+
+    def test_label_whose_call_failed_is_the_only_one_paid_again(
+        self, full_run, e2e_bundle, tmp_path
+    ):
+        question = full_run.expect["retained_question"]
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            cfg, endpoints = self._stage_config(
+                full_run, e2e_bundle, out, concurrency, "retained.jsonl"
+            )
+            endpoints["annotator_text"] = LostResponse(endpoints["annotator_text"], question)
+            manifest = stage_annotate(cfg, endpoints)
+            assert manifest["question_type_labeled"] == manifest["figure_type_labeled"] == 1
+            assert (out / "annotated.jsonl").read_bytes() == (
+                full_run.out / "annotated.jsonl"
+            ).read_bytes()
+            got = ledger_digests(out)
+            want = scripted_call_counter(full_run.expect, "annotate")
+            (repeated,) = [digest for digest, count in got.items() if count > 1]
+            assert got == want + Counter({repeated: 1})
+            rows = read_jsonl(out / "mock_calls.jsonl")
+            assert {row["model"] for row in rows if row["digest"] == repeated} == {
+                "mock-annotator-text"
+            }
 
     def test_deferred_candidate_is_retained_in_the_next_round(self, full_run, e2e_bundle, tmp_path):
         for concurrency in (1, 4):
@@ -359,7 +435,6 @@ class TestTransportRounds:
             manifest = self._verify(full_run, e2e_bundle, out, concurrency, failures=1)
             assert manifest["deferred"] == 0
             assert manifest["retained"] == 1
-            assert manifest["processed"] == full_run.expect["candidates"]
             # The deferred candidate sorts first, so its round-2 verdicts were
             # appended last; the log is left in (candidate, cascade) order.
             for name in ("verdict_log.jsonl", "retained.jsonl"):
@@ -372,7 +447,6 @@ class TestTransportRounds:
         with pytest.raises(EndpointUnavailable) as exc:
             self._verify(full_run, e2e_bundle, out, 4, failures=99)
         candidates = full_run.expect["candidates"]
-        # deferred == 1, so processed == candidates - 1.
         assert f"1 of {candidates} candidates deferred" in str(exc.value)
         # No verify output is written: retained.jsonl keeps its old bytes.
         retained = (full_run.out / "retained.jsonl").read_bytes()
@@ -649,6 +723,26 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert {name: (out / name).read_bytes() for name in names} == before
 
+    def test_annotate_with_the_endpoint_down_writes_no_outputs(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "annotate_down"
+        shutil.copytree(full_run.out, out)
+        names = ("annotated.jsonl", "manifest_annotate.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        # Absolute image refs, so the figure part is built and the post is made.
+        rows = read_jsonl(out / "retained.jsonl")
+        for row in rows:
+            row["figure_image_ref"] = str(e2e_bundle.root / row["figure_image_ref"])
+        (out / "retained.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+        )
+        proc = run_cli(["annotate", "--config", str(self._live_config(e2e_bundle, out))])
+        assert proc.returncode == 5, proc.stderr
+        assert "2 of 2 labels deferred" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert {name: (out / name).read_bytes() for name in names} == before
+
     @pytest.mark.parametrize("stage", ["annotate", "evaluate"])
     def test_unreadable_image_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path, stage
@@ -663,6 +757,52 @@ class TestExitCodes:
         proc = run_cli([stage, "--config", str(self._live_config(e2e_bundle, out))])
         assert proc.returncode == 3
         assert "image" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_latex_source_that_is_not_utf8_is_skipped(self, e2e_bundle, run_cli, tmp_path):
+        latex = tmp_path / "latex"
+        shutil.copytree(e2e_bundle.latex_dir, latex)
+        bad = sorted(latex.glob("*.tex"))[0]
+        bad.write_bytes(bad.read_bytes().replace(b"\\", b"\xe9\\", 1))
+        out = tmp_path / "out"
+        proc = run_cli(
+            ["prepare", "--config", str(e2e_bundle.make_config(out, latex_cache=str(latex)))]
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
+        assert manifest["skipped"] == [{"arxiv_id": bad.stem, "reason": "latex_not_utf8"}]
+        assert manifest["papers_prepared"] == manifest["papers_in"] - 1
+
+    @pytest.mark.parametrize(
+        "stage, artifact, line",
+        [("verify", "candidates.jsonl", 2), ("stats", "manifest_prepare.json", 3)],
+    )
+    def test_input_that_is_not_utf8_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact, line
+    ):
+        out = tmp_path / "latin1"
+        shutil.copytree(full_run.out, out)
+        path = out / artifact
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(b'"', b'"\xe9', 1)
+        path.write_bytes(b"".join(lines))
+        proc = run_cli([stage, "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3
+        assert f"line {line}:" in proc.stderr and artifact in proc.stderr
+        assert "not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_mock_script_that_is_not_json_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "bad_script"
+        shutil.copytree(full_run.out, out)
+        script = tmp_path / "script.json"
+        script.write_text("{not json", encoding="utf-8")
+        config = e2e_bundle.make_config(out, mock_script=str(script))
+        proc = run_cli(["annotate", "--config", str(config)])
+        assert proc.returncode == 2
+        assert "script.json" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):
