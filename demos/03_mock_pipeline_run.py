@@ -48,12 +48,7 @@ class ScriptedEndpoint:
 
     def complete(self, prompt, image_ref=None):
         response = self.queue.pop(0)
-        return response, ModelTranscript(
-            request_digest="demo",
-            raw_response=response,
-            latency=0.0,
-            attempt_count=1,
-        )
+        return response, ModelTranscript(request_digest="demo", latency=0.0, attempt_count=1)
 
 
 def main() -> None:

@@ -47,7 +47,7 @@ class ScriptedEndpoint:
 
     def complete(self, prompt, image_ref=None):
         response = self.queue.pop(0)
-        return response, ModelTranscript("demo", response, 0.0, 1)
+        return response, ModelTranscript("demo", 0.0, 1)
 
 
 def main() -> None:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
 2 configuration error (a mistyped or out-of-range value, an unknown key or
-endpoint slot, a prompt template naming an unknown variable, a mock script
-that is not JSON, or a request the mock script has no response for),
+endpoint slot, a config file or prompt template that is not UTF-8, a prompt
+template naming an unknown variable, a mock script that is not JSON, a
+FIGQA_MOCK_CRASH_AFTER that is not an integer, or a request the mock script
+has no response for),
 3 upstream-input error (a missing, truncated, corrupt or non-UTF-8 input
 file or row, an unreadable figure image, stage files whose funnel counts
 are inconsistent, or a failed verdict replay), 4 endpoint auth error,

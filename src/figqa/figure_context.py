@@ -216,17 +216,17 @@ def match_caption_to_environment(
 
 
 def find_citing_paragraphs(
-    label: str | list[str],
+    labels: list[str],
     paragraphs: list[str],
     skip_indices: frozenset[int] = frozenset(),
 ) -> list[str]:
-    """Paragraphs citing the label(s) via CITATION_COMMANDS, exact-key match.
+    """Paragraphs citing any of the labels via CITATION_COMMANDS, exact-key match.
 
     Multi-key references like \\cref{fig:a,fig:b} count when any key equals
-    a target label. skip_indices excludes paragraphs by position (used to
+    one of the labels. skip_indices excludes paragraphs by position (used to
     drop the paragraph holding the figure environment itself).
     """
-    targets = {label} if isinstance(label, str) else set(label)
+    targets = set(labels)
     hits = []
     for i, para in enumerate(paragraphs):
         if i in skip_indices:

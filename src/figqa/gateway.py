@@ -17,7 +17,7 @@ import threading
 import time
 from collections import deque
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -99,7 +99,6 @@ class PromptTemplate:
 @dataclass
 class ModelTranscript:
     request_digest: str
-    raw_response: str
     latency: float
     attempt_count: int
 
@@ -127,7 +126,10 @@ def load_templates(prompt_dir: str | Path | None = None) -> dict[str, PromptTemp
         ref = root.joinpath(f"{name}.txt")
         if not ref.is_file():
             raise ConfigError(f"prompt template not found: {ref}")
-        templates[name] = PromptTemplate(name, ref.read_text(encoding="utf-8"))
+        try:
+            templates[name] = PromptTemplate(name, ref.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"prompt template {ref} is not UTF-8: {exc}") from None
     return templates
 
 
@@ -321,7 +323,6 @@ class HttpEndpoint:
                         ) from exc
                     transcript = ModelTranscript(
                         request_digest=digest,
-                        raw_response=text,
                         latency=time.monotonic() - start,
                         attempt_count=attempt,
                     )
@@ -361,7 +362,7 @@ class MockBackend:
         self.script = script
         self.ledger = ledger
         self.crash_after = crash_after
-        self.calls: list[str] = []
+        self.served = 0
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -386,7 +387,7 @@ class MockBackend:
             config.role, config.model_name, config.temperature, prompt, image_ref
         )
         with self._lock:
-            if self.crash_after is not None and len(self.calls) >= self.crash_after:
+            if self.crash_after is not None and self.served >= self.crash_after:
                 os._exit(self.CRASH_EXIT_CODE)
             if digest not in self.script:
                 raise UnscriptedRequest(
@@ -404,18 +405,12 @@ class MockBackend:
                 self._cursor[digest] = i + 1
             else:
                 response = entry
-            self.calls.append(digest)
+            self.served += 1
             if self.ledger is not None:
                 self.ledger(
                     {"digest": digest, "model": config.model_name, "image": image_ref is not None}
                 )
-        transcript = ModelTranscript(
-            request_digest=digest,
-            raw_response=response,
-            latency=0.0,
-            attempt_count=1,
-        )
-        return response, transcript
+        return response, ModelTranscript(request_digest=digest, latency=0.0, attempt_count=1)
 
 
 class MockEndpoint:

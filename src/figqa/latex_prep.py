@@ -38,11 +38,18 @@ class RawPaper:
 
 @dataclass
 class CleanPaper:
-    """Comment-free, macro-expanded, bibliography-free text plus its paragraphs."""
+    """Comment-free, macro-expanded, bibliography-free paragraphs of one paper."""
 
     arxiv_id: str
-    body: str
     paragraphs: list[str]
+
+    @property
+    def body(self) -> str:
+        """The paragraphs joined, so segmenting the body gives them back exactly.
+
+        Downstream span arithmetic relies on that round trip.
+        """
+        return PARAGRAPH_SEPARATOR.join(self.paragraphs)
 
 
 def _opaque_spans(text: str) -> list[tuple[int, int]]:
@@ -297,8 +304,4 @@ def clean_paper(raw: RawPaper) -> CleanPaper:
     text = strip_comments(raw.latex_source)
     text = expand_macros(text)
     text = strip_bibliography(text)
-    paragraphs = segment_paragraphs(text)
-    # Rebuilding the body from paragraphs makes the join/segment round trip
-    # exact, which downstream span arithmetic relies on.
-    body = PARAGRAPH_SEPARATOR.join(paragraphs)
-    return CleanPaper(arxiv_id=raw.arxiv_id, body=body, paragraphs=paragraphs)
+    return CleanPaper(arxiv_id=raw.arxiv_id, paragraphs=segment_paragraphs(text))

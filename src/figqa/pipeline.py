@@ -41,7 +41,7 @@ from .gateway import (
     map_rounds,
 )
 from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
-from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, clean_paper
+from .latex_prep import CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
 
 CRASH_AFTER_ENV = "FIGQA_MOCK_CRASH_AFTER"
@@ -149,6 +149,8 @@ class RunConfig:
                 data = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8: {exc}") from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
         if not isinstance(data, dict):
@@ -174,7 +176,10 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
         crash_after = None
         raw = os.environ.get(CRASH_AFTER_ENV)
         if raw:
-            crash_after = int(raw)
+            try:
+                crash_after = int(raw)
+            except ValueError:
+                raise ConfigError(f"{CRASH_AFTER_ENV} must be an integer, got {raw!r}") from None
         backend = MockBackend.from_file(
             cfg.mock_script,
             ledger=functools.partial(ds.append_jsonl, Path(cfg.output) / "mock_calls.jsonl"),
@@ -359,11 +364,7 @@ def stage_extract(cfg: RunConfig) -> dict:
     figures_in = 0
     for paper in papers:
         figures = [ds.from_row(PreparedFigure, f) for f in paper.figures]
-        clean = CleanPaper(
-            arxiv_id=paper.arxiv_id,
-            body=PARAGRAPH_SEPARATOR.join(paper.paragraphs),
-            paragraphs=paper.paragraphs,
-        )
+        clean = CleanPaper(arxiv_id=paper.arxiv_id, paragraphs=paper.paragraphs)
         raw = RawPaper(
             arxiv_id=paper.arxiv_id,
             primary_category=paper.primary_category,
@@ -404,7 +405,12 @@ def stage_extract(cfg: RunConfig) -> dict:
 
 
 def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
-    """Extract claims per figure, then one QA candidate per claim."""
+    """Extract claims per figure, then one QA candidate per claim.
+
+    Two passes, one model request per paid item: claim extraction per
+    context, then one QA draft per (claim, context) pair. A retried item
+    re-pays only its own request.
+    """
     out_dir = Path(cfg.output)
     contexts = ds.read_rows(
         _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
@@ -413,34 +419,27 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
-    def process(ctx: FigureContext):
-        claims = extract_claims(ctx, text_ep, templates)
-        return claims, [generate_qa(claim, ctx, text_ep, templates, cfg.seed) for claim in claims]
+    claim_lists = _run_paid(
+        lambda ctx: extract_claims(ctx, text_ep, templates), contexts, cfg, "contexts", "generate"
+    )
+    pairs = [(claim, ctx) for ctx, claims in zip(contexts, claim_lists) for claim in claims]
+    results = _run_paid(
+        lambda pair: generate_qa(*pair, text_ep, templates, cfg.seed),
+        pairs, cfg, "claims", "generate",
+    )
 
-    outputs = _run_paid(process, contexts, cfg, "contexts", "generate")
-
-    claim_rows: list[dict] = []
-    candidate_rows: list[dict] = []
-    declined_rows: list[dict] = []
-    text_seen: dict[tuple[str, str], int] = {}
-    for (claims, results) in outputs:
-        for claim in claims:
-            claim_rows.append({"key": claim.key, **asdict(claim)})
-            norm = (claim.arxiv_id, normalize_ws(claim.text).lower())
-            text_seen[norm] = text_seen.get(norm, 0) + 1
-        for result in results:
-            if isinstance(result, Declined):
-                declined_rows.append(asdict(result))
-            else:
-                candidate_rows.append(asdict(result))
-    duplicate_claims = sum(count - 1 for count in text_seen.values() if count > 1)
+    claim_rows = [{"key": claim.key, **asdict(claim)} for claim, _ in pairs]
+    candidate_rows = [asdict(r) for r in results if not isinstance(r, Declined)]
+    declined_rows = [asdict(r) for r in results if isinstance(r, Declined)]
+    distinct_texts = {(claim.arxiv_id, normalize_ws(claim.text).lower()) for claim, _ in pairs}
+    duplicate_claims = len(pairs) - len(distinct_texts)
     ds.write_jsonl(out_dir / "claims.jsonl", claim_rows)
     ds.write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
     ds.write_jsonl(out_dir / "declined.jsonl", declined_rows)
     manifest = {
         "stage": "generate",
         "contexts": len(contexts),
-        "claims": len(claim_rows),
+        "claims": len(pairs),
         "candidates": len(candidate_rows),
         "declined": len(declined_rows),
         "duplicate_claim_texts": duplicate_claims,
@@ -507,7 +506,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
                 rejected_by_stage.get(outcome.rejected_stage, 0) + 1
             )
 
-    retained.sort(key=lambda r: r.key)
+    # Candidates are sorted by key and outcomes come back in item order, so retained is too.
     ds.write_dataset(retained, out_dir / "retained.jsonl")
     ds.write_jsonl(out_dir / "verify_discards.jsonl", discarded)
     manifest = {

@@ -120,9 +120,6 @@ class VerdictLog:
             keys = sorted(self._entries, key=_file_order)
             write_jsonl(self.path, (asdict(self._entries[key]) for key in keys))
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def majority_vote(selections: list[str]) -> str:
     """The letter occurring at least twice among 3 selections, else Tie.
@@ -194,7 +191,6 @@ def apply_filter(
 
 @dataclass
 class CascadeOutcome:
-    candidate_key: str
     status: str  # "retained" | "rejected"
     rejected_stage: str | None
     verdicts: list[FilterVerdict] = field(default_factory=list)
@@ -246,6 +242,6 @@ def run_cascade(
             log.append(verdict)
         verdicts.append(verdict)
         if not verdict.passed:
-            return CascadeOutcome(candidate.key, "rejected", step.name, verdicts)
+            return CascadeOutcome("rejected", step.name, verdicts)
     record = build_verified_record(candidate, verdicts[-1])
-    return CascadeOutcome(candidate.key, "retained", None, verdicts, record)
+    return CascadeOutcome("retained", None, verdicts, record)

@@ -37,10 +37,7 @@ class StubEndpoint:
         if isinstance(result, Exception):
             raise result
         return result, ModelTranscript(
-            request_digest=f"stub-{len(self.calls)}",
-            raw_response=result,
-            latency=0.0,
-            attempt_count=1,
+            request_digest=f"stub-{len(self.calls)}", latency=0.0, attempt_count=1
         )
 
 

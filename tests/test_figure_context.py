@@ -255,35 +255,35 @@ class TestFindCitingParagraphs:
     ]
 
     def test_single_label(self):
-        hits = find_citing_paragraphs("fig:a", self.PARAS)
+        hits = find_citing_paragraphs(["fig:a"], self.PARAS)
         assert hits == [self.PARAS[1], self.PARAS[2], self.PARAS[3]]
 
     def test_eqref_not_a_citation(self):
-        assert find_citing_paragraphs("fig:a", ["Only \\eqref{fig:a} here."]) == []
+        assert find_citing_paragraphs(["fig:a"], ["Only \\eqref{fig:a} here."]) == []
 
     def test_exact_key_no_prefix_match(self):
-        assert find_citing_paragraphs("fig:a", ["See \\ref{fig:ab}."]) == []
-        assert find_citing_paragraphs("fig:ab", ["See \\ref{fig:ab}."]) == [
+        assert find_citing_paragraphs(["fig:a"], ["See \\ref{fig:ab}."]) == []
+        assert find_citing_paragraphs(["fig:ab"], ["See \\ref{fig:ab}."]) == [
             "See \\ref{fig:ab}."
         ]
 
     def test_multi_key_with_spaces(self):
-        assert find_citing_paragraphs("fig:c", self.PARAS) == [self.PARAS[3]]
+        assert find_citing_paragraphs(["fig:c"], self.PARAS) == [self.PARAS[3]]
 
     def test_label_list_any_match(self):
         hits = find_citing_paragraphs(["fig:b", "fig:c"], self.PARAS)
         assert hits == [self.PARAS[2], self.PARAS[3]]
 
     def test_skip_indices(self):
-        hits = find_citing_paragraphs("fig:a", self.PARAS, skip_indices=frozenset({1}))
+        hits = find_citing_paragraphs(["fig:a"], self.PARAS, skip_indices=frozenset({1}))
         assert hits == [self.PARAS[2], self.PARAS[3]]
 
     def test_paragraph_counted_once_despite_two_refs(self):
         para = "Twice \\ref{fig:a} and \\cref{fig:a}."
-        assert find_citing_paragraphs("fig:a", [para]) == [para]
+        assert find_citing_paragraphs(["fig:a"], [para]) == [para]
 
     def test_starred_variant(self):
-        assert find_citing_paragraphs("fig:a", ["See \\cref*{fig:a}."]) == [
+        assert find_citing_paragraphs(["fig:a"], ["See \\cref*{fig:a}."]) == [
             "See \\cref*{fig:a}."
         ]
 

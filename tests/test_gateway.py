@@ -227,13 +227,14 @@ class TestMockBackend:
         return request_digest("text", "m", 1.0, prompt)
 
     def test_string_entry_repeats(self):
-        backend = MockBackend({self._digest("p"): "resp"})
+        rows = []
+        backend = MockBackend({self._digest("p"): "resp"}, ledger=rows.append)
         ep = backend.endpoint(self.CFG)
         for _ in range(3):
             text, transcript = ep.complete("p")
             assert text == "resp"
             assert transcript.request_digest == self._digest("p")
-        assert backend.calls == [self._digest("p")] * 3
+        assert [row["digest"] for row in rows] == [self._digest("p")] * 3
 
     def test_list_entry_sequential_then_exhausted(self):
         backend = MockBackend({self._digest("p"): ["one", "two"]})

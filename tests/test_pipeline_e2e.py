@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from figqa.errors import EndpointUnavailable
+from figqa.gateway import render_template, request_digest
 from figqa.pipeline import (
     CRASH_AFTER_ENV,
     RunConfig,
@@ -370,6 +371,20 @@ class LostResponse:
         return response
 
 
+class Unreachable:
+    """An endpoint whose requests holding `marker` fail in transport before they are sent."""
+
+    def __init__(self, inner, marker: str):
+        self.inner = inner
+        self.config = inner.config
+        self.marker = marker
+
+    def complete(self, prompt: str, image_ref: str | None = None):
+        if self.marker in prompt:
+            raise EndpointUnavailable("scripted outage")
+        return self.inner.complete(prompt, image_ref)
+
+
 class TestTransportRounds:
     """A paid stage retries the items whose calls failed in transport."""
 
@@ -404,6 +419,63 @@ class TestTransportRounds:
             assert endpoints["text"].lost
             for name in ("claims.jsonl", "candidates.jsonl", "declined.jsonl"):
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
+
+    @staticmethod
+    def _second_qa_request(full_run, cfg, templates) -> tuple[str, str]:
+        """The text of the second claim of 2401.00001:f0 and the digest of its QA request."""
+        figure = ("2401.00001", 0)
+        claim = [
+            row for row in read_jsonl(full_run.out / "claims.jsonl")
+            if (row["arxiv_id"], row["figure_index"]) == figure
+        ][1]
+        (ctx,) = [
+            row for row in read_jsonl(full_run.out / "figure_contexts.jsonl")
+            if (row["arxiv_id"], row["figure_index"]) == figure
+        ]
+        prompt = render_template(
+            templates["qa_generate"],
+            {"claim": claim["text"], "caption": ctx["caption"], "context": ctx["context"]},
+        )
+        text = cfg.endpoint_config("text")
+        return claim["text"], request_digest(text.role, text.model_name, text.temperature, prompt)
+
+    def test_lost_qa_response_is_the_only_request_paid_again(
+        self, full_run, e2e_bundle, tmp_path, templates
+    ):
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            cfg, endpoints = self._stage_config(
+                full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
+            )
+            claim_text, digest = self._second_qa_request(full_run, cfg, templates)
+            endpoints["text"] = LostResponse(endpoints["text"], claim_text)
+            stage_generate(cfg, endpoints)
+            assert endpoints["text"].lost
+            got = ledger_digests(out)
+            assert got == scripted_call_counter(full_run.expect, "generate") + Counter({digest: 1})
+            assert sum(got.values()) == full_run.expect["generate_calls"] + 1
+            for name in ("claims.jsonl", "candidates.jsonl", "declined.jsonl"):
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
+
+    def test_claim_failing_every_round_leaves_generate_unwritten(
+        self, full_run, e2e_bundle, tmp_path, templates
+    ):
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            cfg, endpoints = self._stage_config(
+                full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
+            )
+            claim_text, digest = self._second_qa_request(full_run, cfg, templates)
+            endpoints["text"] = Unreachable(endpoints["text"], claim_text)
+            with pytest.raises(EndpointUnavailable) as exc:
+                stage_generate(cfg, endpoints)
+            assert f"1 of {full_run.expect['claims']} claims deferred" in str(exc.value)
+            for name in ("claims.jsonl", "candidates.jsonl", "declined.jsonl",
+                         "manifest_generate.json"):
+                assert not (out / name).exists(), name
+            # Every other request, the context's claim extraction included, was paid once.
+            want = scripted_call_counter(full_run.expect, "generate") - Counter({digest: 1})
+            assert ledger_digests(out) == want
 
     def test_label_whose_call_failed_is_the_only_one_paid_again(
         self, full_run, e2e_bundle, tmp_path
@@ -803,6 +875,43 @@ class TestExitCodes:
         proc = run_cli(["annotate", "--config", str(config)])
         assert proc.returncode == 2
         assert "script.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, e2e_bundle, run_cli, tmp_path):
+        config = e2e_bundle.make_config(tmp_path / "latin1_config")
+        config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 2
+        assert str(config) in proc.stderr and "not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_template_that_is_not_utf8_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
+    ):
+        out = tmp_path / "latin1_prompts_run"
+        shutil.copytree(full_run.out, out)
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        for name, template in templates.items():
+            (prompts / f"{name}.txt").write_text(template.body, encoding="utf-8")
+        (prompts / "claim_extract.txt").write_bytes(b"caf\xe9 {{context}}")
+        config = e2e_bundle.make_config(out, prompts=str(prompts))
+        proc = run_cli(["generate", "--config", str(config)])
+        assert proc.returncode == 2
+        assert "claim_extract.txt" in proc.stderr and "not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_crash_after_that_is_not_an_integer_is_a_config_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "bad_crash_after"
+        shutil.copytree(full_run.out, out)
+        proc = run_cli(
+            ["generate", "--config", str(e2e_bundle.make_config(out))],
+            env_extra={CRASH_AFTER_ENV: "abc"},
+        )
+        assert proc.returncode == 2
+        assert CRASH_AFTER_ENV in proc.stderr and "'abc'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):

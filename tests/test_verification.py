@@ -38,6 +38,12 @@ TEMPLATES = load_templates()
 VOTE_ALPHABET = ("A", "B", "C", "D", NONE_SIGNAL)
 
 
+def logged(log: VerdictLog) -> list[tuple[str, str]]:
+    """The (candidate, filter) key of each line of the log's file, in file order."""
+    rows = [json.loads(line) for line in log.path.read_text().splitlines()]
+    return [(row["candidate_key"], row["filter"]) for row in rows]
+
+
 def _opt(letter: str) -> str:
     return f"<option>{letter}</option>"
 
@@ -273,7 +279,7 @@ class TestVerdictLog:
         assert log.get("k1", FILTER_SOURCE) is None
         log.append(self._verdict())
         assert log.get("k1", FILTER_SOURCE).passed is True
-        assert len(log) == 1
+        assert logged(log) == [("k1", FILTER_SOURCE)]
 
     def test_duplicate_append_raises(self, tmp_path):
         log = VerdictLog(tmp_path / "log.jsonl")
@@ -287,7 +293,7 @@ class TestVerdictLog:
         log.append(self._verdict())
         log.append(self._verdict(filter_name=FILTER_VISION))
         fresh = VerdictLog(path)
-        assert len(fresh) == 2
+        assert fresh.get("k1", FILTER_SOURCE).filter == FILTER_SOURCE
         assert fresh.get("k1", FILTER_VISION).filter == FILTER_VISION
 
     def test_torn_final_line_skipped(self, tmp_path, caplog):
@@ -298,10 +304,11 @@ class TestVerdictLog:
             fh.write('{"candidate_key": "k2", "filter": "Sour')  # torn by a crash
         with caplog.at_level(logging.WARNING):
             fresh = VerdictLog(path)
-        assert len(fresh) == 1
+        assert logged(fresh) == [("k1", FILTER_SOURCE)]
+        assert fresh.get("k2", FILTER_SOURCE) is None
         assert any("torn" in r.message for r in caplog.records)
         fresh.append(self._verdict(key="k3"))  # lands on its own line, not on the fragment
-        assert len(VerdictLog(path)) == 2
+        assert logged(VerdictLog(path)) == [("k1", FILTER_SOURCE), ("k3", FILTER_SOURCE)]
 
     def test_corrupt_line_before_the_tail_raises(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -328,8 +335,9 @@ class TestVerdictLog:
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         with caplog.at_level(logging.WARNING):
             log = VerdictLog(path)
-        assert len(log) == 1
         assert log.get("k1", FILTER_SOURCE).passed is True
+        log.sort_file()
+        assert logged(log) == [("k1", FILTER_SOURCE)]
 
     def test_round_trip_preserves_voting_fields(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -421,11 +429,11 @@ class TestVerdictLog:
         finally:
             sys.setswitchinterval(interval)
         expected = [(key, name) for key in keys for name in CASCADE_ORDER]
-        assert len(log) == len(expected)
+        assert sorted(logged(log)) == sorted(expected)
         log.sort_file()
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [(r["candidate_key"], r["filter"]) for r in rows] == expected
-        assert len(VerdictLog(path)) == len(expected)
+        assert logged(log) == expected
+        fresh = VerdictLog(path)
+        assert all(fresh.get(key, name) is not None for key, name in expected)
 
 
 def _cascade_endpoints(source, visdep_text, visdep_vision=None, votes=None):
@@ -459,7 +467,7 @@ class TestRunCascade:
         log = VerdictLog(tmp_path / "log.jsonl")
         with pytest.raises(EndpointUnavailable):
             run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
-        assert len(log) == 3
+        assert logged(log) == [(cand.key, name) for name in CASCADE_ORDER[:3]]
         assert log.get(cand.key, FILTER_VISION) is None
 
     def test_full_pass_retained(self, tmp_path):
@@ -480,7 +488,7 @@ class TestRunCascade:
         assert outcome.record.provenance["verdict_keys"] == [
             f"{cand.key}|{stage}" for stage in CASCADE_ORDER
         ]
-        assert len(log) == 4
+        assert logged(log) == [(cand.key, name) for name in CASCADE_ORDER]
         assert len(text_ep.calls) == 2
         assert len(vision_ep.calls) == 4
 
@@ -492,7 +500,7 @@ class TestRunCascade:
         assert outcome.status == "rejected"
         assert outcome.rejected_stage == FILTER_SOURCE
         assert len(outcome.verdicts) == 1
-        assert len(log) == 1
+        assert logged(log) == [(cand.key, FILTER_SOURCE)]
         assert len(text_ep.calls) == 1
         assert vision_ep.calls == []
 
@@ -502,7 +510,7 @@ class TestRunCascade:
         log = VerdictLog(tmp_path / "log.jsonl")
         outcome = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
         assert outcome.rejected_stage == FILTER_VISDEP_TEXT
-        assert len(log) == 2
+        assert logged(log) == [(cand.key, name) for name in CASCADE_ORDER[:2]]
         assert vision_ep.calls == []
 
     def test_visdep_vision_failure(self, tmp_path):
