@@ -1,85 +1,3 @@
 """Generate-then-verify pipeline for multiple-choice QA about paper figures."""
 
 __version__ = "0.1.0"
-
-from .dataset import (
-    FIGURE_TYPES,
-    QUESTION_TYPES,
-    FunnelStats,
-    VerifiedRecord,
-    compute_funnel,
-    read_dataset,
-    stratified_sample,
-    write_dataset,
-)
-from .errors import FigqaError
-from .figure_context import (
-    FigureContext,
-    build_figure_contexts,
-    levenshtein_distance,
-    levenshtein_similarity,
-    normalize_caption,
-)
-from .gateway import (
-    MockBackend,
-    ModelEndpointConfig,
-    load_templates,
-    parse_option_tag,
-    parse_patterns_block,
-    render_template,
-)
-from .generation import AtomicClaim, QACandidate, extract_claims, generate_qa
-from .latex_prep import (
-    CleanPaper,
-    RawPaper,
-    clean_paper,
-    expand_macros,
-    segment_paragraphs,
-    strip_bibliography,
-    strip_comments,
-)
-from .pipeline import RunConfig, run_stages
-from .replay import replay_verdicts
-from .verification import FilterVerdict, VerdictLog, majority_vote, run_cascade
-
-__all__ = [
-    "__version__",
-    "FIGURE_TYPES",
-    "QUESTION_TYPES",
-    "AtomicClaim",
-    "CleanPaper",
-    "FigqaError",
-    "FigureContext",
-    "FilterVerdict",
-    "FunnelStats",
-    "MockBackend",
-    "ModelEndpointConfig",
-    "QACandidate",
-    "RawPaper",
-    "RunConfig",
-    "VerdictLog",
-    "VerifiedRecord",
-    "build_figure_contexts",
-    "clean_paper",
-    "compute_funnel",
-    "expand_macros",
-    "extract_claims",
-    "generate_qa",
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "load_templates",
-    "majority_vote",
-    "normalize_caption",
-    "parse_option_tag",
-    "parse_patterns_block",
-    "read_dataset",
-    "render_template",
-    "replay_verdicts",
-    "run_cascade",
-    "run_stages",
-    "segment_paragraphs",
-    "stratified_sample",
-    "strip_bibliography",
-    "strip_comments",
-    "write_dataset",
-]

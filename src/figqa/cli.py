@@ -1,14 +1,18 @@
-"""Command-line interface: one subcommand per pipeline stage.
+"""Command-line interface: `run`, one subcommand per pipeline stage, and `evaluate`.
+
+`figqa <stage>` is `figqa run --stage <stage>`: both print each stage's
+summary line and share one exit-code map.
 
 Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
 2 configuration error (a mistyped or out-of-range value, an unknown key or
 endpoint slot, a config file or prompt template that is not UTF-8, a prompt
-template naming an unknown variable, a mock script that is not JSON, a
-FIGQA_MOCK_CRASH_AFTER that is not an integer, or a request the mock script
-has no response for),
+template naming an unknown variable, a mock script that cannot be read or
+is not JSON, a FIGQA_MOCK_CRASH_AFTER that is not an integer, or a request
+the mock script has no response for),
 3 upstream-input error (a missing, truncated, corrupt or non-UTF-8 input
-file or row, an unreadable figure image, stage files whose funnel counts
-are inconsistent, or a failed verdict replay), 4 endpoint auth error,
+file or row, an unreadable figure image, a candidate whose figure context
+changed since generate, stage files whose funnel counts are inconsistent,
+or a failed verdict replay under `stats` or `run`), 4 endpoint auth error,
 5 endpoint unavailable after every retry, or a request it refused (rerun
 the stage; generate, verify and annotate write nothing while any item is
 deferred), 6 file-system error (an output path that cannot be created or
@@ -36,7 +40,7 @@ from .errors import (
     UnscriptedRequest,
     UpstreamInputError,
 )
-from .pipeline import STAGE_ORDER, RunConfig, run_stages
+from .pipeline import STAGE_FUNCTIONS, STAGE_ORDER, RunConfig, run_stages
 from . import pipeline
 
 EXIT_EVAL_THRESHOLD = 1
@@ -108,59 +112,54 @@ def main():
     pass
 
 
-@main.command(help="Clean LaTeX sources and bind figure-caption rows.")
-@_common_options
-@_handle_errors
-def prepare(config_path, **params):
-    manifest = pipeline.stage_prepare(_build_config(config_path, params))
-    click.echo(
-        f"prepared {manifest['papers_prepared']} of {manifest['papers_in']} papers "
-        f"({len(manifest['skipped'])} skipped)"
+SUMMARIES = {
+    "prepare": lambda m: (
+        f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
+        f"({len(m['skipped'])} skipped)"
+    ),
+    "extract": lambda m: (
+        f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
+        f"(discards: {json.dumps(m['discards'], sort_keys=True)})"
+    ),
+    "generate": lambda m: (
+        f"generated {m['candidates']} candidates from {m['claims']} claims "
+        f"({m['declined']} declined)"
+    ),
+    "verify": lambda m: (
+        f"retained {m['retained']} of {m['candidates']} candidates "
+        f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"
+    ),
+    "annotate": lambda m: (
+        f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
+        f"question type {m['question_type_labeled']})"
+    ),
+    "stats": lambda m: f"{m['table']}\n{m['replay_summary']}",
+}
+
+
+def _run(config_path, stages, **params):
+    """Run the stages in canonical order and print each one's summary line.
+
+    Exits 3 when the stats stage's verdict replay is inconsistent.
+    """
+    manifests = run_stages(_build_config(config_path, params), list(stages) or None)
+    for manifest in manifests:
+        click.echo(SUMMARIES[manifest["stage"]](manifest))
+    if any(m["stage"] == "stats" and not m["replay_ok"] for m in manifests):
+        sys.exit(EXIT_UPSTREAM)
+
+
+main.command(name="run", help="Run multiple stages in order (default: all).")(
+    _common_options(
+        click.option("--stage", "stages", multiple=True, type=click.Choice(STAGE_ORDER),
+                     help="Stage to run; repeatable.")(_handle_errors(_run))
     )
+)
 
-
-@main.command(help="Extract figure contexts and typed discards.")
-@_common_options
-@_handle_errors
-def extract(config_path, **params):
-    manifest = pipeline.stage_extract(_build_config(config_path, params))
-    click.echo(
-        f"extracted {manifest['contexts']} contexts from {manifest['figures_in']} figures "
-        f"(discards: {json.dumps(manifest['discards'], sort_keys=True)})"
-    )
-
-
-@main.command(help="Extract claims and generate QA candidates.")
-@_common_options
-@_handle_errors
-def generate(config_path, **params):
-    manifest = pipeline.stage_generate(_build_config(config_path, params))
-    click.echo(
-        f"generated {manifest['candidates']} candidates from {manifest['claims']} claims "
-        f"({manifest['declined']} declined)"
-    )
-
-
-@main.command(help="Run the verification filter cascade.")
-@_common_options
-@_handle_errors
-def verify(config_path, **params):
-    manifest = pipeline.stage_verify(_build_config(config_path, params))
-    click.echo(
-        f"retained {manifest['retained']} of {manifest['candidates']} candidates "
-        f"(rejected: {json.dumps(manifest['rejected_by_stage'], sort_keys=True)})"
-    )
-
-
-@main.command(help="Annotate figure-type and question-type labels.")
-@_common_options
-@_handle_errors
-def annotate(config_path, **params):
-    manifest = pipeline.stage_annotate(_build_config(config_path, params))
-    click.echo(
-        f"annotated {manifest['records']} records "
-        f"(figure type {manifest['figure_type_labeled']}, "
-        f"question type {manifest['question_type_labeled']})"
+# `figqa <stage>` is `figqa run --stage <stage>`.
+for _name in STAGE_ORDER:
+    main.command(name=_name, help=STAGE_FUNCTIONS[_name].__doc__.splitlines()[0])(
+        _common_options(_handle_errors(functools.partial(_run, stages=[_name])))
     )
 
 
@@ -182,34 +181,6 @@ def evaluate(config_path, **params):
             err=True,
         )
         sys.exit(EXIT_EVAL_THRESHOLD)
-
-
-@main.command(help="Funnel statistics plus verdict-log replay.")
-@_common_options
-@_handle_errors
-def stats(config_path, **params):
-    summary = pipeline.stage_stats(_build_config(config_path, params))
-    click.echo(summary["table"])
-    click.echo(summary["replay_summary"])
-    if not summary["replay_ok"]:
-        sys.exit(EXIT_UPSTREAM)
-
-
-@main.command(name="run", help="Run multiple stages in order (default: all).")
-@_common_options
-@click.option("--stage", "stages", multiple=True,
-              type=click.Choice(STAGE_ORDER), help="Stage to run; repeatable.")
-@_handle_errors
-def run_command(config_path, stages, **params):
-    cfg = _build_config(config_path, params)
-    manifests = run_stages(cfg, list(stages) or None)
-    for manifest in manifests:
-        name = manifest.get("stage", "?")
-        if name == "stats":
-            click.echo(manifest["table"])
-            click.echo(manifest["replay_summary"])
-        else:
-            click.echo(f"stage {name}: done")
 
 
 if __name__ == "__main__":

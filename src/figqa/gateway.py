@@ -368,11 +368,13 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, script_path: str | Path, **kwargs) -> "MockBackend":
-        with open(script_path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(script_path, encoding="utf-8") as fh:
                 script = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise ConfigError(f"mock script {script_path} is not JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"mock script {script_path} cannot be read: {exc}") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"mock script {script_path} is not JSON: {exc}") from None
         if not isinstance(script, dict):
             raise ConfigError(f"mock script {script_path} must be a JSON object")
         return cls(script, **kwargs)

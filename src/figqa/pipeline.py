@@ -40,7 +40,14 @@ from .gateway import (
     load_templates,
     map_rounds,
 )
-from .generation import Declined, QACandidate, extract_claims, generate_qa, normalize_ws
+from .generation import (
+    Declined,
+    QACandidate,
+    context_digest,
+    extract_claims,
+    generate_qa,
+    normalize_ws,
+)
 from .latex_prep import CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
 
@@ -456,8 +463,10 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         ds.read_rows(_require_file(out_dir / "candidates.jsonl", "generate"), QACandidate),
         key=lambda c: c.key,
     )
+    # Keyed by the digest generate stamped on each candidate, so a context
+    # changed or removed since generate is never paired with its candidates.
     contexts = {
-        f"{ctx.arxiv_id}:f{ctx.figure_index}": ctx.context
+        context_digest(ctx.context): ctx.context
         for ctx in ds.read_rows(
             _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
         )
@@ -468,10 +477,10 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
 
     seen: set[str] = set()
     for candidate in candidates:
-        figure_key = f"{candidate.arxiv_id}:f{candidate.figure_index}"
-        if figure_key not in contexts:
+        if candidate.context_digest not in contexts:
             raise UpstreamInputError(
-                f"candidate {candidate.key} has no figure context {figure_key}"
+                f"candidate {candidate.key}: its figure context is gone or changed "
+                "since generate; rerun generate"
             )
         # Two workers must never run one candidate's cascade at once.
         if candidate.key in seen:
@@ -479,7 +488,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         seen.add(candidate.key)
 
     def run_one(candidate: QACandidate):
-        context = contexts[f"{candidate.arxiv_id}:f{candidate.figure_index}"]
+        context = contexts[candidate.context_digest]
         try:
             return vf.run_cascade(
                 candidate, context, endpoints["text"], endpoints["vision"], templates, log

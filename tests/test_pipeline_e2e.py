@@ -20,6 +20,7 @@ from figqa.errors import EndpointUnavailable
 from figqa.gateway import render_template, request_digest
 from figqa.pipeline import (
     CRASH_AFTER_ENV,
+    STAGE_ORDER,
     RunConfig,
     build_endpoints,
     stage_annotate,
@@ -87,9 +88,15 @@ class TestFullRun:
         assert list(full_run.out.rglob("*.tmp")) == []
 
     def test_reports_every_stage_and_a_consistent_replay(self, full_run):
-        for stage in ("prepare", "extract", "generate", "verify", "annotate"):
-            assert f"stage {stage}: done" in full_run.proc.stdout
-        assert "verdict replay: consistent (5 candidates, 1 retained)" in full_run.proc.stdout
+        for line in (
+            "prepared 3 of 3 papers (0 skipped)",
+            "extracted 6 contexts from 6 figures (discards: {})",
+            "generated 5 candidates from 6 claims (1 declined)",
+            "retained 1 of 5 candidates (rejected: ",
+            "annotated 1 records (figure type 1, question type 1)",
+            "verdict replay: consistent (5 candidates, 1 retained)",
+        ):
+            assert line in full_run.proc.stdout
         assert "INCONSISTENT" not in full_run.proc.stdout
 
     def test_retained_dataset_has_exactly_the_traced_record(self, full_run):
@@ -193,6 +200,20 @@ class TestDeterminism:
                 contents[name].add((out / name).read_bytes())
         for name, variants in contents.items():
             assert len(variants) == 1, f"{name} differed across runs"
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_stage_subcommand_equals_run_with_that_stage(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage
+    ):
+        procs = []
+        for args in ([stage], ["run", "--stage", stage]):
+            out = tmp_path / args[0]
+            shutil.copytree(full_run.out, out)
+            procs.append(run_cli([*args, "--config", str(e2e_bundle.make_config(out))]))
+        single, run = procs
+        assert single.returncode == run.returncode == 0, (single.stderr, run.stderr)
+        assert single.stdout == run.stdout
+        assert single.stdout.strip()
 
     def test_stage_by_stage_run_equals_single_run(self, full_run, e2e_bundle, run_cli, tmp_path):
         out = tmp_path / "staged"
@@ -617,14 +638,40 @@ class TestExitCodes:
         proc = run_cli(["verify", "--config", str(config)])
         assert proc.returncode == 3
 
-    def test_tampered_dataset_fails_replay(self, full_run, e2e_bundle, run_cli, tmp_path):
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["run", "--stage", "stats"]], ids=["stats", "run"]
+    )
+    def test_tampered_dataset_fails_replay(self, full_run, e2e_bundle, run_cli, tmp_path, command):
         out = tmp_path / "tampered"
         shutil.copytree(full_run.out, out)
         config = e2e_bundle.make_config(out)
         (out / "retained.jsonl").write_text("", encoding="utf-8")
-        proc = run_cli(["stats", "--config", str(config)])
+        proc = run_cli([*command, "--config", str(config)])
         assert proc.returncode == 3
         assert "INCONSISTENT" in proc.stdout
+
+    def test_candidate_whose_context_changed_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "changed_context"
+        shutil.copytree(full_run.out, out)
+        config = e2e_bundle.make_config(out)
+        key = full_run.expect["retained_key"]
+        figure_key = key.rsplit(":", 1)[0]
+        path = out / "figure_contexts.jsonl"
+        rows = read_jsonl(path)
+        (row,) = [r for r in rows if f"{r['arxiv_id']}:f{r['figure_index']}" == figure_key]
+        row["context"] += " A sentence added after generate."
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        kept = {
+            name: (out / name).read_bytes() for name in ("retained.jsonl", "manifest_verify.json")
+        }
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 3
+        assert key in proc.stderr and "rerun generate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        for name, content in kept.items():
+            assert (out / name).read_bytes() == content, name
 
     @pytest.mark.parametrize(
         "stage, artifact",
@@ -875,6 +922,15 @@ class TestExitCodes:
         proc = run_cli(["annotate", "--config", str(config)])
         assert proc.returncode == 2
         assert "script.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_mock_script_is_a_config_error(self, full_run, run_cli, tmp_path):
+        out = tmp_path / "missing_script"
+        shutil.copytree(full_run.out, out)
+        script = tmp_path / "nope.json"
+        proc = run_cli(["generate", "--output", str(out), "--mock", str(script)])
+        assert proc.returncode == 2
+        assert str(script) in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_config_that_is_not_utf8_is_a_config_error(self, e2e_bundle, run_cli, tmp_path):
