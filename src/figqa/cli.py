@@ -16,7 +16,8 @@ or a failed verdict replay under `stats` or `run`), 4 endpoint auth error,
 5 endpoint unavailable after every retry, or a request it refused (rerun
 the stage; generate, verify and annotate write nothing while any item is
 deferred), 6 file-system error (an output path that cannot be created or
-written, say). Every file a stage writes is replaced atomically, so a
+written, say), 7 internal error (any other exception, reported as one line
+naming its type). Every file a stage writes is replaced atomically, so a
 failed or killed stage leaves the old file or the new one, never a
 half-written one.
 """
@@ -49,6 +50,7 @@ EXIT_UPSTREAM = 3
 EXIT_AUTH = 4
 EXIT_UNAVAILABLE = 5
 EXIT_FILE = 6
+EXIT_INTERNAL = 7
 
 
 def _build_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -79,6 +81,12 @@ def _handle_errors(fn):
         except OSError as exc:
             click.echo(f"file error: {exc}", err=True)
             sys.exit(EXIT_FILE)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click's own control flow; Exit and Abort are RuntimeErrors
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
+            sys.exit(EXIT_INTERNAL)
 
     return wrapper
 
@@ -172,7 +180,7 @@ for _name in STAGE_ORDER:
 @_handle_errors
 def evaluate(config_path, **params):
     cfg = _build_config(config_path, params)
-    summary = pipeline.stage_evaluate(cfg)
+    summary = pipeline.stage_evaluate(cfg, pipeline.build_endpoints(cfg))
     click.echo(summary["report"])
     if summary["unevaluated"] > cfg.unevaluated_threshold:
         click.echo(

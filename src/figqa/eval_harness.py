@@ -18,34 +18,22 @@ from .gateway import format_options, map_rounds, parse_option_tag, render_templa
 UNLABELED = "unlabeled"
 
 
+def _slot() -> dict:
+    return {"correct": 0, "total": 0, "accuracy": 0.0}
+
+
 @dataclass
 class EvalResult:
+    """eval_summary.json, as asdict writes it. Every slot is {correct, total, accuracy}."""
+
     model_name: str
-    overall_correct: int
-    overall_total: int
-    overall_accuracy: float
+    overall: dict = field(default_factory=_slot)
     by_domain: dict[str, dict] = field(default_factory=dict)
     by_figure_type: dict[str, dict] = field(default_factory=dict)
     by_question_type: dict[str, dict] = field(default_factory=dict)
     per_item: list[dict] = field(default_factory=list)
     unevaluated: int = 0
     unevaluated_keys: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model_name": self.model_name,
-            "overall": {
-                "correct": self.overall_correct,
-                "total": self.overall_total,
-                "accuracy": self.overall_accuracy,
-            },
-            "by_domain": self.by_domain,
-            "by_figure_type": self.by_figure_type,
-            "by_question_type": self.by_question_type,
-            "per_item": self.per_item,
-            "unevaluated": self.unevaluated,
-            "unevaluated_keys": self.unevaluated_keys,
-        }
 
 
 def accuracy_pct(correct: int, total: int) -> float:
@@ -54,13 +42,6 @@ def accuracy_pct(correct: int, total: int) -> float:
         return 0.0
     value = Decimal(100 * correct) / Decimal(total)
     return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def _tally(breakdown: dict[str, dict], category: str, is_correct: bool) -> None:
-    slot = breakdown.setdefault(category, {"correct": 0, "total": 0, "accuracy": 0.0})
-    slot["total"] += 1
-    if is_correct:
-        slot["correct"] += 1
 
 
 def evaluate(
@@ -89,41 +70,39 @@ def evaluate(
     unevaluated_keys = [r.key for r in failed]
     result = EvalResult(
         model_name=endpoint.config.model_name,
-        overall_correct=0,
-        overall_total=0,
-        overall_accuracy=0.0,
         unevaluated=len(unevaluated_keys),
         unevaluated_keys=unevaluated_keys,
     )
+    breakdowns = (result.by_domain, result.by_figure_type, result.by_question_type)
 
     skipped = set(unevaluated_keys)
     for record, predicted in zip(records, predictions):
         if record.key in skipped:
             continue
         is_correct = predicted == record.correct_letter
-        result.overall_total += 1
-        if is_correct:
-            result.overall_correct += 1
-        _tally(result.by_domain, record.primary_category or UNLABELED, is_correct)
-        _tally(result.by_figure_type, record.figure_type or UNLABELED, is_correct)
-        _tally(result.by_question_type, record.question_type or UNLABELED, is_correct)
+        categories = (record.primary_category, record.figure_type, record.question_type)
+        slots = [result.overall] + [
+            breakdown.setdefault(category or UNLABELED, _slot())
+            for breakdown, category in zip(breakdowns, categories)
+        ]
+        for slot in slots:
+            slot["total"] += 1
+            slot["correct"] += int(is_correct)
         result.per_item.append(
             {"key": record.key, "predicted": predicted, "correct": is_correct}
         )
 
-    result.overall_accuracy = accuracy_pct(result.overall_correct, result.overall_total)
-    for breakdown in (result.by_domain, result.by_figure_type, result.by_question_type):
-        for slot in breakdown.values():
-            slot["accuracy"] = accuracy_pct(slot["correct"], slot["total"])
+    for slot in [result.overall, *(s for b in breakdowns for s in b.values())]:
+        slot["accuracy"] = accuracy_pct(slot["correct"], slot["total"])
     return result
 
 
 def format_report(result: EvalResult) -> str:
     """Category table mirroring the per-category accuracy layout."""
+    overall = result.overall
     lines = [
         f"Model: {result.model_name}",
-        f"Overall: {result.overall_correct}/{result.overall_total} "
-        f"= {result.overall_accuracy:.2f}%",
+        f"Overall: {overall['correct']}/{overall['total']} = {overall['accuracy']:.2f}%",
         f"Unevaluated: {result.unevaluated}",
     ]
     for title, breakdown in (

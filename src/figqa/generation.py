@@ -13,12 +13,12 @@ import random
 import re
 from dataclasses import dataclass
 
+from .dataset import OPTION_COUNT
 from .errors import MalformedResponse
 from .figure_context import FigureContext
 from .gateway import complete_parsed, is_bare_none, parse_patterns_block, render_template
 
 CLAIM_PREFIX = "the figure shows"
-OPTION_COUNT = 4
 
 
 @dataclass

@@ -53,8 +53,6 @@ from .replay import replay_verdicts
 
 CRASH_AFTER_ENV = "FIGQA_MOCK_CRASH_AFTER"
 
-STAGE_ORDER = ("prepare", "extract", "generate", "verify", "annotate", "stats")
-
 # Endpoint roles and their built-in defaults (used directly in mock mode;
 # merged under the config file's endpoint entries otherwise).
 ROLE_DEFAULTS: dict[str, dict] = {
@@ -297,6 +295,13 @@ def _run_paid(fn, items: list, cfg: RunConfig, noun: str, stage: str) -> list:
     return results
 
 
+def _write_manifest(cfg: RunConfig, stage: str, **counts) -> dict:
+    """Write manifest_<stage>.json, the stage's last write, and return it."""
+    manifest = {"stage": stage, **counts, "config_digest": cfg.config_digest()}
+    ds.write_json(Path(cfg.output) / f"manifest_{stage}.json", manifest)
+    return manifest
+
+
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -346,16 +351,10 @@ def stage_prepare(cfg: RunConfig) -> dict:
         paper = PreparedPaper(arxiv_id, raw.primary_category, clean.paragraphs, figures)
         prepared_rows.append(asdict(paper))
     ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
-    manifest = {
-        "stage": "prepare",
-        "papers_in": len(papers),
-        "papers_prepared": len(prepared_rows),
-        "skipped": skipped,
-        "seed": cfg.seed,
-        "config_digest": cfg.config_digest(),
-    }
-    ds.write_json(out_dir / "manifest_prepare.json", manifest)
-    return manifest
+    return _write_manifest(
+        cfg, "prepare", papers_in=len(papers), papers_prepared=len(prepared_rows),
+        skipped=skipped, seed=cfg.seed,
+    )
 
 
 def stage_extract(cfg: RunConfig) -> dict:
@@ -399,19 +398,13 @@ def stage_extract(cfg: RunConfig) -> dict:
             )
     ds.write_jsonl(out_dir / "figure_contexts.jsonl", context_rows)
     ds.write_jsonl(out_dir / "discards.jsonl", discard_rows)
-    manifest = {
-        "stage": "extract",
-        "papers": len(papers),
-        "figures_in": figures_in,
-        "contexts": len(context_rows),
-        "discards": discard_counts,
-        "config_digest": cfg.config_digest(),
-    }
-    ds.write_json(out_dir / "manifest_extract.json", manifest)
-    return manifest
+    return _write_manifest(
+        cfg, "extract", papers=len(papers), figures_in=figures_in,
+        contexts=len(context_rows), discards=discard_counts,
+    )
 
 
-def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
+def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     """Extract claims per figure, then one QA candidate per claim.
 
     Two passes, one model request per paid item: claim extraction per
@@ -422,7 +415,6 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     contexts = ds.read_rows(
         _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
     )
-    endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
@@ -443,20 +435,14 @@ def stage_generate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     ds.write_jsonl(out_dir / "claims.jsonl", claim_rows)
     ds.write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
     ds.write_jsonl(out_dir / "declined.jsonl", declined_rows)
-    manifest = {
-        "stage": "generate",
-        "contexts": len(contexts),
-        "claims": len(pairs),
-        "candidates": len(candidate_rows),
-        "declined": len(declined_rows),
-        "duplicate_claim_texts": duplicate_claims,
-        "config_digest": cfg.config_digest(),
-    }
-    ds.write_json(out_dir / "manifest_generate.json", manifest)
-    return manifest
+    return _write_manifest(
+        cfg, "generate", contexts=len(contexts), claims=len(pairs),
+        candidates=len(candidate_rows), declined=len(declined_rows),
+        duplicate_claim_texts=duplicate_claims,
+    )
 
 
-def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
+def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
     candidates = sorted(
@@ -471,7 +457,6 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
             _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
         )
     }
-    endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
@@ -518,24 +503,16 @@ def stage_verify(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     # Candidates are sorted by key and outcomes come back in item order, so retained is too.
     ds.write_dataset(retained, out_dir / "retained.jsonl")
     ds.write_jsonl(out_dir / "verify_discards.jsonl", discarded)
-    manifest = {
-        "stage": "verify",
-        "candidates": len(candidates),
-        "retained": len(retained),
-        "rejected_by_stage": dict(sorted(rejected_by_stage.items())),
-        "discarded": len(discarded),
-        "deferred": 0,
-        "config_digest": cfg.config_digest(),
-    }
-    ds.write_json(out_dir / "manifest_verify.json", manifest)
-    return manifest
+    return _write_manifest(
+        cfg, "verify", candidates=len(candidates), retained=len(retained),
+        rejected_by_stage=rejected_by_stage, discarded=len(discarded), deferred=0,
+    )
 
 
-def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
+def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
     """Add closed-vocabulary figure-type and question-type labels."""
     out_dir = Path(cfg.output)
     records = ds.read_dataset(_require_file(out_dir / "retained.jsonl", "verify"))
-    endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
 
     # One paid item per label, so a retry re-pays only the label that failed.
@@ -550,19 +527,15 @@ def stage_annotate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
     for (record, kind, _), value in zip(labels, values):
         setattr(record, kind, value)
     ds.write_dataset(records, out_dir / "annotated.jsonl")
-    manifest = {
-        "stage": "annotate",
-        "records": len(records),
-        "figure_type_labeled": sum(1 for r in records if r.figure_type is not None),
-        "question_type_labeled": sum(1 for r in records if r.question_type is not None),
-        "deferred_calls": 0,
-        "config_digest": cfg.config_digest(),
-    }
-    ds.write_json(out_dir / "manifest_annotate.json", manifest)
-    return manifest
+    return _write_manifest(
+        cfg, "annotate", records=len(records),
+        figure_type_labeled=sum(1 for r in records if r.figure_type is not None),
+        question_type_labeled=sum(1 for r in records if r.question_type is not None),
+        deferred_calls=0,
+    )
 
 
-def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
+def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
     """Zero-shot evaluation of the configured model over the dataset."""
     out_dir = Path(cfg.output)
     if cfg.eval_dataset:
@@ -574,18 +547,17 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict | None = None) -> dict:
         dataset_path = annotated if annotated.is_file() else out_dir / "retained.jsonl"
         _require_file(dataset_path, "verify")
     records = ds.read_dataset(dataset_path)
-    endpoints = endpoints or build_endpoints(cfg)
     templates = load_templates(cfg.prompts)
     result = evaluate(endpoints["eval"], records, templates, concurrency=cfg.concurrency)
-    ds.write_json(out_dir / "eval_summary.json", result.to_json_dict())
+    ds.write_json(out_dir / "eval_summary.json", asdict(result))
     report = format_report(result)
     ds.write_text(out_dir / "eval_report.txt", report + "\n")
     return {
         "stage": "evaluate",
         "dataset": str(dataset_path),
-        "evaluated": result.overall_total,
+        "evaluated": result.overall["total"],
         "unevaluated": result.unevaluated,
-        "overall_accuracy": result.overall_accuracy,
+        "overall_accuracy": result.overall["accuracy"],
         "report": report,
     }
 
@@ -594,6 +566,9 @@ def stage_stats(cfg: RunConfig) -> dict:
     """Funnel accounting plus an independent verdict-log replay."""
     out_dir = Path(cfg.output)
     prepare_manifest = ds.read_json(_require_file(out_dir / "manifest_prepare.json", "prepare"))
+    papers = prepare_manifest.get("papers_prepared")
+    if type(papers) is not int:
+        raise UpstreamInputError("manifest_prepare.json: papers_prepared must be an integer")
     claims = len(ds.read_jsonl(_require_file(out_dir / "claims.jsonl", "generate")))
     candidates = len(ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate")))
     log_path = _require_file(out_dir / "verdict_log.jsonl", "verify")
@@ -603,13 +578,13 @@ def stage_stats(cfg: RunConfig) -> dict:
         for verdict in ds.read_rows(log_path, vf.FilterVerdict)
         if verdict.filter == vf.FILTER_VISDEP_VISION and verdict.passed
     )
-    retained = len(ds.read_jsonl(retained_path))
+    retained = len(ds.read_dataset(retained_path))
 
     funnel = None
     table = "funnel unavailable: no claims were extracted"
     if claims > 0:
         stats = ds.compute_funnel(
-            papers=prepare_manifest["papers_prepared"],
+            papers=papers,
             claims=claims,
             qa_generated=candidates,
             after_text_filtering=after_text,
@@ -647,6 +622,7 @@ STAGE_FUNCTIONS = {
     "annotate": stage_annotate,
     "stats": stage_stats,
 }
+STAGE_ORDER = tuple(STAGE_FUNCTIONS)
 
 
 def run_stages(cfg: RunConfig, stages: list[str] | None = None) -> list[dict]:

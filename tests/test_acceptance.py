@@ -248,9 +248,9 @@ def test_criterion_8_evaluation_scoring():
         result = evaluate(endpoint, records, TEMPLATES)
 
         # Hand count over HAND_SET: the first six answers are correct.
-        assert result.overall_correct == 6
-        assert result.overall_total == 10
-        assert result.overall_accuracy == 60.0
+        assert result.overall["correct"] == 6
+        assert result.overall["total"] == 10
+        assert result.overall["accuracy"] == 60.0
         assert result.unevaluated == 0
 
         for breakdown in (result.by_domain, result.by_figure_type, result.by_question_type):

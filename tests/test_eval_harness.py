@@ -73,17 +73,17 @@ class TestAccuracyPct:
 class TestEvaluate:
     def test_manual_count_reproduced(self):
         result = evaluate(_scripted_endpoint(), _records(), TEMPLATES)
-        assert result.overall_correct == 6
-        assert result.overall_total == 10
-        assert result.overall_accuracy == 60.0
+        assert result.overall["correct"] == 6
+        assert result.overall["total"] == 10
+        assert result.overall["accuracy"] == 60.0
         assert result.unevaluated == 0
         assert result.model_name == "scripted-eval"
 
     def test_breakdowns_sum_to_overall(self):
         result = evaluate(_scripted_endpoint(), _records(), TEMPLATES)
         for breakdown in (result.by_domain, result.by_figure_type, result.by_question_type):
-            assert sum(s["total"] for s in breakdown.values()) == result.overall_total
-            assert sum(s["correct"] for s in breakdown.values()) == result.overall_correct
+            assert sum(s["total"] for s in breakdown.values()) == result.overall["total"]
+            assert sum(s["correct"] for s in breakdown.values()) == result.overall["correct"]
 
     def test_by_domain_counts(self):
         result = evaluate(_scripted_endpoint(), _records(), TEMPLATES)
@@ -120,11 +120,11 @@ class TestEvaluate:
             evaluate(
                 StubEndpoint(role="vision", temperature=0.0, handler=answer), records, TEMPLATES,
                 concurrency=concurrency,
-            ).to_json_dict()
+            )
             for concurrency in (1, 4)
         ]
         assert results[0] == results[1]
-        assert results[0]["overall"]["correct"] == 6
+        assert results[0].overall["correct"] == 6
 
     def test_temperature_guard(self):
         ep = StubEndpoint(role="vision", temperature=1.0)
@@ -162,8 +162,8 @@ class TestEvaluate:
         assert attempts["n"] == 3
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [record.key]
-        assert result.overall_total == 0
-        assert result.overall_accuracy == 0.0
+        assert result.overall["total"] == 0
+        assert result.overall["accuracy"] == 0.0
         assert result.by_domain == {}
         assert result.per_item == []
 
@@ -180,7 +180,7 @@ class TestEvaluate:
         ep = StubEndpoint(role="vision", temperature=0.0, handler=handler)
         result = evaluate(ep, [record], TEMPLATES)
         assert result.unevaluated == 0
-        assert result.overall_correct == 1
+        assert result.overall["correct"] == 1
 
     def test_partial_outage_keeps_other_items(self):
         records = _records()[:3]
@@ -199,14 +199,14 @@ class TestEvaluate:
         result = evaluate(ep, records, TEMPLATES)
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [records[1].key]
-        assert result.overall_total == 2
-        assert result.overall_correct == 2
+        assert result.overall["total"] == 2
+        assert result.overall["correct"] == 2
 
     def test_empty_record_list(self):
         ep = StubEndpoint(role="vision", temperature=0.0)
         result = evaluate(ep, [], TEMPLATES)
-        assert result.overall_total == 0
-        assert result.overall_accuracy == 0.0
+        assert result.overall["total"] == 0
+        assert result.overall["accuracy"] == 0.0
 
 
 class TestFormatReport:

@@ -15,7 +15,10 @@ from types import SimpleNamespace
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
+from figqa import pipeline
+from figqa.cli import main
 from figqa.errors import EndpointUnavailable
 from figqa.gateway import render_template, request_digest
 from figqa.pipeline import (
@@ -52,6 +55,27 @@ PINNED_SHA256 = {
     "verdict_log.jsonl": "b04c1e7502e04259751a73ede9f7aa620420c9c8b9900552f8e57eb63b81d472",
     "retained.jsonl": "ef01e7d327493b2219157d57404727168bcb48481dd21ce0768dc613bdfb2dc2",
     "annotated.jsonl": "04aa1302d8f5533c14659760a44a148efea3aef26a38637d74e092ff6dd99179",
+}
+
+# eval_summary.json of `figqa evaluate` after the full run. It carries no
+# config_digest, so its bytes are pinned like the record files.
+EVAL_SUMMARY_SHA256 = "0bcc9ff3241fbd94d49844918d4692d7dccabd2bc75b07872391e4d42bdfb2dc"
+
+MANIFEST_KEYS = {
+    "prepare": {"config_digest", "papers_in", "papers_prepared", "seed", "skipped", "stage"},
+    "extract": {"config_digest", "contexts", "discards", "figures_in", "papers", "stage"},
+    "generate": {
+        "candidates", "claims", "config_digest", "contexts", "declined",
+        "duplicate_claim_texts", "stage",
+    },
+    "verify": {
+        "candidates", "config_digest", "deferred", "discarded", "rejected_by_stage",
+        "retained", "stage",
+    },
+    "annotate": {
+        "config_digest", "deferred_calls", "figure_type_labeled", "question_type_labeled",
+        "records", "stage",
+    },
 }
 
 
@@ -172,6 +196,13 @@ class TestFullRun:
         got = set(ledger_digests(full_run.out))
         forbidden = set(full_run.expect["forbidden_digests"])
         assert not got & forbidden
+
+    @pytest.mark.parametrize("stage", sorted(MANIFEST_KEYS))
+    def test_manifest_has_exactly_its_keys(self, full_run, stage):
+        path = full_run.out / f"manifest_{stage}.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert set(manifest) == MANIFEST_KEYS[stage]
+        assert manifest["stage"] == stage
 
     def test_declined_claims_are_recorded_with_reasons(self, full_run):
         declined = read_jsonl(full_run.out / "declined.jsonl")
@@ -578,6 +609,12 @@ class TestEvaluateCommand:
         assert expect["figure_type"] in proc.stdout
         assert expect["question_type"] in proc.stdout
 
+    def test_summary_bytes_are_pinned(self, eval_dir, run_cli):
+        proc = run_cli(["evaluate", "--config", str(eval_dir.config)])
+        assert proc.returncode == 0, proc.stderr
+        summary = (eval_dir.out / "eval_summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
+
     def test_threshold_gate_fails_the_run(self, eval_dir, run_cli):
         proc = run_cli(
             ["evaluate", "--config", str(eval_dir.config), "--unevaluated-threshold", "-1"]
@@ -702,9 +739,10 @@ class TestExitCodes:
             ("stats", "verdict_log.jsonl", (), "passed"),
             ("extract", "papers_clean.jsonl", (), "figures"),
             ("extract", "papers_clean.jsonl", ("figures", 0), "image"),
+            ("stats", "retained.jsonl", (), "key"),
         ],
         ids=["verify-candidates", "verify-verdict_log", "stats-verdict_log", "extract-papers_clean",
-             "extract-papers_clean-figure"],
+             "extract-papers_clean-figure", "stats-retained"],
     )
     def test_row_missing_a_field_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path, stage, artifact, where, key
@@ -723,6 +761,37 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert key in proc.stderr and artifact in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_prepare_manifest_without_its_paper_count_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "short_manifest"
+        shutil.copytree(full_run.out, out)
+        path = out / "manifest_prepare.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["papers_prepared"]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        proc = run_cli(["stats", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3
+        assert "manifest_prepare.json" in proc.stderr and "papers_prepared" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unexpected_exception_is_an_internal_error(
+        self, full_run, e2e_bundle, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "internal"
+        shutil.copytree(full_run.out, out)
+
+        def broken_replay(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(pipeline, "replay_verdicts", broken_replay)
+        result = CliRunner().invoke(
+            main, ["stats", "--config", str(e2e_bundle.make_config(out))]
+        )
+        assert result.exit_code == 7
+        assert result.stderr.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
         "overrides, named",
