@@ -8,7 +8,7 @@ class FigqaError(Exception):
 
 
 class RecursionLimitExceeded(FigqaError):
-    """Macro expansion did not reach a fixed point within the depth limit."""
+    """Macro expansion did not reach a fixed point within its depth or growth limit."""
 
 
 class MissingVariable(FigqaError):

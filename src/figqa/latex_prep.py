@@ -14,6 +14,8 @@ from .errors import RecursionLimitExceeded
 
 PARAGRAPH_SEPARATOR = "\n\n"
 MACRO_DEPTH_LIMIT = 32
+# Expansion that grows the text past this multiple of its length is runaway.
+MACRO_GROWTH_LIMIT = 16
 
 # Environments whose content must not be touched by comment stripping.
 OPAQUE_ENVIRONMENTS = ("verbatim", "lstlisting")
@@ -56,25 +58,16 @@ def _opaque_spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in _OPAQUE_RE.finditer(text)]
 
 
+# A '%' after an even run of backslashes (possibly empty), to the end of the
+# line. An odd run escapes the '%'. The substitution keeps the run.
+_COMMENT_RE = re.compile(r"(?<!\\)((?:\\\\)*)%.*")
+
+
 def _strip_comment_lines(chunk: str) -> str:
     """Truncate each line at its first unescaped '%' (the '%' goes too)."""
-    out_lines = []
-    for line in chunk.split("\n"):
-        cut = None
-        for i, ch in enumerate(line):
-            if ch != "%":
-                continue
-            backslashes = 0
-            j = i - 1
-            while j >= 0 and line[j] == "\\":
-                backslashes += 1
-                j -= 1
-            # Odd run of backslashes means the '%' itself is escaped.
-            if backslashes % 2 == 0:
-                cut = i
-                break
-        out_lines.append(line if cut is None else line[:cut])
-    return "\n".join(out_lines)
+    return "\n".join(
+        _COMMENT_RE.sub(r"\1", line) if "%" in line else line for line in chunk.split("\n")
+    )
 
 
 def strip_comments(latex: str) -> str:
@@ -116,14 +109,37 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-_NEWCOMMAND_RE = re.compile(r"\\(?:re)?newcommand\*?")
-_DEF_RE = re.compile(r"\\def\b")
-_CONTROL_WORD_RE = re.compile(r"\\([A-Za-z@]+)")
+# Definition heads. Only the command itself is consumed: the name, arity or
+# parameter text and the body's opening brace sit in a lookahead, so a head
+# that starts inside another definition's text is still found. The body must
+# follow the arity, so an optional default ([n][x]) leaves no match.
+_NAME = r"\\(?P<name>[A-Za-z@]+)"
+_NEWCOMMAND_RE = re.compile(
+    r"\\(?:re)?newcommand\*?(?=[ \t\n]*(?P<brace>\{\s*)?" + _NAME + r"(?(brace)\s*\})"
+    r"[ \t\n]*(?:\[(?P<arity>[^\]]*)\][ \t\n]*)?(?P<body>\{))"
+)
+_DEF_RE = re.compile(r"\\def(?=" + _NAME + r"\s*(?P<params>(?:#\d)*)\s*(?P<body>\{))")
+
+
+def _newcommand_arity(m: re.Match) -> int | None:
+    spec = m["arity"]
+    if spec is None:
+        return 0
+    spec = spec.strip()
+    return int(spec) if spec.isdecimal() else None
+
+
+def _def_arity(m: re.Match) -> int | None:
+    digits = [int(d) for d in m["params"][1::2]]  # params is "#1#2..."
+    return len(digits) if digits == list(range(1, len(digits) + 1)) else None
+
+
+# Every \newcommand is read before any \def, so a \def wins a name both define.
+_DEFINITION_HEADS = ((_NEWCOMMAND_RE, _newcommand_arity), (_DEF_RE, _def_arity))
 
 
 @dataclass
 class _MacroDef:
-    name: str
     nargs: int
     body: str
 
@@ -131,74 +147,20 @@ class _MacroDef:
 def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
     """Collect \\newcommand/\\renewcommand/\\def definitions and cut them out.
 
-    Unsupported forms (optional-default arguments, delimited \\def parameters)
-    are left in place and flow through as literal text.
+    Unsupported forms (optional-default arguments, delimited \\def parameters,
+    non-decimal arities) are left in place and flow through as literal text.
     """
     table: dict[str, _MacroDef] = {}
     remove: list[tuple[int, int]] = []
-
-    for m in _NEWCOMMAND_RE.finditer(text):
-        pos = _skip_ws(text, m.end())
-        name = None
-        if pos < len(text) and text[pos] == "{":
-            group = read_brace_group(text, pos)
-            if group is None:
+    for head, arity in _DEFINITION_HEADS:
+        for m in head.finditer(text):
+            nargs = arity(m)
+            group = read_brace_group(text, m.start("body"))
+            if nargs is None or group is None:
                 continue
-            inner, pos2 = group
-            inner = inner.strip()
-            if re.fullmatch(r"\\[A-Za-z@]+", inner):
-                name = inner[1:]
-                pos = pos2
-        else:
-            cw = _CONTROL_WORD_RE.match(text, pos)
-            if cw:
-                name = cw.group(1)
-                pos = cw.end()
-        if name is None:
-            continue
-        pos = _skip_ws(text, pos)
-        nargs = 0
-        if pos < len(text) and text[pos] == "[":
-            close = text.find("]", pos)
-            if close == -1:
-                continue
-            spec = text[pos + 1 : close].strip()
-            if not spec.isdigit():
-                continue
-            nargs = int(spec)
-            pos = _skip_ws(text, close + 1)
-            if pos < len(text) and text[pos] == "[":
-                # Optional-default parameter: out of scope, leave untouched.
-                continue
-        group = read_brace_group(text, pos)
-        if group is None:
-            continue
-        body, end = group
-        table[name] = _MacroDef(name, nargs, body)
-        remove.append((m.start(), end))
-
-    for m in _DEF_RE.finditer(text):
-        pos = m.end()
-        cw = _CONTROL_WORD_RE.match(text, pos)
-        if not cw:
-            continue
-        name = cw.group(1)
-        pos = cw.end()
-        brace = text.find("{", pos)
-        if brace == -1:
-            continue
-        params = text[pos:brace].strip()
-        if not re.fullmatch(r"(#\d)*", params):
-            continue
-        digits = re.findall(r"#(\d)", params)
-        if [int(d) for d in digits] != list(range(1, len(digits) + 1)):
-            continue
-        group = read_brace_group(text, brace)
-        if group is None:
-            continue
-        body, end = group
-        table[name] = _MacroDef(name, len(digits), body)
-        remove.append((m.start(), end))
+            body, end = group
+            table[m["name"]] = _MacroDef(nargs, body)
+            remove.append((m.start(), end))
 
     if not remove:
         return text, table
@@ -214,44 +176,33 @@ def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
     return "".join(pieces), table
 
 
-def _substitute_once(text: str, table: dict[str, _MacroDef]) -> tuple[str, int]:
-    """One substitution pass, left to right; bodies are not rescanned in-pass."""
+def _substitute_once(
+    text: str, table: dict[str, _MacroDef], uses: re.Pattern
+) -> tuple[str, int]:
+    """One substitution pass, left to right; bodies are not rescanned in-pass.
+
+    uses matches the control words named in table and nothing else.
+    """
     out = []
     pos = 0
     count = 0
-    while True:
-        m = _CONTROL_WORD_RE.search(text, pos)
-        if m is None:
-            out.append(text[pos:])
-            break
-        name = m.group(1)
-        macro = table.get(name)
-        if macro is None:
-            out.append(text[pos : m.end()])
-            pos = m.end()
-            continue
-        args = []
-        argpos = m.end()
-        ok = True
-        for _ in range(macro.nargs):
-            next_pos = _skip_ws(text, argpos)
-            group = read_brace_group(text, next_pos)
-            if group is None:
-                ok = False
-                break
-            value, argpos = group
-            args.append(value)
-        if not ok:
-            out.append(text[pos : m.end()])
-            pos = m.end()
-            continue
+    for m in uses.finditer(text):
+        if m.start() < pos:
+            continue  # inside the arguments of the previous substitution
+        macro = table[m[1]]
         body = macro.body
-        for i, value in enumerate(args, 1):
+        argpos = m.end()
+        for i in range(1, macro.nargs + 1):
+            group = read_brace_group(text, _skip_ws(text, argpos))
+            if group is None:
+                break  # too few arguments: the use stays literal
+            value, argpos = group
             body = body.replace(f"#{i}", value)
-        out.append(text[pos : m.start()])
-        out.append(body)
-        pos = argpos
-        count += 1
+        else:
+            out += (text[pos : m.start()], body)
+            pos = argpos
+            count += 1
+    out.append(text[pos:])
     return "".join(out), count
 
 
@@ -260,21 +211,25 @@ def expand_macros(latex: str) -> str:
 
     Expansion runs in passes; a pass substitutes every known macro occurrence
     once without rescanning substituted bodies, so nesting depth equals pass
-    count. Exceeding MACRO_DEPTH_LIMIT passes means a self-referential macro.
+    count. More than MACRO_DEPTH_LIMIT passes, or text grown past
+    MACRO_GROWTH_LIMIT times the input's length, is taken for a
+    self-referential macro.
     """
     text, table = _parse_definitions(latex)
     if not table:
         return text
-    for _ in range(MACRO_DEPTH_LIMIT):
-        text, count = _substitute_once(text, table)
+    uses = re.compile(r"\\(" + "|".join(table) + r")(?![A-Za-z@])")
+    for _ in range(MACRO_DEPTH_LIMIT + 1):
+        text, count = _substitute_once(text, table, uses)
         if count == 0:
             return text
-    _, count = _substitute_once(text, table)
-    if count:
-        raise RecursionLimitExceeded(
-            f"macro expansion did not terminate within {MACRO_DEPTH_LIMIT} passes"
-        )
-    return text
+        if len(text) > MACRO_GROWTH_LIMIT * len(latex):
+            raise RecursionLimitExceeded(
+                f"macro expansion grew the text past {MACRO_GROWTH_LIMIT} times its length"
+            )
+    raise RecursionLimitExceeded(
+        f"macro expansion did not terminate within {MACRO_DEPTH_LIMIT} passes"
+    )
 
 
 _BIB_ENV_RE = re.compile(

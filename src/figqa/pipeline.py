@@ -340,7 +340,6 @@ def stage_prepare(cfg: RunConfig) -> dict:
             arxiv_id=arxiv_id,
             primary_category=fig_rows[0].primary_category,
             latex_source=latex_source,
-            figure_caption_pairs=[(r.image, r.caption) for r in fig_rows],
         )
         try:
             clean = clean_paper(raw)

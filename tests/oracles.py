@@ -57,3 +57,16 @@ def proportional_allocation_oracle(sizes: dict, n: int) -> dict:
     for key in by_remainder[:leftover]:
         alloc[key] += 1
     return alloc
+
+
+def strip_comment_lines_oracle(text: str) -> str:
+    """Cut each line at the first '%' preceded by an even run of backslashes."""
+    lines = []
+    for line in text.split("\n"):
+        for i, ch in enumerate(line):
+            run = len(line[:i]) - len(line[:i].rstrip("\\"))
+            if ch == "%" and run % 2 == 0:
+                line = line[:i]
+                break
+        lines.append(line)
+    return "\n".join(lines)

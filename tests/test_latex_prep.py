@@ -18,6 +18,8 @@ from figqa.latex_prep import (
     strip_comments,
 )
 
+from oracles import strip_comment_lines_oracle
+
 
 class TestStripComments:
     def test_basic_comment_removed(self):
@@ -60,6 +62,11 @@ class TestStripComments:
         once = strip_comments(src)
         assert strip_comments(once) == once
         assert once.count("\n") == src.count("\n")
+
+    @given(st.text(alphabet="ab% \\\n", max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_oracle(self, src):
+        assert strip_comments(src) == strip_comment_lines_oracle(src)
 
 
 class TestReadBraceGroup:
@@ -124,6 +131,22 @@ class TestExpandMacros:
         assert "\\newcommand{\\opt}[2][x]{#1#2}" in out
         assert "\\opt{y}" in out
 
+    def test_non_decimal_arity_left_literal(self):
+        src = "\\newcommand{\\f}[²]{x}\\f"
+        assert expand_macros(src) == src
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("\\def\\a\\def\\b{B}\\b", "\\def\\aB"),
+            ("\\newcommand\\x\\newcommand{\\y}{Y}\\y", "\\newcommand\\xY"),
+            ("\\newcommand{\\p}{P}\\newcommand{\\pp}{Q}\\pp\\p\\ppx", "QP\\ppx"),
+        ],
+        ids=["def-inside-def-head", "newcommand-inside-newcommand-head", "name-is-a-prefix"],
+    )
+    def test_definition_heads_that_overlap(self, src, expected):
+        assert expand_macros(src) == expected
+
     def test_missing_argument_left_literal(self):
         src = "\\newcommand{\\two}[2]{#1#2}\n\\two{only}"
         assert "\\two{only}" in expand_macros(src)
@@ -138,6 +161,17 @@ class TestExpandMacros:
 
     def test_mutual_recursion_raises(self):
         src = "\\newcommand{\\p}{\\q}\n\\newcommand{\\q}{\\p}\n\\p"
+        with pytest.raises(RecursionLimitExceeded):
+            expand_macros(src)
+
+    def test_finite_growth_past_the_limit_raises(self):
+        # Each of four levels multiplies the text by eight: the expansion
+        # ends, but far past MACRO_GROWTH_LIMIT times the input.
+        names = ["ma", "mb", "mc", "md", "me"]
+        src = "\\def\\me{x}"
+        for outer, inner in zip(names, names[1:]):
+            src += "\\def\\" + outer + "{" + ("\\" + inner + " ") * 8 + "}"
+        src += "\\ma"
         with pytest.raises(RecursionLimitExceeded):
             expand_macros(src)
 

@@ -7,7 +7,10 @@ the verdict log, the call ledger, the funnel, and the exit codes.
 
 import hashlib
 import json
+import resource
 import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -960,6 +963,42 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
         assert manifest["skipped"] == [{"arxiv_id": bad.stem, "reason": "latex_not_utf8"}]
         assert manifest["papers_prepared"] == manifest["papers_in"] - 1
+
+    def test_runaway_macro_is_skipped_in_bounded_memory(self, e2e_bundle, tmp_path):
+        # The macro doubles the text on every pass, so expansion must give up
+        # long before its pass limit; under a 1 GiB address-space cap the run
+        # would otherwise die of MemoryError.
+        rows = read_jsonl(e2e_bundle.corpus_path)
+        runaway, other = sorted({row["arxiv_id"] for row in rows})[:2]
+        latex = tmp_path / "latex"
+        latex.mkdir()
+        for arxiv_id in (runaway, other):
+            shutil.copy(e2e_bundle.latex_dir / f"{arxiv_id}.tex", latex)
+        path = latex / f"{runaway}.tex"
+        source = path.read_text(encoding="utf-8")
+        path.write_text("\\newcommand{\\x}{\\x{}\\x{}}\n\\x\n" + source, encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        kept = [row for row in rows if row["arxiv_id"] in (runaway, other)]
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in kept), encoding="utf-8")
+        out = tmp_path / "out"
+        config = e2e_bundle.make_config(out, corpus=str(corpus), latex_cache=str(latex))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "figqa", "prepare", "--config", str(config)],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
+        assert manifest["skipped"] == [{"arxiv_id": runaway, "reason": "macro_recursion_limit"}]
+        assert manifest["papers_in"] == 2 and manifest["papers_prepared"] == 1
+        prepared = read_jsonl(out / "papers_clean.jsonl")
+        assert [row["arxiv_id"] for row in prepared] == [other]
 
     @pytest.mark.parametrize(
         "stage, artifact, line",
