@@ -13,13 +13,13 @@ the mock script has no response for),
 file or row, an unreadable figure image, a candidate whose figure context
 changed since generate, stage files whose funnel counts are inconsistent,
 or a failed verdict replay under `stats` or `run`), 4 endpoint auth error,
-5 endpoint unavailable after every retry, or a request it refused (rerun
-the stage; generate, verify and annotate write nothing while any item is
-deferred), 6 file-system error (an output path that cannot be created or
-written, say), 7 internal error (any other exception, reported as one line
-naming its type). Every file a stage writes is replaced atomically, so a
-failed or killed stage leaves the old file or the new one, never a
-half-written one.
+5 endpoint unavailable after its max_retries retries, or a request it
+refused (rerun the stage; generate, verify and annotate write nothing while
+any item is deferred), 6 file-system error (an output path that cannot be
+created or written, say), 7 internal error (any other exception, reported
+as one line naming its type). Every file a stage writes is replaced
+atomically, so a failed or killed stage leaves the old file or the new one,
+never a half-written one.
 """
 
 from __future__ import annotations

@@ -25,14 +25,7 @@ class MalformedResponse(FigqaError):
 
 
 class EndpointUnavailable(FigqaError):
-    """Transport-level failure that persisted through all retry attempts."""
-
-
-class RequestRejected(EndpointUnavailable):
-    """The endpoint refused the request itself (a 4xx other than 408/429).
-
-    Sending the same request again cannot help, so it is not retried.
-    """
+    """Transport-level failure that persisted through all retry attempts, or a refused request."""
 
 
 class AuthError(FigqaError):

@@ -2,8 +2,8 @@
 
 Predictions are parsed with the same fail-closed option parser as the
 pipeline: an unparseable answer or an abstention counts as incorrect.
-Items that still fail transport after bounded retries are reported as
-unevaluated and excluded from every total.
+Items whose request still fails after the endpoint's retries are reported
+as unevaluated and excluded from every total.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 from .dataset import VerifiedRecord
 from .errors import MalformedResponse
-from .gateway import format_options, map_rounds, parse_option_tag, render_template
+from .gateway import format_options, map_items, parse_option_tag, render_template
 
 UNLABELED = "unlabeled"
 
@@ -66,7 +66,7 @@ def evaluate(
         except MalformedResponse:
             return None  # unparseable counts as wrong
 
-    predictions, failed = map_rounds(predict, records, concurrency)
+    predictions, failed = map_items(predict, records, concurrency)
     unevaluated_keys = [r.key for r in failed]
     result = EvalResult(
         model_name=endpoint.config.model_name,

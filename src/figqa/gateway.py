@@ -15,7 +15,6 @@ import os
 import re
 import threading
 import time
-from collections import deque
 from concurrent import futures
 from dataclasses import dataclass
 from importlib import resources
@@ -30,15 +29,10 @@ from .errors import (
     ImageUnreadable,
     MalformedResponse,
     MissingVariable,
-    RequestRejected,
     UnscriptedRequest,
 )
 
 logger = logging.getLogger(__name__)
-
-# Calls map_rounds makes for one item: the first, then retries while the call
-# raises EndpointUnavailable (but not RequestRejected, which a resend cannot mend).
-TRANSPORT_ROUNDS = 3
 
 # Sentinel strings: they serialize directly into verdict logs.
 NONE_SIGNAL = "None"
@@ -71,7 +65,9 @@ class ModelEndpointConfig:
     model_name: str
     base_url: str = ""
     temperature: float = 1.0
-    max_retries: int = 2  # retries after the first attempt: 3 attempts total
+    # Retries after the first attempt: 5 posts at most, after sleeps of 1, 2, 4 and 8 s.
+    # The only retry layer; a paid stage runs each item once.
+    max_retries: int = 4
     timeout: float = 60.0
     api_key_env: str | None = None
     requests_per_minute: int | None = None
@@ -275,13 +271,9 @@ class HttpEndpoint:
         if image_ref is not None and cfg.role != "vision":
             raise ValueError("text endpoint cannot accept an image attachment")
         digest = request_digest(cfg.role, cfg.model_name, cfg.temperature, prompt, image_ref)
+        content: object = prompt
         if image_ref is not None:
-            content: object = [
-                {"type": "text", "text": prompt},
-                self._image_part(image_ref),
-            ]
-        else:
-            content = prompt
+            content = [{"type": "text", "text": prompt}, self._image_part(image_ref)]
         payload = {
             "model": cfg.model_name,
             "messages": [{"role": "user", "content": content}],
@@ -311,23 +303,18 @@ class HttpEndpoint:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
                 if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
-                    raise RequestRejected(
+                    raise EndpointUnavailable(
                         f"{cfg.model_name}: HTTP {resp.status_code} is not retryable"
                     )
                 if resp.status_code == 200:
                     try:
                         text = resp.json()["choices"][0]["message"]["content"]
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        raise EndpointUnavailable(
-                            f"unparseable completion payload: {exc}"
-                        ) from exc
-                    transcript = ModelTranscript(
-                        request_digest=digest,
-                        latency=time.monotonic() - start,
-                        attempt_count=attempt,
-                    )
-                    return text, transcript
-                last_error = f"HTTP {resp.status_code}"
+                        last_error = f"unparseable completion payload: {exc}"
+                    else:
+                        return text, ModelTranscript(digest, time.monotonic() - start, attempt)
+                else:
+                    last_error = f"HTTP {resp.status_code}"
                 if resp.status_code in (429, 503):
                     # Integer seconds only; an HTTP-date value keeps the backoff step.
                     retry_after = resp.headers.get("Retry-After", "").strip()
@@ -428,14 +415,13 @@ class MockEndpoint:
         return self.backend.serve(self.config, prompt, image_ref)
 
 
-def map_rounds(fn, items, workers: int) -> tuple[list, list]:
+def map_items(fn, items, workers: int) -> tuple[list, list]:
     """[fn(item) for item in items] on a pool of `workers` threads, in item order.
 
-    A call that raises EndpointUnavailable goes to the back of the queue
-    until its item has had TRANSPORT_ROUNDS calls; a RequestRejected is not
-    posted again. Each failed call is logged as a warning. Returns the
-    results, None for an item whose calls all failed, and the failed items,
-    both in item order.
+    Each item is called once. The endpoint under fn has already retried its
+    request, so an EndpointUnavailable fails the item and is logged as a
+    warning. Returns the results, None for a failed item, and the failed
+    items, both in item order.
 
     At most 2 x workers calls are queued or running at once, so the pool's
     bookkeeping does not grow with the number of items. Any other exception
@@ -445,31 +431,24 @@ def map_rounds(fn, items, workers: int) -> tuple[list, list]:
     """
     items = list(items)
     results = [None] * len(items)
-    calls = [0] * len(items)
     failed: list[int] = []
-    queue = deque(range(len(items)))
+    submitted = 0
     running: dict = {}  # future -> index of its item
 
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            while queue or running:
-                while queue and len(running) < 2 * workers:
-                    index = queue.popleft()
-                    calls[index] += 1
-                    running[pool.submit(fn, items[index])] = index
+            while submitted < len(items) or running:
+                while submitted < len(items) and len(running) < 2 * workers:
+                    running[pool.submit(fn, items[submitted])] = submitted
+                    submitted += 1
                 done, _ = futures.wait(running, return_when=futures.FIRST_COMPLETED)
                 for future in done:
                     index = running.pop(future)
                     try:
                         results[index] = future.result()
                     except EndpointUnavailable as exc:
-                        logger.warning(
-                            "item %d, call %d of %d: %s", index, calls[index], TRANSPORT_ROUNDS, exc
-                        )
-                        if isinstance(exc, RequestRejected) or calls[index] == TRANSPORT_ROUNDS:
-                            failed.append(index)
-                        else:
-                            queue.append(index)
+                        logger.warning("item %d: %s", index, exc)
+                        failed.append(index)
         except BaseException:
             for future in running:
                 future.cancel()

@@ -7,6 +7,7 @@ papers can be processed concurrently without shared state.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 
@@ -16,16 +17,13 @@ PARAGRAPH_SEPARATOR = "\n\n"
 MACRO_DEPTH_LIMIT = 32
 # Expansion that grows the text past this multiple of its length is runaway.
 MACRO_GROWTH_LIMIT = 16
+_GROWTH_MESSAGE = f"macro expansion grew the text past {MACRO_GROWTH_LIMIT} times its length"
 
-# Environments whose content must not be touched by comment stripping.
+# Environments whose content comment stripping and macro expansion leave alone.
 OPAQUE_ENVIRONMENTS = ("verbatim", "lstlisting")
 
-_OPAQUE_RE = re.compile(
-    r"\\begin\{(" + "|".join(OPAQUE_ENVIRONMENTS) + r")\*?\}"
-    r".*?"
-    r"\\end\{\1\*?\}",
-    re.DOTALL,
-)
+_OPAQUE_BEGIN_RE = re.compile(r"\\begin\{(" + "|".join(OPAQUE_ENVIRONMENTS) + r")\*?\}")
+_OPAQUE_END_RE = {env: re.compile(r"\\end\{" + env + r"\*?\}") for env in OPAQUE_ENVIRONMENTS}
 
 
 @dataclass
@@ -55,7 +53,35 @@ class CleanPaper:
 
 
 def _opaque_spans(text: str) -> list[tuple[int, int]]:
-    return [m.span() for m in _OPAQUE_RE.finditer(text)]
+    """Each \\begin{env} to the first \\end{env} after it, in one scan of text."""
+    spans: list[tuple[int, int]] = []
+    unclosed = set()  # an environment with no \end after one begin has none after later ones
+    for m in _OPAQUE_BEGIN_RE.finditer(text):
+        if m[1] in unclosed or (spans and m.start() < spans[-1][1]):
+            continue
+        end = _OPAQUE_END_RE[m[1]].search(text, m.end())
+        if end is None:
+            unclosed.add(m[1])
+        else:
+            spans.append((m.start(), end.end()))
+    return spans
+
+
+def _in_spans(spans: list[tuple[int, int]], pos: int) -> bool:
+    """Whether pos lies inside one of spans (sorted and disjoint)."""
+    i = bisect.bisect_right(spans, pos, key=lambda span: span[0])
+    return i > 0 and pos < spans[i - 1][1]
+
+
+def _split_at(text: str, spans: list[tuple[int, int]]) -> list[str]:
+    """text cut at sorted spans, [outside, span, ..., outside]; overlapped spans are skipped."""
+    pieces, pos = [], 0
+    for start, end in spans:
+        if start >= pos:
+            pieces += (text[pos:start], text[start:end])
+            pos = end
+    pieces.append(text[pos:])
+    return pieces
 
 
 # A '%' after an even run of backslashes (possibly empty), to the end of the
@@ -72,13 +98,8 @@ def _strip_comment_lines(chunk: str) -> str:
 
 def strip_comments(latex: str) -> str:
     """Remove '%'-to-end-of-line comments, keeping newlines and verbatim spans."""
-    pieces = []
-    pos = 0
-    for start, end in _opaque_spans(latex):
-        pieces.append(_strip_comment_lines(latex[pos:start]))
-        pieces.append(latex[start:end])
-        pos = end
-    pieces.append(_strip_comment_lines(latex[pos:]))
+    pieces = _split_at(latex, _opaque_spans(latex))
+    pieces[::2] = [_strip_comment_lines(piece) for piece in pieces[::2]]
     return "".join(pieces)
 
 
@@ -147,13 +168,18 @@ class _MacroDef:
 def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
     """Collect \\newcommand/\\renewcommand/\\def definitions and cut them out.
 
+    A definition inside a verbatim or lstlisting span is text, not a definition.
+
     Unsupported forms (optional-default arguments, delimited \\def parameters,
     non-decimal arities) are left in place and flow through as literal text.
     """
     table: dict[str, _MacroDef] = {}
     remove: list[tuple[int, int]] = []
+    opaque = _opaque_spans(text)
     for head, arity in _DEFINITION_HEADS:
         for m in head.finditer(text):
+            if _in_spans(opaque, m.start()):
+                continue
             nargs = arity(m)
             group = read_brace_group(text, m.start("body"))
             if nargs is None or group is None:
@@ -161,34 +187,26 @@ def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
             body, end = group
             table[m["name"]] = _MacroDef(nargs, body)
             remove.append((m.start(), end))
-
-    if not remove:
-        return text, table
-    remove.sort()
-    pieces = []
-    pos = 0
-    for start, end in remove:
-        if start < pos:
-            continue
-        pieces.append(text[pos:start])
-        pos = end
-    pieces.append(text[pos:])
-    return "".join(pieces), table
+    return "".join(_split_at(text, sorted(remove))[::2]), table
 
 
 def _substitute_once(
-    text: str, table: dict[str, _MacroDef], uses: re.Pattern
+    text: str, table: dict[str, _MacroDef], uses: re.Pattern, limit: int
 ) -> tuple[str, int]:
     """One substitution pass, left to right; bodies are not rescanned in-pass.
 
-    uses matches the control words named in table and nothing else.
+    uses matches the control words named in table and nothing else. A use
+    inside a verbatim or lstlisting span stays. Raises RecursionLimitExceeded
+    as soon as the output passes limit characters, so a runaway pass never
+    builds its whole text.
     """
     out = []
-    pos = 0
-    count = 0
+    pos = count = size = 0
+    opaque = _opaque_spans(text)
     for m in uses.finditer(text):
-        if m.start() < pos:
-            continue  # inside the arguments of the previous substitution
+        start = m.start()
+        if start < pos or (opaque and _in_spans(opaque, start)):
+            continue  # inside the arguments of the previous substitution, or opaque
         macro = table[m[1]]
         body = macro.body
         argpos = m.end()
@@ -197,11 +215,19 @@ def _substitute_once(
             if group is None:
                 break  # too few arguments: the use stays literal
             value, argpos = group
+            if body.count(f"#{i}") * len(value) > limit:
+                raise RecursionLimitExceeded(_GROWTH_MESSAGE)
             body = body.replace(f"#{i}", value)
         else:
-            out += (text[pos : m.start()], body)
+            out += (text[pos:start], body)
+            size += start - pos + len(body)
             pos = argpos
             count += 1
+            if size > limit:
+                break
+    size += len(text) - pos
+    if size > limit:
+        raise RecursionLimitExceeded(_GROWTH_MESSAGE)
     out.append(text[pos:])
     return "".join(out), count
 
@@ -211,7 +237,8 @@ def expand_macros(latex: str) -> str:
 
     Expansion runs in passes; a pass substitutes every known macro occurrence
     once without rescanning substituted bodies, so nesting depth equals pass
-    count. More than MACRO_DEPTH_LIMIT passes, or text grown past
+    count. Definitions and uses inside verbatim/lstlisting spans are left as
+    they are. More than MACRO_DEPTH_LIMIT passes, or text grown past
     MACRO_GROWTH_LIMIT times the input's length, is taken for a
     self-referential macro.
     """
@@ -220,13 +247,9 @@ def expand_macros(latex: str) -> str:
         return text
     uses = re.compile(r"\\(" + "|".join(table) + r")(?![A-Za-z@])")
     for _ in range(MACRO_DEPTH_LIMIT + 1):
-        text, count = _substitute_once(text, table, uses)
+        text, count = _substitute_once(text, table, uses, MACRO_GROWTH_LIMIT * len(latex))
         if count == 0:
             return text
-        if len(text) > MACRO_GROWTH_LIMIT * len(latex):
-            raise RecursionLimitExceeded(
-                f"macro expansion grew the text past {MACRO_GROWTH_LIMIT} times its length"
-            )
     raise RecursionLimitExceeded(
         f"macro expansion did not terminate within {MACRO_DEPTH_LIMIT} passes"
     )

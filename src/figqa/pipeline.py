@@ -17,6 +17,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import requests
 import yaml
 
 from . import dataset as ds
@@ -32,13 +33,12 @@ from .errors import (
 from .eval_harness import evaluate, format_report
 from .figure_context import FigureContext, build_figure_contexts
 from .gateway import (
-    TRANSPORT_ROUNDS,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
     TokenBucket,
     load_templates,
-    map_rounds,
+    map_items,
 )
 from .generation import (
     Declined,
@@ -206,7 +206,12 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
         if config.requests_per_minute:
             address = (config.base_url, config.api_key_env, config.requests_per_minute)
             bucket = buckets.setdefault(address, TokenBucket(config.requests_per_minute))
-        endpoints[name] = HttpEndpoint(config, bucket=bucket)
+        # One pooled connection per worker; requests' default pool keeps 10.
+        session = requests.Session()
+        adapter = requests.adapters.HTTPAdapter(pool_maxsize=cfg.concurrency)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        endpoints[name] = HttpEndpoint(config, session=session, bucket=bucket)
     return endpoints
 
 
@@ -281,16 +286,15 @@ def _require_file(path: Path, producer: str) -> Path:
 
 
 def _run_paid(fn, items: list, cfg: RunConfig, noun: str, stage: str) -> list:
-    """map_rounds(fn, items) results, or EndpointUnavailable if any item still failed.
+    """map_items(fn, items) results, or EndpointUnavailable if any item failed.
 
     Writing then would replace the stage's files with a partial set, so the
     stage writes nothing and is rerun once the endpoint is back.
     """
-    results, failed = map_rounds(fn, items, cfg.concurrency)
+    results, failed = map_items(fn, items, cfg.concurrency)
     if failed:
         raise EndpointUnavailable(
-            f"{len(failed)} of {len(items)} {noun} deferred after up to "
-            f"{TRANSPORT_ROUNDS} transport rounds; no {stage} output written"
+            f"{len(failed)} of {len(items)} {noun} deferred; no {stage} output written"
         )
     return results
 
@@ -407,8 +411,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     """Extract claims per figure, then one QA candidate per claim.
 
     Two passes, one model request per paid item: claim extraction per
-    context, then one QA draft per (claim, context) pair. A retried item
-    re-pays only its own request.
+    context, then one QA draft per (claim, context) pair.
     """
     out_dir = Path(cfg.output)
     contexts = ds.read_rows(
@@ -514,7 +517,7 @@ def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
     records = ds.read_dataset(_require_file(out_dir / "retained.jsonl", "verify"))
     templates = load_templates(cfg.prompts)
 
-    # One paid item per label, so a retry re-pays only the label that failed.
+    # One paid item per label, so a record's two labels run on separate workers.
     labels = [
         (record, kind, endpoints[slot])
         for record in records

@@ -151,7 +151,7 @@ def apply_filter(
     The prompt carries the candidate's question and options plus the one
     evidence variable of the step. Every vote is asked before any is parsed,
     so a transport failure on any vote propagates before anything is
-    recorded and the votes are re-issued together on retry.
+    recorded and the votes are re-issued together when verify is rerun.
     """
     evidence = context if step.evidence == "context" else candidate.caption
     prompt = render_template(

@@ -3,7 +3,8 @@
 StubEndpoint consumes responses strictly in call order, which keeps
 single-function tests independent of prompt wording. An item that is an
 Exception instance is raised instead of returned; a callable handler takes
-priority over the queue.
+priority over the queue. FakeSession stands in for the requests.Session
+under an HttpEndpoint.
 """
 
 from __future__ import annotations
@@ -13,6 +14,37 @@ from types import SimpleNamespace
 from figqa.dataset import VerifiedRecord
 from figqa.gateway import ModelTranscript
 from figqa.generation import QACandidate
+
+
+class FakeResponse:
+    def __init__(self, status_code, payload=None, headers=None):
+        self.status_code = status_code
+        self._payload = payload
+        self.headers = headers or {}
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
+
+
+class FakeSession:
+    """Records posts and serves a queue of FakeResponse or Exception items."""
+
+    def __init__(self, queue):
+        self.queue = list(queue)
+        self.posts = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        item = self.queue.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+
+def ok_response(text: str) -> FakeResponse:
+    return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
 
 class StubEndpoint:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import re
 
 import pytest
+import requests
 
 from figqa.errors import EndpointUnavailable
 from figqa.eval_harness import UNLABELED, accuracy_pct, evaluate, format_report
-from figqa.gateway import load_templates
+from figqa.gateway import HttpEndpoint, ModelEndpointConfig, load_templates
 
-from helpers import StubEndpoint, make_record
+from helpers import FakeResponse, FakeSession, StubEndpoint, make_record, ok_response
 
 TEMPLATES = load_templates()
 
@@ -46,6 +47,12 @@ def _records():
             )
         )
     return out
+
+
+def _eval_cfg(**kw):
+    return ModelEndpointConfig(
+        role="vision", model_name="live-eval", base_url="https://api.test/v1", temperature=0.0, **kw
+    )
 
 
 def _scripted_endpoint():
@@ -150,16 +157,13 @@ class TestEvaluate:
         assert "A. It rises" in prompt
 
     def test_transport_failure_retries_then_excludes(self):
-        record = make_record()
-        attempts = {"n": 0}
-
-        def handler(prompt, image_ref):
-            attempts["n"] += 1
-            raise EndpointUnavailable("down")
-
-        ep = StubEndpoint(role="vision", temperature=0.0, handler=handler)
+        # The endpoint's retries are the only ones: three posts, then the
+        # item is excluded without being called again.
+        record = make_record(figure_image_ref="https://host.test/x.png")
+        session = FakeSession([FakeResponse(503)] * 4)
+        ep = HttpEndpoint(_eval_cfg(max_retries=2), sleep=lambda s: None, session=session)
         result = evaluate(ep, [record], TEMPLATES)
-        assert attempts["n"] == 3
+        assert len(session.posts) == 3
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [record.key]
         assert result.overall["total"] == 0
@@ -168,17 +172,11 @@ class TestEvaluate:
         assert result.per_item == []
 
     def test_transport_failure_then_recovery(self):
-        record = make_record(correct_index=0)
-        state = {"n": 0}
-
-        def handler(prompt, image_ref):
-            state["n"] += 1
-            if state["n"] == 1:
-                raise EndpointUnavailable("blip")
-            return "<option>A</option>"
-
-        ep = StubEndpoint(role="vision", temperature=0.0, handler=handler)
+        record = make_record(correct_index=0, figure_image_ref="https://host.test/x.png")
+        session = FakeSession([requests.ConnectionError("blip"), ok_response("<option>A</option>")])
+        ep = HttpEndpoint(_eval_cfg(), sleep=lambda s: None, session=session)
         result = evaluate(ep, [record], TEMPLATES)
+        assert len(session.posts) == 2
         assert result.unevaluated == 0
         assert result.overall["correct"] == 1
 

@@ -24,14 +24,12 @@ from figqa.errors import (
     ImageUnreadable,
     MalformedResponse,
     MissingVariable,
-    RequestRejected,
     UnscriptedRequest,
 )
 from figqa.gateway import (
     AMBIGUOUS,
     NONE_SIGNAL,
     TEMPLATE_NAMES,
-    TRANSPORT_ROUNDS,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
@@ -39,13 +37,15 @@ from figqa.gateway import (
     TokenBucket,
     format_options,
     load_templates,
-    map_rounds,
+    map_items,
     parse_option_tag,
     parse_patterns_block,
     render_template,
     request_digest,
 )
 from figqa.pipeline import RunConfig, build_endpoints
+
+from helpers import FakeResponse, FakeSession, ok_response
 
 
 class TestRenderTemplate:
@@ -322,37 +322,6 @@ class TestRoleGuards:
             ModelEndpointConfig(role="audio", model_name="m")
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.headers = headers or {}
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
-
-
-class FakeSession:
-    """Records posts and serves a queue of FakeResponse or Exception items."""
-
-    def __init__(self, queue):
-        self.queue = list(queue)
-        self.posts = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        item = self.queue.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
-def _ok(text):
-    return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
-
-
 def _http_cfg(**kw):
     base = dict(role="text", model_name="live-model", base_url="https://api.example.test/v1")
     base.update(kw)
@@ -361,7 +330,7 @@ def _http_cfg(**kw):
 
 class TestHttpEndpoint:
     def test_success_first_attempt(self):
-        session = FakeSession([_ok("hello")])
+        session = FakeSession([ok_response("hello")])
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
         text, transcript = ep.complete("prompt")
         assert text == "hello"
@@ -375,7 +344,7 @@ class TestHttpEndpoint:
     def test_retry_then_success_with_backoff(self):
         sleeps = []
         session = FakeSession(
-            [requests.ConnectionError("boom"), FakeResponse(500), _ok("ok")]
+            [requests.ConnectionError("boom"), FakeResponse(500), ok_response("ok")]
         )
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
         text, transcript = ep.complete("p")
@@ -396,7 +365,7 @@ class TestHttpEndpoint:
     @pytest.mark.parametrize("status", [408, 429])
     def test_timeout_and_rate_limit_statuses_are_retried(self, status):
         sleeps = []
-        session = FakeSession([FakeResponse(status), _ok("ok")])
+        session = FakeSession([FakeResponse(status), ok_response("ok")])
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
         text, transcript = ep.complete("p")
         assert text == "ok"
@@ -406,9 +375,9 @@ class TestHttpEndpoint:
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_after_seconds_replace_the_backoff_step(self, status):
         sleeps = []
-        session = FakeSession(
-            [FakeResponse(status, headers={"Retry-After": "7"}), FakeResponse(status), _ok("ok")]
-        )
+        session = FakeSession([
+            FakeResponse(status, headers={"Retry-After": "7"}), FakeResponse(status), ok_response("ok")
+        ])
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
         text, transcript = ep.complete("p")
         assert text == "ok"
@@ -426,7 +395,7 @@ class TestHttpEndpoint:
     )
     def test_backoff_without_integer_retry_after(self, status, headers):
         sleeps = []
-        session = FakeSession([FakeResponse(status, headers=headers), _ok("ok")])
+        session = FakeSession([FakeResponse(status, headers=headers), ok_response("ok")])
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
         text, _ = ep.complete("p")
         assert text == "ok"
@@ -434,7 +403,7 @@ class TestHttpEndpoint:
 
     def test_retries_exhausted(self):
         session = FakeSession([FakeResponse(503)] * 3)
-        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
+        ep = HttpEndpoint(_http_cfg(max_retries=2), sleep=lambda s: None, session=session)
         with pytest.raises(EndpointUnavailable) as exc:
             ep.complete("p")
         assert "HTTP 503" in str(exc.value)
@@ -460,7 +429,7 @@ class TestHttpEndpoint:
 
     def test_credential_header_attached(self, monkeypatch):
         monkeypatch.setenv("FIGQA_TEST_KEY", "sk-testvalue")
-        session = FakeSession([_ok("r")])
+        session = FakeSession([ok_response("r")])
         ep = HttpEndpoint(
             _http_cfg(api_key_env="FIGQA_TEST_KEY"), sleep=lambda s: None, session=session
         )
@@ -468,16 +437,26 @@ class TestHttpEndpoint:
         assert session.posts[0]["headers"]["Authorization"] == "Bearer sk-testvalue"
 
     def test_unparseable_success_payload(self):
-        session = FakeSession([FakeResponse(200, {"unexpected": True})])
-        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        with pytest.raises(EndpointUnavailable):
+        # Each unparseable 200 is one failed attempt; the retries post again.
+        cfg = _http_cfg()
+        session = FakeSession([FakeResponse(200, {"unexpected": True})] * (cfg.max_retries + 1))
+        ep = HttpEndpoint(cfg, sleep=lambda s: None, session=session)
+        with pytest.raises(EndpointUnavailable) as exc:
             ep.complete("p")
-        assert len(session.posts) == 1
+        assert "unparseable completion payload" in str(exc.value)
+        assert len(session.posts) == cfg.max_retries + 1
+
+    def test_unparseable_success_payload_then_recovery(self):
+        session = FakeSession([FakeResponse(200, ValueError("not JSON")), ok_response("ok")])
+        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
+        text, transcript = ep.complete("p")
+        assert text == "ok"
+        assert transcript.attempt_count == 2
 
     def test_local_image_embedded_as_data_uri(self, tmp_path):
         img = tmp_path / "fig.png"
         img.write_bytes(b"\x89PNGfake")
-        session = FakeSession([_ok("r")])
+        session = FakeSession([ok_response("r")])
         ep = HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, session=session)
         ep.complete("p", str(img))
         content = session.posts[0]["json"]["messages"][0]["content"]
@@ -486,7 +465,7 @@ class TestHttpEndpoint:
         assert url == "data:image/png;base64," + base64.b64encode(b"\x89PNGfake").decode()
 
     def test_remote_image_passed_through(self):
-        session = FakeSession([_ok("r")])
+        session = FakeSession([ok_response("r")])
         ep = HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, session=session)
         ep.complete("p", "https://host.test/fig.png")
         content = session.posts[0]["json"]["messages"][0]["content"]
@@ -571,7 +550,7 @@ class TestTokenBucket:
 
 
 class TestPoolMap:
-    """map_rounds, the one worker pool every paid stage runs on."""
+    """map_items, the one worker pool every paid stage runs on."""
 
     def test_results_keep_item_order(self):
         # Later items finish first, yet come back in item order.
@@ -579,7 +558,7 @@ class TestPoolMap:
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        assert map_rounds(slow_first, range(8), 4) == ([i * i for i in range(8)], [])
+        assert map_items(slow_first, range(8), 4) == ([i * i for i in range(8)], [])
 
     def test_a_slow_item_does_not_hold_up_the_rest(self):
         # Item 0 finishes only after the last item has run.
@@ -592,7 +571,7 @@ class TestPoolMap:
                 last_done.set()
             return i
 
-        assert map_rounds(wait_for_last, list(range(100)), 2) == (list(range(100)), [])
+        assert map_items(wait_for_last, list(range(100)), 2) == (list(range(100)), [])
 
     def test_first_error_cancels_the_items_not_yet_started(self):
         started = []
@@ -604,54 +583,65 @@ class TestPoolMap:
             time.sleep(0.05)
 
         with pytest.raises(AuthError):
-            map_rounds(fail_first, range(20), 1)
+            map_items(fail_first, range(20), 1)
         assert len(started) <= 2
-
-    def test_rounds_retry_only_the_transport_failures(self):
-        failures = {"b": 1, "c": 99}
-
-        def flaky(item):
-            if failures.get(item, 0) > 0:
-                failures[item] -= 1
-                raise EndpointUnavailable(item)
-            return item.upper()
-
-        results, failed = map_rounds(flaky, ["a", "b", "c"], 1)
-        assert results == ["A", "B", None]
-        assert failed == ["c"]
-        assert failures["c"] == 99 - TRANSPORT_ROUNDS
-
-    def test_rounds_do_not_repost_a_rejected_request(self):
-        session = FakeSession([FakeResponse(400)] * TRANSPORT_ROUNDS)
-        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        results, failed = map_rounds(ep.complete, ["p"], 1)
-        assert results == [None]
-        assert failed == ["p"]
-        assert len(session.posts) == 1
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failed_items_come_back_in_item_order(self, workers, caplog):
-        # An exhausted item before a rejected one, with good items around them.
+        # Each item is called once; the failed ones are returned, not requeued.
         calls = {}
         lock = threading.Lock()
 
         def call(item):
             with lock:
                 calls[item] = calls.get(item, 0) + 1
-            if item.startswith("exhausted"):
+            if item.startswith("down"):
                 raise EndpointUnavailable(item)
-            if item.startswith("rejected"):
-                raise RequestRejected(item)
             return item.upper()
 
-        items = ["a", "exhausted1", "rejected1", "b", "exhausted2", "rejected2", "c"]
+        items = ["a", "down1", "b", "down2", "c"]
         with caplog.at_level("WARNING", logger="figqa.gateway"):
-            results, failed = map_rounds(call, items, workers)
-        assert results == ["A", None, None, "B", None, None, "C"]
-        assert failed == ["exhausted1", "rejected1", "exhausted2", "rejected2"]
-        assert calls == {
-            "a": 1, "b": 1, "c": 1, "rejected1": 1, "rejected2": 1,
-            "exhausted1": TRANSPORT_ROUNDS, "exhausted2": TRANSPORT_ROUNDS,
-        }
-        # One warning per failed call.
-        assert len(caplog.records) == 2 * TRANSPORT_ROUNDS + 2
+            results, failed = map_items(call, items, workers)
+        assert results == ["A", None, "B", None, "C"]
+        assert failed == ["down1", "down2"]
+        assert calls == dict.fromkeys(items, 1)
+        # One warning per failed item.
+        assert len(caplog.records) == 2
+
+    def test_a_rejected_request_is_posted_once(self):
+        session = FakeSession([FakeResponse(400)])
+        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
+        results, failed = map_items(ep.complete, ["p"], 1)
+        assert results == [None]
+        assert failed == ["p"]
+        assert len(session.posts) == 1
+
+    def test_a_failing_request_is_posted_max_retries_plus_one_times(self):
+        # The endpoint's attempt loop is the only retry layer: the runner
+        # does not call a failed item again.
+        sleeps = []
+        cfg = _http_cfg()
+        session = FakeSession([FakeResponse(503)] * 100)
+        ep = HttpEndpoint(cfg, sleep=sleeps.append, session=session)
+        results, failed = map_items(ep.complete, ["p", "q"], 1)
+        assert results == [None, None]
+        assert failed == ["p", "q"]
+        assert cfg.max_retries == 4
+        assert len(session.posts) == 2 * (cfg.max_retries + 1)
+        assert sleeps == [1, 2, 4, 8] * 2
+
+
+class TestBuildEndpoints:
+    @pytest.mark.parametrize("concurrency", [1, 32])
+    def test_connection_pool_holds_one_connection_per_worker(self, tmp_path, concurrency):
+        cfg = RunConfig(
+            output=str(tmp_path),
+            concurrency=concurrency,
+            endpoints={
+                "text": {"base_url": "http://text.test/v1"},
+                "vision": {"base_url": "https://vision.test/v1"},
+            },
+        )
+        for ep in build_endpoints(cfg).values():
+            for url in ("http://host.test/v1", "https://host.test/v1"):
+                assert ep._session.get_adapter(url)._pool_maxsize == concurrency

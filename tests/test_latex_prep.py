@@ -185,6 +185,12 @@ class TestExpandMacros:
         parts.append(f"\\{prev}")
         assert expand_macros("\n".join(parts)).strip() == "base"
 
+    @pytest.mark.parametrize("env", ["verbatim", "lstlisting"])
+    def test_verbatim_spans_hold_no_definition_or_use(self, env):
+        listing = f"\\begin{{{env}}}\n\\sys --help  \\def\\x{{y}}\n\\end{{{env}}}"
+        src = "\\newcommand{\\sys}{FastDB}\n" + listing + " \\x \\sys"
+        assert expand_macros(src) == "\n" + listing + " \\x FastDB"
+
     def test_no_definitions_is_identity(self):
         assert expand_macros("plain text \\ref{fig:x}") == "plain text \\ref{fig:x}"
 

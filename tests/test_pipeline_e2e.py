@@ -17,13 +17,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import requests
 import yaml
 from click.testing import CliRunner
 
 from figqa import pipeline
 from figqa.cli import main
 from figqa.errors import EndpointUnavailable
-from figqa.gateway import render_template, request_digest
+from figqa.gateway import HttpEndpoint, render_template, request_digest
 from figqa.pipeline import (
     CRASH_AFTER_ENV,
     STAGE_ORDER,
@@ -34,6 +35,8 @@ from figqa.pipeline import (
     stage_verify,
 )
 from figqa.verification import VOTE_COUNT
+
+from helpers import ok_response
 
 LETTERS = "ABCD"
 
@@ -384,46 +387,54 @@ class TestPooledCrashAndResume:
 
 
 class FlakyVotes:
-    """A vision endpoint whose vote calls for one question fail `failures` times."""
+    """A vision endpoint whose first vote call for one question fails in transport."""
 
-    def __init__(self, inner, question: str, failures: int):
+    def __init__(self, inner, question: str):
         self.inner = inner
         self.config = inner.config
         self.question = question
-        self.failures = failures
+        self.failed = False
         self._lock = threading.Lock()
 
     def complete(self, prompt: str, image_ref: str | None = None):
         if image_ref is not None and self.question in prompt:
             with self._lock:
-                self.failures -= 1
-                if self.failures >= 0:
-                    raise EndpointUnavailable("scripted outage")
+                fail, self.failed = not self.failed, True
+            if fail:
+                raise EndpointUnavailable("scripted outage")
         return self.inner.complete(prompt, image_ref)
 
 
-class LostResponse:
-    """An endpoint that loses its first response to a prompt holding `marker`.
+class LostResponseSession:
+    """A requests.Session stand-in that answers text requests from a mock endpoint.
 
-    The call reaches the inner endpoint, so the mock ledger records it, and
-    then fails in transport.
+    It loses its first response to a prompt holding `marker`: the request
+    reaches the mock, so the mock ledger records it, and then fails in
+    transport.
     """
 
     def __init__(self, inner, marker: str):
         self.inner = inner
-        self.config = inner.config
         self.marker = marker
         self.lost = False
         self._lock = threading.Lock()
 
-    def complete(self, prompt: str, image_ref: str | None = None):
-        response = self.inner.complete(prompt, image_ref)
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        text, _ = self.inner.complete(prompt)
         if self.marker in prompt:
             with self._lock:
                 lose, self.lost = not self.lost, True
             if lose:
-                raise EndpointUnavailable("response lost")
-        return response
+                raise requests.ConnectionError("response lost")
+        return ok_response(text)
+
+
+def lossy_http(endpoints: dict, slot: str, marker: str) -> LostResponseSession:
+    """Put slot's mock endpoint behind an HttpEndpoint whose session loses one response."""
+    session = LostResponseSession(endpoints[slot], marker)
+    endpoints[slot] = HttpEndpoint(endpoints[slot].config, sleep=lambda s: None, session=session)
+    return session
 
 
 class Unreachable:
@@ -441,7 +452,11 @@ class Unreachable:
 
 
 class TestTransportRounds:
-    """A paid stage retries the items whose calls failed in transport."""
+    """The endpoint retries a request lost in transport, and only that request.
+
+    An item whose request still fails is deferred: the stage writes nothing,
+    and the next round, a rerun of the stage, completes it.
+    """
 
     @staticmethod
     def _stage_config(full_run, e2e_bundle, out: Path, concurrency: int, *inputs: str):
@@ -452,26 +467,32 @@ class TestTransportRounds:
         return cfg, build_endpoints(cfg)
 
     @classmethod
-    def _verify(cls, full_run, e2e_bundle, out: Path, concurrency: int, failures: int) -> dict:
+    def _verify_with_a_failed_vote(cls, full_run, e2e_bundle, out: Path, concurrency: int):
         cfg, endpoints = cls._stage_config(
             full_run, e2e_bundle, out, concurrency, "candidates.jsonl", "figure_contexts.jsonl"
         )
         question = full_run.expect["retained_question"]
-        endpoints["vision"] = FlakyVotes(endpoints["vision"], question, failures)
-        return stage_verify(cfg, endpoints)
+        endpoints["vision"] = FlakyVotes(endpoints["vision"], question)
+        with pytest.raises(EndpointUnavailable) as exc:
+            stage_verify(cfg, endpoints)
+        assert f"1 of {full_run.expect['candidates']} candidates deferred" in str(exc.value)
 
     def test_context_whose_call_failed_is_generated_in_a_later_round(
         self, full_run, e2e_bundle, tmp_path
     ):
-        context = read_jsonl(full_run.out / "figure_contexts.jsonl")[0]["context"]
+        contexts = read_jsonl(full_run.out / "figure_contexts.jsonl")
         for concurrency in (1, 4):
             out = tmp_path / f"c{concurrency}"
             cfg, endpoints = self._stage_config(
                 full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
             )
-            endpoints["text"] = LostResponse(endpoints["text"], context)
+            endpoints["text"] = Unreachable(endpoints["text"], contexts[0]["context"])
+            with pytest.raises(EndpointUnavailable) as exc:
+                stage_generate(cfg, endpoints)
+            assert f"1 of {len(contexts)} contexts deferred" in str(exc.value)
+            assert not (out / "manifest_generate.json").exists()
+            cfg, endpoints = self._stage_config(full_run, e2e_bundle, out, concurrency)
             stage_generate(cfg, endpoints)
-            assert endpoints["text"].lost
             for name in ("claims.jsonl", "candidates.jsonl", "declined.jsonl"):
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
 
@@ -503,9 +524,9 @@ class TestTransportRounds:
                 full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
             )
             claim_text, digest = self._second_qa_request(full_run, cfg, templates)
-            endpoints["text"] = LostResponse(endpoints["text"], claim_text)
+            session = lossy_http(endpoints, "text", claim_text)
             stage_generate(cfg, endpoints)
-            assert endpoints["text"].lost
+            assert session.lost
             got = ledger_digests(out)
             assert got == scripted_call_counter(full_run.expect, "generate") + Counter({digest: 1})
             assert sum(got.values()) == full_run.expect["generate_calls"] + 1
@@ -541,8 +562,9 @@ class TestTransportRounds:
             cfg, endpoints = self._stage_config(
                 full_run, e2e_bundle, out, concurrency, "retained.jsonl"
             )
-            endpoints["annotator_text"] = LostResponse(endpoints["annotator_text"], question)
+            session = lossy_http(endpoints, "annotator_text", question)
             manifest = stage_annotate(cfg, endpoints)
+            assert session.lost
             assert manifest["question_type_labeled"] == manifest["figure_type_labeled"] == 1
             assert (out / "annotated.jsonl").read_bytes() == (
                 full_run.out / "annotated.jsonl"
@@ -559,9 +581,14 @@ class TestTransportRounds:
     def test_deferred_candidate_is_retained_in_the_next_round(self, full_run, e2e_bundle, tmp_path):
         for concurrency in (1, 4):
             out = tmp_path / f"c{concurrency}"
-            manifest = self._verify(full_run, e2e_bundle, out, concurrency, failures=1)
+            self._verify_with_a_failed_vote(full_run, e2e_bundle, out, concurrency)
+            cfg, endpoints = self._stage_config(full_run, e2e_bundle, out, concurrency)
+            manifest = stage_verify(cfg, endpoints)
             assert manifest["deferred"] == 0
             assert manifest["retained"] == 1
+            # The rerun resumed from the log: across both rounds, every verify
+            # request was paid once (the failed vote never reached the mock).
+            assert ledger_digests(out) == scripted_call_counter(full_run.expect, "verify")
             # The deferred candidate sorts first, so its round-2 verdicts were
             # appended last; the log is left in (candidate, cascade) order.
             for name in ("verdict_log.jsonl", "retained.jsonl"):
@@ -571,10 +598,8 @@ class TestTransportRounds:
         out = tmp_path / "out"
         out.mkdir()
         shutil.copy(full_run.out / "retained.jsonl", out / "retained.jsonl")
-        with pytest.raises(EndpointUnavailable) as exc:
-            self._verify(full_run, e2e_bundle, out, 4, failures=99)
-        candidates = full_run.expect["candidates"]
-        assert f"1 of {candidates} candidates deferred" in str(exc.value)
+        # One failed vote request defers its candidate: the runner calls no item twice.
+        self._verify_with_a_failed_vote(full_run, e2e_bundle, out, 4)
         # No verify output is written: retained.jsonl keeps its old bytes.
         retained = (full_run.out / "retained.jsonl").read_bytes()
         assert (out / "retained.jsonl").read_bytes() == retained
@@ -965,40 +990,49 @@ class TestExitCodes:
         assert manifest["papers_prepared"] == manifest["papers_in"] - 1
 
     def test_runaway_macro_is_skipped_in_bounded_memory(self, e2e_bundle, tmp_path):
-        # The macro doubles the text on every pass, so expansion must give up
-        # long before its pass limit; under a 1 GiB address-space cap the run
-        # would otherwise die of MemoryError.
+        # Under a 1 GiB address-space cap, each preamble would kill the run
+        # with MemoryError unless expansion gave up as soon as its growth limit
+        # is passed: the first doubles the text on every pass, the second
+        # builds 1.2 G characters in its second pass, the third 1.8 G in the
+        # arguments of a single use.
+        preambles = [
+            "\\newcommand{\\x}{\\x{}\\x{}}\n\\x\n",
+            "\\def\\a{" + "\\b " * 20_000 + "}\\def\\b{" + "x" * 60_000 + "}\\a\n",
+            "\\def\\a#1{" + "#1" * 30_000 + "}\\a{" + "x" * 60_000 + "}\n",
+        ]
         rows = read_jsonl(e2e_bundle.corpus_path)
         runaway, other = sorted({row["arxiv_id"] for row in rows})[:2]
-        latex = tmp_path / "latex"
-        latex.mkdir()
-        for arxiv_id in (runaway, other):
-            shutil.copy(e2e_bundle.latex_dir / f"{arxiv_id}.tex", latex)
-        path = latex / f"{runaway}.tex"
-        source = path.read_text(encoding="utf-8")
-        path.write_text("\\newcommand{\\x}{\\x{}\\x{}}\n\\x\n" + source, encoding="utf-8")
         corpus = tmp_path / "corpus.jsonl"
         kept = [row for row in rows if row["arxiv_id"] in (runaway, other)]
         corpus.write_text("".join(json.dumps(row) + "\n" for row in kept), encoding="utf-8")
-        out = tmp_path / "out"
-        config = e2e_bundle.make_config(out, corpus=str(corpus), latex_cache=str(latex))
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "figqa", "prepare", "--config", str(config)],
-            capture_output=True,
-            text=True,
-            preexec_fn=cap_address_space,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
-        assert manifest["skipped"] == [{"arxiv_id": runaway, "reason": "macro_recursion_limit"}]
-        assert manifest["papers_in"] == 2 and manifest["papers_prepared"] == 1
-        prepared = read_jsonl(out / "papers_clean.jsonl")
-        assert [row["arxiv_id"] for row in prepared] == [other]
+        for case, preamble in enumerate(preambles):
+            latex = tmp_path / f"latex{case}"
+            latex.mkdir()
+            for arxiv_id in (runaway, other):
+                shutil.copy(e2e_bundle.latex_dir / f"{arxiv_id}.tex", latex)
+            path = latex / f"{runaway}.tex"
+            path.write_text(preamble + path.read_text(encoding="utf-8"), encoding="utf-8")
+            out = tmp_path / f"out{case}"
+            config = e2e_bundle.make_config(out, corpus=str(corpus), latex_cache=str(latex))
+            proc = subprocess.run(
+                [sys.executable, "-m", "figqa", "prepare", "--config", str(config)],
+                capture_output=True,
+                text=True,
+                preexec_fn=cap_address_space,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
+            assert manifest["skipped"] == [
+                {"arxiv_id": runaway, "reason": "macro_recursion_limit"}
+            ]
+            assert manifest["papers_in"] == 2 and manifest["papers_prepared"] == 1
+            prepared = read_jsonl(out / "papers_clean.jsonl")
+            assert [row["arxiv_id"] for row in prepared] == [other]
 
     @pytest.mark.parametrize(
         "stage, artifact, line",
