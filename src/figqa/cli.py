@@ -3,30 +3,33 @@
 `figqa <stage>` is `figqa run --stage <stage>`: both print each stage's
 summary line and share one exit-code map.
 
-Exit codes: 0 success, 1 evaluation over the unevaluated threshold,
-2 configuration error (a mistyped or out-of-range value, an unknown key or
+Exit codes: 0 success, 1 evaluation over the unevaluated threshold, 2
+configuration error (a mistyped or out-of-range value, an unknown key or
 endpoint slot, a config file or prompt template that is not UTF-8, a prompt
-template naming an unknown variable, a mock script that cannot be read or
-is not JSON, a FIGQA_MOCK_CRASH_AFTER that is not an integer, or a request
-the mock script has no response for),
-3 upstream-input error (a missing, truncated, corrupt or non-UTF-8 input
-file or row, an unreadable figure image, a candidate whose figure context
-changed since generate, stage files whose funnel counts are inconsistent,
-or a failed verdict replay under `stats` or `run`), 4 endpoint auth error,
-5 endpoint unavailable after its max_retries retries, or a request it
-refused (rerun the stage; generate, verify and annotate write nothing while
-any item is deferred), 6 file-system error (an output path that cannot be
-created or written, say), 7 internal error (any other exception, reported
-as one line naming its type). Every file a stage writes is replaced
-atomically, so a failed or killed stage leaves the old file or the new one,
-never a half-written one.
+template naming an unknown variable, a mock script that cannot be read, is
+not JSON or maps a digest to anything but a string or a list of strings, a
+FIGQA_MOCK_CRASH_AFTER that is not an integer, or a request the mock script
+has no response for), 3 upstream-input error (a missing, truncated, corrupt
+or non-UTF-8 input file or row, a candidate or record that is not a valid
+four-option question, an unreadable figure image, a candidate whose figure
+context changed since generate, stage files whose funnel counts are
+inconsistent, or a failed verdict replay under `stats` or `run`), 4 endpoint
+auth error, 5 endpoint unavailable after its max_retries retries, or a
+request it refused (rerun the stage; generate, verify and annotate write
+nothing while any item is deferred), 6 file-system error (an output path
+that cannot be created or written, say), 7 internal error (any other
+exception, reported as one line naming its type and the innermost frame that
+raised it). Every file a stage writes is replaced atomically, so a failed or
+killed stage leaves the old file or the new one, never a half-written one.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
+import traceback
 
 import click
 
@@ -85,7 +88,9 @@ def _handle_errors(fn):
             raise  # click's own control flow; Exit and Abort are RuntimeErrors
         except Exception as exc:
             message = " ".join(str(exc).split())
-            click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
+            frame = traceback.extract_tb(exc.__traceback__, limit=-1)[0]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+            click.echo(f"internal error: {type(exc).__name__}: {message} (at {where})", err=True)
             sys.exit(EXIT_INTERNAL)
 
     return wrapper

@@ -51,6 +51,30 @@ QUESTION_TYPES = (
 OPTION_COUNT = 4
 
 
+def normalize_ws(text: str) -> str:
+    return " ".join(text.split())
+
+
+def check_question(row: dict, line_no: int) -> None:
+    """Reject a type-checked draft, candidate or record row that is not a valid question.
+
+    Question, caption and each of exactly OPTION_COUNT pairwise distinct options are
+    non-empty after normalize_ws, and correct_index points at one of the options.
+    """
+    for name in ("question", "caption"):
+        if not normalize_ws(row[name]):
+            raise SchemaViolation(line_no, name, "must be non-empty")
+    options = [normalize_ws(option) for option in row["options"]]
+    if len(options) != OPTION_COUNT:
+        raise SchemaViolation(line_no, "options", f"expected {OPTION_COUNT} options")
+    if "" in options:
+        raise SchemaViolation(line_no, "options", "must be non-empty")
+    if len(set(options)) != OPTION_COUNT:
+        raise SchemaViolation(line_no, "options", "must be pairwise distinct")
+    if not 0 <= row["correct_index"] < OPTION_COUNT:
+        raise SchemaViolation(line_no, "correct_index", "out of range")
+
+
 @dataclass
 class VerifiedRecord:
     key: str
@@ -341,9 +365,16 @@ def from_row(cls, row: dict):
     return cls(**{f.name: row[f.name] for f in fields(cls) if f.name in row})
 
 
-def read_rows(path: str | Path, cls, check=None) -> list:
-    """path's rows as cls objects, each checked by check (default: row_check(cls))."""
-    return [from_row(cls, row) for row in read_jsonl(path, check or row_check(cls))]
+def read_rows(path: str | Path, cls, rule=None) -> list:
+    """path's rows as cls objects; each passes row_check(cls), then rule(row, line_no) if given."""
+    typed = row_check(cls)
+
+    def check(row: dict, line_no: int) -> None:
+        typed(row, line_no)
+        if rule is not None:
+            rule(row, line_no)
+
+    return [from_row(cls, row) for row in read_jsonl(path, check)]
 
 
 def read_json(path: str | Path) -> dict:
@@ -429,25 +460,15 @@ def write_dataset(records: list[VerifiedRecord], path: str | Path) -> None:
     write_jsonl(path, (asdict(record) for record in records))
 
 
-RECORD_ROW = row_check(VerifiedRecord)
-
-
-def _validate_record_dict(data: dict, line_no: int) -> None:
-    RECORD_ROW(data, line_no)
-    for name in ("key", "arxiv_id", "caption", "question", "reasoning"):
-        if not data[name]:
+def _check_record(row: dict, line_no: int) -> None:
+    check_question(row, line_no)
+    for name in ("key", "arxiv_id", "reasoning"):
+        if not row[name]:
             raise SchemaViolation(line_no, name, "must be non-empty")
-    options = data["options"]
-    if len(options) != OPTION_COUNT:
-        raise SchemaViolation(line_no, "options", f"expected list of {OPTION_COUNT}")
-    if len({" ".join(o.split()) for o in options}) != OPTION_COUNT:
-        raise SchemaViolation(line_no, "options", "options must be pairwise distinct")
-    if not 0 <= data["correct_index"] < OPTION_COUNT:
-        raise SchemaViolation(line_no, "correct_index", "out of range")
     for name, vocabulary in (("figure_type", FIGURE_TYPES), ("question_type", QUESTION_TYPES)):
-        if data.get(name) is not None and data[name] not in vocabulary:
-            raise SchemaViolation(line_no, name, f"unknown category {data[name]!r}")
+        if row.get(name) is not None and row[name] not in vocabulary:
+            raise SchemaViolation(line_no, name, f"unknown category {row[name]!r}")
 
 
 def read_dataset(path: str | Path) -> list[VerifiedRecord]:
-    return read_rows(path, VerifiedRecord, _validate_record_dict)
+    return read_rows(path, VerifiedRecord, _check_record)

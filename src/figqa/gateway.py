@@ -364,6 +364,13 @@ class MockBackend:
             raise ConfigError(f"mock script {script_path} is not JSON: {exc}") from None
         if not isinstance(script, dict):
             raise ConfigError(f"mock script {script_path} must be a JSON object")
+        for digest, entry in script.items():
+            entries = entry if isinstance(entry, list) else [entry]
+            if not all(isinstance(response, str) for response in entries):
+                raise ConfigError(
+                    f"mock script {script_path}: the entry for digest {digest[:16]}... "
+                    "must be a string or a list of strings"
+                )
         return cls(script, **kwargs)
 
     def endpoint(self, config: ModelEndpointConfig) -> "MockEndpoint":

@@ -13,8 +13,8 @@ import random
 import re
 from dataclasses import dataclass
 
-from .dataset import OPTION_COUNT
-from .errors import MalformedResponse
+from .dataset import OPTION_COUNT, check_question, normalize_ws
+from .errors import MalformedResponse, SchemaViolation
 from .figure_context import FigureContext
 from .gateway import complete_parsed, is_bare_none, parse_patterns_block, render_template
 
@@ -63,10 +63,6 @@ class Declined:
     claim_key: str
     reason: str  # "model_declined" | "malformed_qa"
     detail: str = ""
-
-
-def normalize_ws(text: str) -> str:
-    return " ".join(text.split())
 
 
 def claim_conforms(text: str) -> bool:
@@ -137,7 +133,7 @@ def generate_qa(
     templates,
     seed: int,
 ) -> QACandidate | Declined:
-    """Turn one claim into a four-option candidate, or a typed decline.
+    """Turn one claim into a candidate that passes check_question, or a typed decline.
 
     The correct answer's position is drawn from a seeded per-claim generator
     and the permutation is recorded, so runs are reproducible and the answer
@@ -156,30 +152,18 @@ def generate_qa(
     if parsed is None:
         return Declined(claim.key, "model_declined", "model output None")
 
-    question = str(parsed["question"])
-    correct = str(parsed["correct"])
-    distractors = [str(d) for d in parsed["distractors"]]
-    slots = [correct] + distractors  # source slot 0 is the correct answer
-    if not question or not correct or not ctx.caption:
-        return Declined(claim.key, "malformed_qa", "empty question, answer, or caption")
-    normalized = [normalize_ws(s) for s in slots]
-    if len(set(normalized)) != OPTION_COUNT or "" in normalized:
-        return Declined(claim.key, "malformed_qa", "options not pairwise distinct")
-
+    slots = [parsed["correct"], *parsed["distractors"]]  # source slot 0 is the correct answer
     rng = derive_rng(seed, claim.key)
     permutation = list(range(OPTION_COUNT))
     rng.shuffle(permutation)
-    options = [slots[s] for s in permutation]
-    correct_index = permutation.index(0)
-
-    return QACandidate(
+    candidate = QACandidate(
         key=claim.key,
         arxiv_id=claim.arxiv_id,
         figure_index=claim.figure_index,
         claim_ordinal=claim.ordinal,
-        question=question,
-        options=options,
-        correct_index=correct_index,
+        question=parsed["question"],
+        options=[slots[s] for s in permutation],
+        correct_index=permutation.index(0),
         caption=ctx.caption,
         figure_image_ref=ctx.figure_image_ref,
         primary_category=ctx.primary_category,
@@ -187,3 +171,8 @@ def generate_qa(
         option_permutation=permutation,
         context_digest=context_digest(ctx.context),
     )
+    try:
+        check_question(vars(candidate), 0)
+    except SchemaViolation as exc:
+        return Declined(claim.key, "malformed_qa", f"{exc.field}: {exc.detail}")
+    return candidate

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -46,15 +47,14 @@ from .generation import (
     context_digest,
     extract_claims,
     generate_qa,
-    normalize_ws,
 )
 from .latex_prep import CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
 
 CRASH_AFTER_ENV = "FIGQA_MOCK_CRASH_AFTER"
 
-# Endpoint roles and their built-in defaults (used directly in mock mode;
-# merged under the config file's endpoint entries otherwise).
+# Endpoint slots and their built-in defaults, which each slot's config entry overrides in
+# every mode; outside mock mode, annotator/eval slots first inherit text/vision's address.
 ROLE_DEFAULTS: dict[str, dict] = {
     "text": {"role": "text", "model_name": "mock-text", "temperature": 1.0},
     "vision": {"role": "vision", "model_name": "mock-vision", "temperature": 1.0},
@@ -234,10 +234,8 @@ def load_corpus(path: str | Path) -> list[CorpusRow]:
     if not path.is_file():
         raise UpstreamInputError(f"corpus file not found: {path}")
     seen: set[tuple[str, int]] = set()
-    typed = ds.row_check(CorpusRow)
 
     def check(data: dict, line_no: int) -> None:
-        typed(data, line_no)
         if not data["arxiv_id"]:
             raise SchemaViolation(line_no, "arxiv_id", "must be non-empty")
         if data["figure_index"] < 0:
@@ -269,12 +267,10 @@ class PreparedPaper:
     figures: list[dict]  # PreparedFigure rows
 
 
-PAPER_ROW = ds.row_check(PreparedPaper)
 FIGURE_ROW = ds.row_check(PreparedFigure)
 
 
-def _check_paper_row(row: dict, line_no: int) -> None:
-    PAPER_ROW(row, line_no)
+def _check_figures(row: dict, line_no: int) -> None:
     for figure in row["figures"]:
         FIGURE_ROW(figure, line_no)
 
@@ -364,12 +360,11 @@ def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
     papers = ds.read_rows(
-        _require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper, _check_paper_row
+        _require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper, _check_figures
     )
 
     context_rows: list[dict] = []
     discard_rows: list[dict] = []
-    discard_counts: dict[str, int] = {}
     figures_in = 0
     for paper in papers:
         figures = [ds.from_row(PreparedFigure, f) for f in paper.figures]
@@ -389,21 +384,15 @@ def stage_extract(cfg: RunConfig) -> dict:
                 f"{len(contexts)}+{len(discards)} != {len(indices)}"
             )
         context_rows.extend(asdict(ctx) for ctx in contexts)
-        for figure_index, reason in discards:
-            discard_counts[reason.kind.value] = discard_counts.get(reason.kind.value, 0) + 1
-            discard_rows.append(
-                {
-                    "arxiv_id": paper.arxiv_id,
-                    "figure_index": figure_index,
-                    "kind": reason.kind.value,
-                    "detail": reason.detail,
-                }
-            )
+        discard_rows.extend(
+            dict(arxiv_id=paper.arxiv_id, figure_index=i, kind=r.kind.value, detail=r.detail)
+            for i, r in discards
+        )
     ds.write_jsonl(out_dir / "figure_contexts.jsonl", context_rows)
     ds.write_jsonl(out_dir / "discards.jsonl", discard_rows)
     return _write_manifest(
         cfg, "extract", papers=len(papers), figures_in=figures_in,
-        contexts=len(context_rows), discards=discard_counts,
+        contexts=len(context_rows), discards=Counter(row["kind"] for row in discard_rows),
     )
 
 
@@ -432,7 +421,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     claim_rows = [{"key": claim.key, **asdict(claim)} for claim, _ in pairs]
     candidate_rows = [asdict(r) for r in results if not isinstance(r, Declined)]
     declined_rows = [asdict(r) for r in results if isinstance(r, Declined)]
-    distinct_texts = {(claim.arxiv_id, normalize_ws(claim.text).lower()) for claim, _ in pairs}
+    distinct_texts = {(claim.arxiv_id, ds.normalize_ws(claim.text).lower()) for claim, _ in pairs}
     duplicate_claims = len(pairs) - len(distinct_texts)
     ds.write_jsonl(out_dir / "claims.jsonl", claim_rows)
     ds.write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
@@ -448,7 +437,9 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
     candidates = sorted(
-        ds.read_rows(_require_file(out_dir / "candidates.jsonl", "generate"), QACandidate),
+        ds.read_rows(
+            _require_file(out_dir / "candidates.jsonl", "generate"), QACandidate, ds.check_question
+        ),
         key=lambda c: c.key,
     )
     # Keyed by the digest generate stamped on each candidate, so a context
@@ -489,18 +480,14 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
         # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
         log.sort_file()
 
-    retained: list = []
-    rejected_by_stage: dict[str, int] = {}
-    discarded: list[dict] = []
-    for candidate, outcome in zip(candidates, outcomes):
-        if isinstance(outcome, ImageUnreadable):
-            discarded.append({"key": candidate.key, "reason": str(outcome)})
-        elif outcome.status == "retained":
-            retained.append(outcome.record)
-        else:
-            rejected_by_stage[outcome.rejected_stage] = (
-                rejected_by_stage.get(outcome.rejected_stage, 0) + 1
-            )
+    cascaded = [o for o in outcomes if not isinstance(o, ImageUnreadable)]
+    retained = [o.record for o in cascaded if o.status == "retained"]
+    rejected_by_stage = Counter(o.rejected_stage for o in cascaded if o.status == "rejected")
+    discarded = [
+        {"key": candidate.key, "reason": str(outcome)}
+        for candidate, outcome in zip(candidates, outcomes)
+        if isinstance(outcome, ImageUnreadable)
+    ]
 
     # Candidates are sorted by key and outcomes come back in item order, so retained is too.
     ds.write_dataset(retained, out_dir / "retained.jsonl")

@@ -15,7 +15,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .dataset import VerifiedRecord, append_jsonl, cut_torn_tail, read_rows, write_jsonl
+from .dataset import VerifiedRecord, append_jsonl, cut_torn_tail, from_row, read_rows, write_jsonl
 from .errors import MalformedResponse
 from .gateway import (
     AMBIGUOUS,
@@ -198,25 +198,16 @@ class CascadeOutcome:
 
 
 def build_verified_record(candidate: QACandidate, vision_verdict: FilterVerdict) -> VerifiedRecord:
+    """The record of a retained candidate: its own fields, the vote's reasoning, its provenance."""
     assert vision_verdict.reasoning is not None
-    return VerifiedRecord(
-        key=candidate.key,
-        arxiv_id=candidate.arxiv_id,
-        primary_category=candidate.primary_category,
-        figure_index=candidate.figure_index,
-        figure_image_ref=candidate.figure_image_ref,
-        caption=candidate.caption,
-        question=candidate.question,
-        options=list(candidate.options),
-        correct_index=candidate.correct_index,
-        reasoning=vision_verdict.reasoning,
-        figure_type=None,
-        question_type=None,
-        provenance={
-            "claim_text": candidate.claim_text,
-            "context_digest": candidate.context_digest,
-            "verdict_keys": [f"{candidate.key}|{stage}" for stage in CASCADE_ORDER],
-        },
+    provenance = {
+        "claim_text": candidate.claim_text,
+        "context_digest": candidate.context_digest,
+        "verdict_keys": [f"{candidate.key}|{stage}" for stage in CASCADE_ORDER],
+    }
+    return from_row(
+        VerifiedRecord,
+        {**asdict(candidate), "reasoning": vision_verdict.reasoning, "provenance": provenance},
     )
 
 

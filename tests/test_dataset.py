@@ -221,6 +221,21 @@ class TestSchemaValidation:
             read_dataset(_write_lines(tmp_path, _valid_dict(**{field: ""})))
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"options": ["a", "", "c", "d"]}, "options"),
+            ({"options": ["a", " \n", "c", "d"]}, "options"),
+            ({"question": " \t "}, "question"),
+            ({"caption": "\n"}, "caption"),
+        ],
+        ids=["empty-option", "blank-option", "blank-question", "blank-caption"],
+    )
+    def test_blank_question_parts_are_rejected(self, tmp_path, changes, field):
+        with pytest.raises(SchemaViolation) as exc:
+            read_dataset(_write_lines(tmp_path, _valid_dict(**changes)))
+        assert exc.value.field == field
+
     def test_primary_category_may_be_empty(self, tmp_path):
         path = _write_lines(tmp_path, _valid_dict(primary_category=""))
         assert read_dataset(path)[0].primary_category == ""

@@ -275,6 +275,14 @@ class TestMockBackend:
         with pytest.raises(ConfigError):
             MockBackend.from_file(path)
 
+    @pytest.mark.parametrize("entry", [5, {"a": 1}, [None], ["ok", 7], None, True])
+    def test_from_file_entry_that_is_not_text_is_config_error(self, tmp_path, entry):
+        digest = self._digest("p")
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({self._digest("q"): ["fine"], digest: entry}))
+        with pytest.raises(ConfigError, match=f"digest {digest[:16]}"):
+            MockBackend.from_file(path)
+
     def test_text_endpoint_rejects_image(self):
         ep = MockBackend({}).endpoint(self.CFG)
         with pytest.raises(ValueError):

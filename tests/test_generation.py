@@ -237,6 +237,7 @@ class TestGenerateQa:
         got = generate_qa(_claim(), _ctx(), StubEndpoint(responses=[dup]), _templates(), seed=7)
         assert isinstance(got, Declined)
         assert got.reason == "malformed_qa"
+        assert got.detail == "options: must be pairwise distinct"
 
     def test_whitespace_variant_duplicates_decline(self):
         dup = QA_OK.replace("<Distractor>By 5%</Distractor>", "<Distractor>By  20%</Distractor>")
@@ -247,6 +248,7 @@ class TestGenerateQa:
         bad = QA_OK.replace("How much does accuracy rise?", "")
         got = generate_qa(_claim(), _ctx(), StubEndpoint(responses=[bad]), _templates(), seed=7)
         assert isinstance(got, Declined)
+        assert (got.reason, got.detail) == ("malformed_qa", "question: must be non-empty")
 
     def test_prompt_contains_claim_caption_context(self):
         ep = StubEndpoint(responses=[QA_OK])

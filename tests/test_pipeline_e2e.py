@@ -698,6 +698,35 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "appears twice" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("options", lambda options: [options[0], *options[:3]]),
+            ("options", lambda options: options[:3]),
+            ("options", lambda options: options[:1]),
+            ("question", lambda _: " \t "),
+            ("correct_index", lambda _: 4),
+        ],
+        ids=["duplicate-options", "three-options", "one-option", "blank-question", "index-4"],
+    )
+    def test_candidate_that_is_not_a_valid_question_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, field, change
+    ):
+        out = tmp_path / "bad_candidate"
+        shutil.copytree(full_run.out, out)
+        path = out / "candidates.jsonl"
+        rows = read_jsonl(path)
+        (row,) = [r for r in rows if r["key"] == full_run.expect["retained_key"]]
+        row[field] = change(row[field])
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        kept = {name: (out / name).read_bytes() for name in ("mock_calls.jsonl", "retained.jsonl")}
+        proc = run_cli(["verify", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3, proc.stderr
+        assert "candidates.jsonl" in proc.stderr and f"field {field!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        for name, content in kept.items():
+            assert (out / name).read_bytes() == content, name
+
     def test_verify_without_upstream_candidates(self, e2e_bundle, run_cli, tmp_path):
         config = e2e_bundle.make_config(tmp_path / "empty")
         proc = run_cli(["verify", "--config", str(config)])
@@ -818,7 +847,10 @@ class TestExitCodes:
             main, ["stats", "--config", str(e2e_bundle.make_config(out))]
         )
         assert result.exit_code == 7
-        assert result.stderr.splitlines() == ["internal error: ZeroDivisionError: division by zero"]
+        where = f"test_pipeline_e2e.py:{broken_replay.__code__.co_firstlineno + 1} in broken_replay"
+        assert result.stderr.splitlines() == [
+            f"internal error: ZeroDivisionError: division by zero (at {where})"
+        ]
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
