@@ -26,7 +26,6 @@ killed stage leaves the old file or the new one, never a half-written one.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 import traceback
@@ -44,7 +43,7 @@ from .errors import (
     UnscriptedRequest,
     UpstreamInputError,
 )
-from .pipeline import STAGE_FUNCTIONS, STAGE_ORDER, RunConfig, run_stages
+from .pipeline import STAGE_FUNCTIONS, STAGE_ORDER, STAGES, RunConfig, run_stages
 from . import pipeline
 
 EXIT_EVAL_THRESHOLD = 1
@@ -125,31 +124,6 @@ def main():
     pass
 
 
-SUMMARIES = {
-    "prepare": lambda m: (
-        f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
-        f"({len(m['skipped'])} skipped)"
-    ),
-    "extract": lambda m: (
-        f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
-        f"(discards: {json.dumps(m['discards'], sort_keys=True)})"
-    ),
-    "generate": lambda m: (
-        f"generated {m['candidates']} candidates from {m['claims']} claims "
-        f"({m['declined']} declined)"
-    ),
-    "verify": lambda m: (
-        f"retained {m['retained']} of {m['candidates']} candidates "
-        f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"
-    ),
-    "annotate": lambda m: (
-        f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
-        f"question type {m['question_type_labeled']})"
-    ),
-    "stats": lambda m: f"{m['table']}\n{m['replay_summary']}",
-}
-
-
 def _run(config_path, stages, **params):
     """Run the stages in canonical order and print each one's summary line.
 
@@ -157,8 +131,8 @@ def _run(config_path, stages, **params):
     """
     manifests = run_stages(_build_config(config_path, params), list(stages) or None)
     for manifest in manifests:
-        click.echo(SUMMARIES[manifest["stage"]](manifest))
-    if any(m["stage"] == "stats" and not m["replay_ok"] for m in manifests):
+        click.echo(STAGE_FUNCTIONS[manifest["stage"]].summary(manifest))
+    if any(m.get("replay_ok") is False for m in manifests):
         sys.exit(EXIT_UPSTREAM)
 
 
@@ -170,9 +144,9 @@ main.command(name="run", help="Run multiple stages in order (default: all).")(
 )
 
 # `figqa <stage>` is `figqa run --stage <stage>`.
-for _name in STAGE_ORDER:
-    main.command(name=_name, help=STAGE_FUNCTIONS[_name].__doc__.splitlines()[0])(
-        _common_options(_handle_errors(functools.partial(_run, stages=[_name])))
+for _stage in STAGES:
+    main.command(name=_stage.name, help=_stage.run.__doc__.splitlines()[0])(
+        _common_options(_handle_errors(functools.partial(_run, stages=[_stage.name])))
     )
 
 

@@ -5,6 +5,8 @@ predecessor's output, writes line-delimited records plus a manifest, and is
 deterministic given identical inputs and seed under mock backends. The
 verify stage additionally skips already-verdicted items via the verdict
 log, which is what makes crashed runs resumable without duplicate calls.
+STAGES declares the stages once: their order, the files each writes, which
+ones pay for model calls, and each one's summary line.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import os
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -42,6 +45,7 @@ from .gateway import (
     map_items,
 )
 from .generation import (
+    AtomicClaim,
     Declined,
     QACandidate,
     context_digest,
@@ -275,13 +279,15 @@ def _check_figures(row: dict, line_no: int) -> None:
         FIGURE_ROW(figure, line_no)
 
 
-def _require_file(path: Path, producer: str) -> Path:
+def _require_file(path: Path) -> Path:
+    """path, or an UpstreamInputError naming the stage whose writes hold its name."""
     if not path.is_file():
+        producer = next(stage.name for stage in STAGES if path.name in stage.writes)
         raise UpstreamInputError(f"missing {path.name}; run the {producer} stage first")
     return path
 
 
-def _run_paid(fn, items: list, cfg: RunConfig, noun: str, stage: str) -> list:
+def _run_paid(fn, items: list, cfg: RunConfig, noun: str) -> list:
     """map_items(fn, items) results, or EndpointUnavailable if any item failed.
 
     Writing then would replace the stage's files with a partial set, so the
@@ -289,17 +295,8 @@ def _run_paid(fn, items: list, cfg: RunConfig, noun: str, stage: str) -> list:
     """
     results, failed = map_items(fn, items, cfg.concurrency)
     if failed:
-        raise EndpointUnavailable(
-            f"{len(failed)} of {len(items)} {noun} deferred; no {stage} output written"
-        )
+        raise EndpointUnavailable(f"{len(failed)} of {len(items)} {noun} deferred")
     return results
-
-
-def _write_manifest(cfg: RunConfig, stage: str, **counts) -> dict:
-    """Write manifest_<stage>.json, the stage's last write, and return it."""
-    manifest = {"stage": stage, **counts, "config_digest": cfg.config_digest()}
-    ds.write_json(Path(cfg.output) / f"manifest_{stage}.json", manifest)
-    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +347,8 @@ def stage_prepare(cfg: RunConfig) -> dict:
         paper = PreparedPaper(arxiv_id, raw.primary_category, clean.paragraphs, figures)
         prepared_rows.append(asdict(paper))
     ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
-    return _write_manifest(
-        cfg, "prepare", papers_in=len(papers), papers_prepared=len(prepared_rows),
-        skipped=skipped, seed=cfg.seed,
+    return dict(
+        papers_in=len(papers), papers_prepared=len(prepared_rows), skipped=skipped, seed=cfg.seed
     )
 
 
@@ -360,7 +356,7 @@ def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
     papers = ds.read_rows(
-        _require_file(out_dir / "papers_clean.jsonl", "prepare"), PreparedPaper, _check_figures
+        _require_file(out_dir / "papers_clean.jsonl"), PreparedPaper, _check_figures
     )
 
     context_rows: list[dict] = []
@@ -390,9 +386,9 @@ def stage_extract(cfg: RunConfig) -> dict:
         )
     ds.write_jsonl(out_dir / "figure_contexts.jsonl", context_rows)
     ds.write_jsonl(out_dir / "discards.jsonl", discard_rows)
-    return _write_manifest(
-        cfg, "extract", papers=len(papers), figures_in=figures_in,
-        contexts=len(context_rows), discards=Counter(row["kind"] for row in discard_rows),
+    return dict(
+        papers=len(papers), figures_in=figures_in, contexts=len(context_rows),
+        discards=Counter(row["kind"] for row in discard_rows),
     )
 
 
@@ -403,19 +399,17 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     context, then one QA draft per (claim, context) pair.
     """
     out_dir = Path(cfg.output)
-    contexts = ds.read_rows(
-        _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
-    )
+    contexts = ds.read_rows(_require_file(out_dir / "figure_contexts.jsonl"), FigureContext)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
     claim_lists = _run_paid(
-        lambda ctx: extract_claims(ctx, text_ep, templates), contexts, cfg, "contexts", "generate"
+        lambda ctx: extract_claims(ctx, text_ep, templates), contexts, cfg, "contexts"
     )
     pairs = [(claim, ctx) for ctx, claims in zip(contexts, claim_lists) for claim in claims]
     results = _run_paid(
         lambda pair: generate_qa(*pair, text_ep, templates, cfg.seed),
-        pairs, cfg, "claims", "generate",
+        pairs, cfg, "claims",
     )
 
     claim_rows = [{"key": claim.key, **asdict(claim)} for claim, _ in pairs]
@@ -426,10 +420,9 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     ds.write_jsonl(out_dir / "claims.jsonl", claim_rows)
     ds.write_jsonl(out_dir / "candidates.jsonl", candidate_rows)
     ds.write_jsonl(out_dir / "declined.jsonl", declined_rows)
-    return _write_manifest(
-        cfg, "generate", contexts=len(contexts), claims=len(pairs),
-        candidates=len(candidate_rows), declined=len(declined_rows),
-        duplicate_claim_texts=duplicate_claims,
+    return dict(
+        contexts=len(contexts), claims=len(pairs), candidates=len(candidate_rows),
+        declined=len(declined_rows), duplicate_claim_texts=duplicate_claims,
     )
 
 
@@ -437,18 +430,14 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
     candidates = sorted(
-        ds.read_rows(
-            _require_file(out_dir / "candidates.jsonl", "generate"), QACandidate, ds.check_question
-        ),
+        ds.read_rows(_require_file(out_dir / "candidates.jsonl"), QACandidate, ds.check_question),
         key=lambda c: c.key,
     )
     # Keyed by the digest generate stamped on each candidate, so a context
     # changed or removed since generate is never paired with its candidates.
     contexts = {
         context_digest(ctx.context): ctx.context
-        for ctx in ds.read_rows(
-            _require_file(out_dir / "figure_contexts.jsonl", "extract"), FigureContext
-        )
+        for ctx in ds.read_rows(_require_file(out_dir / "figure_contexts.jsonl"), FigureContext)
     }
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
@@ -475,7 +464,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
             return exc
 
     try:
-        outcomes = _run_paid(run_one, candidates, cfg, "candidates", "verify")
+        outcomes = _run_paid(run_one, candidates, cfg, "candidates")
     finally:
         # Workers append verdicts as they finish; leave the log in (candidate, cascade) order.
         log.sort_file()
@@ -492,16 +481,17 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     # Candidates are sorted by key and outcomes come back in item order, so retained is too.
     ds.write_dataset(retained, out_dir / "retained.jsonl")
     ds.write_jsonl(out_dir / "verify_discards.jsonl", discarded)
-    return _write_manifest(
-        cfg, "verify", candidates=len(candidates), retained=len(retained),
-        rejected_by_stage=rejected_by_stage, discarded=len(discarded), deferred=0,
+    return dict(
+        candidates=len(candidates), retained=len(retained), rejected_by_stage=rejected_by_stage,
+        discarded=len(discarded),
+        deferred=0,  # always 0 (a deferral writes nothing); kept only for perfbench/run.py
     )
 
 
 def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
     """Add closed-vocabulary figure-type and question-type labels."""
     out_dir = Path(cfg.output)
-    records = ds.read_dataset(_require_file(out_dir / "retained.jsonl", "verify"))
+    records = ds.read_dataset(_require_file(out_dir / "retained.jsonl"))
     templates = load_templates(cfg.prompts)
 
     # One paid item per label, so a record's two labels run on separate workers.
@@ -510,17 +500,15 @@ def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
         for record in records
         for kind, slot in (("figure_type", "annotator_vision"), ("question_type", "annotator_text"))
     ]
-    values = _run_paid(
-        lambda label: ds.annotate_taxonomy(*label, templates), labels, cfg, "labels", "annotate"
-    )
+    values = _run_paid(lambda label: ds.annotate_taxonomy(*label, templates), labels, cfg, "labels")
     for (record, kind, _), value in zip(labels, values):
         setattr(record, kind, value)
     ds.write_dataset(records, out_dir / "annotated.jsonl")
-    return _write_manifest(
-        cfg, "annotate", records=len(records),
+    return dict(
+        records=len(records),
         figure_type_labeled=sum(1 for r in records if r.figure_type is not None),
         question_type_labeled=sum(1 for r in records if r.question_type is not None),
-        deferred_calls=0,
+        deferred_calls=0,  # always 0 (a deferral writes nothing); kept only for perfbench/run.py
     )
 
 
@@ -534,7 +522,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
     else:
         annotated = out_dir / "annotated.jsonl"
         dataset_path = annotated if annotated.is_file() else out_dir / "retained.jsonl"
-        _require_file(dataset_path, "verify")
+        _require_file(dataset_path)
     records = ds.read_dataset(dataset_path)
     templates = load_templates(cfg.prompts)
     result = evaluate(endpoints["eval"], records, templates, concurrency=cfg.concurrency)
@@ -542,7 +530,6 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
     report = format_report(result)
     ds.write_text(out_dir / "eval_report.txt", report + "\n")
     return {
-        "stage": "evaluate",
         "dataset": str(dataset_path),
         "evaluated": result.overall["total"],
         "unevaluated": result.unevaluated,
@@ -554,14 +541,17 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
 def stage_stats(cfg: RunConfig) -> dict:
     """Funnel accounting plus an independent verdict-log replay."""
     out_dir = Path(cfg.output)
-    prepare_manifest = ds.read_json(_require_file(out_dir / "manifest_prepare.json", "prepare"))
+    prepare_manifest = ds.read_json(_require_file(out_dir / "manifest_prepare.json"))
     papers = prepare_manifest.get("papers_prepared")
     if type(papers) is not int:
         raise UpstreamInputError("manifest_prepare.json: papers_prepared must be an integer")
-    claims = len(ds.read_jsonl(_require_file(out_dir / "claims.jsonl", "generate")))
-    candidates = len(ds.read_jsonl(_require_file(out_dir / "candidates.jsonl", "generate")))
-    log_path = _require_file(out_dir / "verdict_log.jsonl", "verify")
-    retained_path = _require_file(out_dir / "retained.jsonl", "verify")
+    # Typed like verify reads them, so a row verify refuses is not counted here.
+    claims = len(ds.read_rows(_require_file(out_dir / "claims.jsonl"), AtomicClaim))
+    candidates = len(
+        ds.read_rows(_require_file(out_dir / "candidates.jsonl"), QACandidate, ds.check_question)
+    )
+    log_path = _require_file(out_dir / "verdict_log.jsonl")
+    retained_path = _require_file(out_dir / "retained.jsonl")
     after_text = sum(
         1
         for verdict in ds.read_rows(log_path, vf.FilterVerdict)
@@ -595,7 +585,6 @@ def stage_stats(cfg: RunConfig) -> dict:
     }
     ds.write_json(out_dir / "stats.json", payload)
     return {
-        "stage": "stats",
         "funnel": funnel,
         "replay_ok": report.ok,
         "table": table,
@@ -603,32 +592,65 @@ def stage_stats(cfg: RunConfig) -> dict:
     }
 
 
-STAGE_FUNCTIONS = {
-    "prepare": stage_prepare,
-    "extract": stage_extract,
-    "generate": stage_generate,
-    "verify": stage_verify,
-    "annotate": stage_annotate,
-    "stats": stage_stats,
-}
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: its body, the files it writes, and its summary line.
+
+    A paid body also takes the endpoints. The manifest is the body's counts under
+    the stage name; a row that writes manifest_<name>.json writes it last.
+    """
+
+    name: str
+    run: Callable[..., dict]
+    writes: tuple[str, ...]
+    paid: bool
+    summary: Callable[[dict], str]
+
+    def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
+        try:
+            counts = self.run(cfg, endpoints) if self.paid else self.run(cfg)
+        except EndpointUnavailable as exc:
+            raise EndpointUnavailable(f"{exc}; no {self.name} output written") from None
+        manifest = {"stage": self.name, **counts}
+        path = Path(cfg.output) / f"manifest_{self.name}.json"
+        if path.name in self.writes:
+            manifest["config_digest"] = cfg.config_digest()
+            ds.write_json(path, manifest)
+        return manifest
+
+
+STAGES = (
+    Stage("prepare", stage_prepare, ("papers_clean.jsonl", "manifest_prepare.json"), False,
+          lambda m: f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
+                    f"({len(m['skipped'])} skipped)"),
+    Stage("extract", stage_extract,
+          ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), False,
+          lambda m: f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
+                    f"(discards: {json.dumps(m['discards'], sort_keys=True)})"),
+    Stage("generate", stage_generate,
+          ("claims.jsonl", "candidates.jsonl", "declined.jsonl", "manifest_generate.json"), True,
+          lambda m: f"generated {m['candidates']} candidates from {m['claims']} claims "
+                    f"({m['declined']} declined)"),
+    Stage("verify", stage_verify, ("verdict_log.jsonl", "retained.jsonl",
+                                   "verify_discards.jsonl", "manifest_verify.json"), True,
+          lambda m: f"retained {m['retained']} of {m['candidates']} candidates "
+                    f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"),
+    Stage("annotate", stage_annotate, ("annotated.jsonl", "manifest_annotate.json"), True,
+          lambda m: f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
+                    f"question type {m['question_type_labeled']})"),
+    Stage("stats", stage_stats, ("stats.json",), False,
+          lambda m: f"{m['table']}\n{m['replay_summary']}"),
+)
+STAGE_FUNCTIONS = {stage.name: stage for stage in STAGES}
 STAGE_ORDER = tuple(STAGE_FUNCTIONS)
 
 
 def run_stages(cfg: RunConfig, stages: list[str] | None = None) -> list[dict]:
-    """Run the named stages (default: all) in canonical order."""
-    selected = list(STAGE_ORDER) if not stages else stages
+    """Run the named stages (default: all) in canonical order; return their manifests."""
+    selected = stages or STAGE_ORDER
     unknown = [s for s in selected if s not in STAGE_FUNCTIONS]
     if unknown:
         raise ConfigError(f"unknown stages: {unknown}")
-    ordered = [s for s in STAGE_ORDER if s in selected]
-    endpoints = None
-    manifests = []
-    for name in ordered:
-        fn = STAGE_FUNCTIONS[name]
-        if name in ("generate", "verify", "annotate"):
-            if endpoints is None:
-                endpoints = build_endpoints(cfg)
-            manifests.append(fn(cfg, endpoints))
-        else:
-            manifests.append(fn(cfg))
-    return manifests
+    rows = [stage for stage in STAGES if stage.name in selected]
+    endpoints = build_endpoints(cfg) if any(stage.paid for stage in rows) else None
+    return [stage(cfg, endpoints) for stage in rows]

@@ -1,8 +1,9 @@
 """README's reference tables list exactly what the code declares.
 
-The config-key table, the endpoint-key sentence and the exit-code table
-are written by hand; this guard fails when a field or an exit code is
-added, renamed or removed without them.
+The config-key table, the endpoint-key sentence, the exit-code table and
+the list of output files are written by hand; these guards fail when a
+field, an exit code or a stage's output is added, renamed or removed
+without them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from figqa import cli
 from figqa.gateway import ModelEndpointConfig
-from figqa.pipeline import RunConfig
+from figqa.pipeline import STAGES, RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -42,3 +43,17 @@ def test_readme_tables_match_config_fields_and_exit_codes():
     codes = [int(code) for code in _first_column("Exit codes:")]
     exits = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
     assert sorted(codes) == sorted([0, *exits])
+
+
+def test_readme_outputs_name_every_file_the_stages_write():
+    paragraph = README.split("### Outputs\n", 1)[1].lstrip("\n").split("\n\n")[0]
+    by_stages = paragraph.split("`figqa evaluate`")[0]
+    manifests = {f"manifest_{stage.name}.json" for stage in STAGES}
+    written = {name for stage in STAGES for name in stage.writes} - manifests
+    named = set(re.findall(r"`([\w<>]+\.jsonl?)`", by_stages)) - {"manifest_<stage>.json"}
+    assert named == written
+
+    without = re.search(r"from each stage but (.*?)\.", by_stages, re.S).group(1)
+    assert re.findall(r"`(\w+)`", without) == [
+        stage.name for stage in STAGES if f"manifest_{stage.name}.json" not in stage.writes
+    ]

@@ -709,9 +709,11 @@ class TestExitCodes:
         ],
         ids=["duplicate-options", "three-options", "one-option", "blank-question", "index-4"],
     )
+    @pytest.mark.parametrize("command", ["verify", "stats"])
     def test_candidate_that_is_not_a_valid_question_is_an_input_error(
-        self, full_run, e2e_bundle, run_cli, tmp_path, field, change
+        self, full_run, e2e_bundle, run_cli, tmp_path, field, change, command
     ):
+        """Stats counts the candidates verify would run, so it refuses what verify refuses."""
         out = tmp_path / "bad_candidate"
         shutil.copytree(full_run.out, out)
         path = out / "candidates.jsonl"
@@ -719,18 +721,47 @@ class TestExitCodes:
         (row,) = [r for r in rows if r["key"] == full_run.expect["retained_key"]]
         row[field] = change(row[field])
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        kept = {name: (out / name).read_bytes() for name in ("mock_calls.jsonl", "retained.jsonl")}
-        proc = run_cli(["verify", "--config", str(e2e_bundle.make_config(out))])
+        kept = {
+            name: (out / name).read_bytes()
+            for name in ("mock_calls.jsonl", "retained.jsonl", "stats.json")
+        }
+        proc = run_cli([command, "--config", str(e2e_bundle.make_config(out))])
         assert proc.returncode == 3, proc.stderr
         assert "candidates.jsonl" in proc.stderr and f"field {field!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
         for name, content in kept.items():
             assert (out / name).read_bytes() == content, name
 
-    def test_verify_without_upstream_candidates(self, e2e_bundle, run_cli, tmp_path):
-        config = e2e_bundle.make_config(tmp_path / "empty")
-        proc = run_cli(["verify", "--config", str(config)])
-        assert proc.returncode == 3
+    @pytest.mark.parametrize(
+        "command, removed, producer",
+        [
+            ("extract", ["papers_clean.jsonl"], "prepare"),
+            ("generate", ["figure_contexts.jsonl"], "extract"),
+            ("verify", ["candidates.jsonl"], "generate"),
+            ("verify", ["figure_contexts.jsonl"], "extract"),
+            ("annotate", ["retained.jsonl"], "verify"),
+            ("stats", ["manifest_prepare.json"], "prepare"),
+            ("stats", ["claims.jsonl"], "generate"),
+            ("stats", ["candidates.jsonl"], "generate"),
+            ("stats", ["verdict_log.jsonl"], "verify"),
+            ("stats", ["retained.jsonl"], "verify"),
+            ("evaluate", ["annotated.jsonl", "retained.jsonl"], "verify"),
+        ],
+        ids=["extract-papers_clean", "generate-figure_contexts", "verify-candidates",
+             "verify-figure_contexts", "annotate-retained", "stats-manifest_prepare",
+             "stats-claims", "stats-candidates", "stats-verdict_log", "stats-retained",
+             "evaluate-no-dataset"],
+    )
+    def test_missing_input_names_producer(
+        self, full_run, e2e_bundle, run_cli, tmp_path, command, removed, producer
+    ):
+        out = tmp_path / "missing_input"
+        shutil.copytree(full_run.out, out)
+        for name in removed:
+            (out / name).unlink()
+        proc = run_cli([command, "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"input error: missing {removed[-1]}; run the {producer} stage first\n"
 
     @pytest.mark.parametrize(
         "command", [["stats"], ["run", "--stage", "stats"]], ids=["stats", "run"]
@@ -953,7 +984,7 @@ class TestExitCodes:
         shutil.copytree(full_run.out, out)
         proc = run_cli(["generate", "--config", str(self._live_config(e2e_bundle, out))])
         assert proc.returncode == 5
-        assert "rerun the stage" in proc.stderr
+        assert "rerun the stage" in proc.stderr and "no generate output written" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_verify_with_the_endpoint_down_writes_no_outputs(
@@ -967,7 +998,10 @@ class TestExitCodes:
         proc = run_cli(["verify", "--config", str(self._live_config(e2e_bundle, out))])
         assert proc.returncode == 5, proc.stderr
         candidates = full_run.expect["candidates"]
-        assert f"{candidates} of {candidates} candidates deferred" in proc.stderr
+        assert (
+            f"{candidates} of {candidates} candidates deferred; no verify output written"
+            in proc.stderr
+        )
         assert "Traceback" not in proc.stderr
         assert {name: (out / name).read_bytes() for name in names} == before
 
@@ -987,7 +1021,7 @@ class TestExitCodes:
         )
         proc = run_cli(["annotate", "--config", str(self._live_config(e2e_bundle, out))])
         assert proc.returncode == 5, proc.stderr
-        assert "2 of 2 labels deferred" in proc.stderr
+        assert "2 of 2 labels deferred; no annotate output written" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert {name: (out / name).read_bytes() for name in names} == before
 
