@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 from .dataset import VerifiedRecord
-from .errors import MalformedResponse
+from .errors import EndpointUnavailable, MalformedResponse
 from .gateway import format_options, map_items, parse_option_tag, render_template
 
 UNLABELED = "unlabeled"
@@ -66,18 +66,13 @@ def evaluate(
         except MalformedResponse:
             return None  # unparseable counts as wrong
 
-    predictions, failed = map_items(predict, records, concurrency)
-    unevaluated_keys = [r.key for r in failed]
-    result = EvalResult(
-        model_name=endpoint.config.model_name,
-        unevaluated=len(unevaluated_keys),
-        unevaluated_keys=unevaluated_keys,
-    )
+    predictions = map_items(predict, records, concurrency)
+    result = EvalResult(model_name=endpoint.config.model_name)
     breakdowns = (result.by_domain, result.by_figure_type, result.by_question_type)
 
-    skipped = set(unevaluated_keys)
     for record, predicted in zip(records, predictions):
-        if record.key in skipped:
+        if isinstance(predicted, EndpointUnavailable):
+            result.unevaluated_keys.append(record.key)
             continue
         is_correct = predicted == record.correct_letter
         categories = (record.primary_category, record.figure_type, record.question_type)
@@ -92,6 +87,7 @@ def evaluate(
             {"key": record.key, "predicted": predicted, "correct": is_correct}
         )
 
+    result.unevaluated = len(result.unevaluated_keys)
     for slot in [result.overall, *(s for b in breakdowns for s in b.values())]:
         slot["accuracy"] = accuracy_pct(slot["correct"], slot["total"])
     return result

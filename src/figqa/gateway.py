@@ -333,23 +333,12 @@ class MockBackend:
     The script maps request digests to either a single response string or a
     list consumed sequentially (for repeated identical requests such as vote
     triples). An unscripted digest is a hard test failure, never a silent
-    default. Each served call's row is given to the optional ledger callable;
-    crash_after=N hard-exits the process at the start of call N+1, before
-    that call is ledgered, so the ledger only ever records completed calls.
+    default. Each served call's row is given to the optional ledger callable.
     """
 
-    CRASH_EXIT_CODE = 70
-
-    def __init__(
-        self,
-        script: dict[str, str | list[str]],
-        ledger=None,
-        crash_after: int | None = None,
-    ):
+    def __init__(self, script: dict[str, str | list[str]], ledger=None):
         self.script = script
         self.ledger = ledger
-        self.crash_after = crash_after
-        self.served = 0
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -383,8 +372,6 @@ class MockBackend:
             config.role, config.model_name, config.temperature, prompt, image_ref
         )
         with self._lock:
-            if self.crash_after is not None and self.served >= self.crash_after:
-                os._exit(self.CRASH_EXIT_CODE)
             if digest not in self.script:
                 raise UnscriptedRequest(
                     f"no scripted response for digest {digest[:16]}... "
@@ -401,7 +388,6 @@ class MockBackend:
                 self._cursor[digest] = i + 1
             else:
                 response = entry
-            self.served += 1
             if self.ledger is not None:
                 self.ledger(
                     {"digest": digest, "model": config.model_name, "image": image_ref is not None}
@@ -422,13 +408,12 @@ class MockEndpoint:
         return self.backend.serve(self.config, prompt, image_ref)
 
 
-def map_items(fn, items, workers: int) -> tuple[list, list]:
+def map_items(fn, items, workers: int) -> list:
     """[fn(item) for item in items] on a pool of `workers` threads, in item order.
 
     Each item is called once. The endpoint under fn has already retried its
-    request, so an EndpointUnavailable fails the item and is logged as a
-    warning. Returns the results, None for a failed item, and the failed
-    items, both in item order.
+    request, so an EndpointUnavailable fails the item: it is logged as a
+    warning and left in the item's result slot.
 
     At most 2 x workers calls are queued or running at once, so the pool's
     bookkeeping does not grow with the number of items. Any other exception
@@ -438,7 +423,6 @@ def map_items(fn, items, workers: int) -> tuple[list, list]:
     """
     items = list(items)
     results = [None] * len(items)
-    failed: list[int] = []
     submitted = 0
     running: dict = {}  # future -> index of its item
 
@@ -455,12 +439,12 @@ def map_items(fn, items, workers: int) -> tuple[list, list]:
                         results[index] = future.result()
                     except EndpointUnavailable as exc:
                         logger.warning("item %d: %s", index, exc)
-                        failed.append(index)
+                        results[index] = exc
         except BaseException:
             for future in running:
                 future.cancel()
             raise
-    return results, [items[index] for index in sorted(failed)]
+    return results
 
 
 def complete_parsed(endpoint, prompt: str, parse, image_ref: str | None = None):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import random
 from collections import Counter
 from collections.abc import Callable
@@ -54,8 +53,6 @@ from .generation import (
 )
 from .latex_prep import CleanPaper, RawPaper, clean_paper
 from .replay import replay_verdicts
-
-CRASH_AFTER_ENV = "FIGQA_MOCK_CRASH_AFTER"
 
 # Endpoint slots and their built-in defaults, which each slot's config entry overrides in
 # every mode; outside mock mode, annotator/eval slots first inherit text/vision's address.
@@ -182,17 +179,9 @@ def _check_config(check, values: dict, where: str) -> None:
 def build_endpoints(cfg: RunConfig) -> dict[str, object]:
     """Instantiate all five endpoint slots, mock or HTTP."""
     if cfg.mock_script:
-        crash_after = None
-        raw = os.environ.get(CRASH_AFTER_ENV)
-        if raw:
-            try:
-                crash_after = int(raw)
-            except ValueError:
-                raise ConfigError(f"{CRASH_AFTER_ENV} must be an integer, got {raw!r}") from None
         backend = MockBackend.from_file(
             cfg.mock_script,
             ledger=functools.partial(ds.append_jsonl, Path(cfg.output) / "mock_calls.jsonl"),
-            crash_after=crash_after,
         )
         return {name: backend.endpoint(cfg.endpoint_config(name)) for name in ROLE_DEFAULTS}
     for required in ("text", "vision"):
@@ -293,9 +282,10 @@ def _run_paid(fn, items: list, cfg: RunConfig, noun: str) -> list:
     Writing then would replace the stage's files with a partial set, so the
     stage writes nothing and is rerun once the endpoint is back.
     """
-    results, failed = map_items(fn, items, cfg.concurrency)
+    results = map_items(fn, items, cfg.concurrency)
+    failed = sum(isinstance(result, EndpointUnavailable) for result in results)
     if failed:
-        raise EndpointUnavailable(f"{len(failed)} of {len(items)} {noun} deferred")
+        raise EndpointUnavailable(f"{failed} of {len(items)} {noun} deferred")
     return results
 
 
@@ -525,6 +515,7 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
         _require_file(dataset_path)
     records = ds.read_dataset(dataset_path)
     templates = load_templates(cfg.prompts)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = evaluate(endpoints["eval"], records, templates, concurrency=cfg.concurrency)
     ds.write_json(out_dir / "eval_summary.json", asdict(result))
     report = format_report(result)

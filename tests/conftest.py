@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from figqa.gateway import load_templates
+
+CRASH_LAUNCHER = Path(__file__).with_name("crash_launcher.py")
 
 
 @pytest.fixture(scope="session")
@@ -26,18 +27,16 @@ def e2e_bundle(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def run_cli():
-    """Invoke the installed CLI in a subprocess with an optional env overlay."""
+    """Invoke the CLI in a subprocess; crash_after=n runs it under crash_launcher."""
 
-    def _run(args, env_extra=None, cwd=None, timeout=120):
-        env = os.environ.copy()
-        env.pop("FIGQA_MOCK_CRASH_AFTER", None)
-        if env_extra:
-            env.update(env_extra)
+    def _run(args, crash_after=None, cwd=None, timeout=120):
+        command = [sys.executable, "-m", "figqa"]
+        if crash_after is not None:
+            command = [sys.executable, str(CRASH_LAUNCHER), str(crash_after)]
         return subprocess.run(
-            [sys.executable, "-m", "figqa", *args],
+            [*command, *args],
             capture_output=True,
             text=True,
-            env=env,
             cwd=cwd or str(Path.cwd()),
             timeout=timeout,
         )

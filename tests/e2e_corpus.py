@@ -583,7 +583,7 @@ def build_corpus(root: Path) -> CorpusBundle:
         "generate_digest_counts": dict(generate_counter),
         "verify_digest_counts": dict(verify_counter),
         "annotate_digest_counts": dict(annotate_counter),
-        "eval_digest": eval_digest,
+        "evaluate_digest_counts": {eval_digest: 1},
         "vote_digests": vote_digests,
         "forbidden_digests": sorted(forbidden),
         "categories": dict(CATEGORIES),

@@ -26,7 +26,6 @@ from figqa.eval_harness import evaluate
 from figqa.figure_context import levenshtein_distance, levenshtein_similarity
 from figqa.gateway import load_templates
 from figqa.latex_prep import clean_paper
-from figqa.pipeline import CRASH_AFTER_ENV
 from figqa.replay import replay_verdicts
 from figqa.verification import CASCADE, TIE, apply_filter, majority_vote
 
@@ -155,7 +154,7 @@ def test_criterion_5_pipeline_determinism_and_resume(e2e_bundle, run_cli, tmp_pa
         assert prep.returncode == 0, prep.stderr
         crash = run_cli(
             ["verify", "--config", str(config)],
-            env_extra={CRASH_AFTER_ENV: str(expect["crash_after"])},
+            crash_after=expect["crash_after"],
         )
         assert crash.returncode == 70
         resume = run_cli(["verify", "--config", str(config)])

@@ -200,6 +200,20 @@ class TestEvaluate:
         assert result.overall["total"] == 2
         assert result.overall["correct"] == 2
 
+    def test_failed_item_does_not_drop_an_answered_item_with_its_key(self):
+        # Failed items are told by position: an answered record sharing the
+        # failed one's key is still scored.
+        records = [make_record(key="k", correct_index=0), make_record(key="k", correct_index=0)]
+        ep = StubEndpoint(
+            role="vision", temperature=0.0,
+            responses=[EndpointUnavailable("down"), "<option>A</option>"],
+        )
+        result = evaluate(ep, records, TEMPLATES)
+        assert result.unevaluated == 1
+        assert result.unevaluated_keys == ["k"]
+        assert result.overall == {"correct": 1, "total": 1, "accuracy": 100.0}
+        assert result.per_item == [{"key": "k", "predicted": "A", "correct": True}]
+
     def test_empty_record_list(self):
         ep = StubEndpoint(role="vision", temperature=0.0)
         result = evaluate(ep, [], TEMPLATES)

@@ -45,6 +45,7 @@ from figqa.gateway import (
 )
 from figqa.pipeline import RunConfig, build_endpoints
 
+from crash_launcher import CRASH_EXIT_CODE
 from helpers import FakeResponse, FakeSession, ok_response
 
 
@@ -288,34 +289,70 @@ class TestMockBackend:
         with pytest.raises(ValueError):
             ep.complete("p", "img.png")
 
-    def test_crash_after_hard_exits(self, tmp_path):
-        # os._exit would take the test runner down, so exercise it in a child.
+    def _run_crashing(self, tmp_path, n: int, calls: str):
+        """Run calls in a child process with crash_after(n) armed; return it and its ledger.
+
+        os._exit would take the test runner down, so the crash happens in a child.
+        """
         script = {self._digest("p"): "r"}
         program = textwrap.dedent(
             f"""
             import json
+            import sys
+            import threading
             from functools import partial
+            sys.path.insert(0, {str(Path(__file__).parent)!r})
+            from crash_launcher import crash_after
             from figqa.dataset import append_jsonl
             from figqa.gateway import MockBackend, ModelEndpointConfig
+            crash_after({n})
             backend = MockBackend(
                 json.loads({json.dumps(json.dumps(script))}),
                 ledger=partial(append_jsonl, {str(tmp_path / "led.jsonl")!r}),
-                crash_after=2,
             )
             ep = backend.endpoint(ModelEndpointConfig(role="text", model_name="m"))
+            """
+        ) + textwrap.dedent(calls)
+        proc = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, timeout=60
+        )
+        return proc, (tmp_path / "led.jsonl").read_text().splitlines()
+
+    def test_crash_after_hard_exits(self, tmp_path):
+        proc, rows = self._run_crashing(
+            tmp_path, 2,
+            """
             ep.complete("p")
             ep.complete("p")
             ep.complete("p")  # call 3 must never complete
             print("UNREACHABLE")
-            """
+            """,
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", program], capture_output=True, text=True
-        )
-        assert proc.returncode == MockBackend.CRASH_EXIT_CODE == 70
+        assert proc.returncode == CRASH_EXIT_CODE == 70
         assert "UNREACHABLE" not in proc.stdout
-        rows = (tmp_path / "led.jsonl").read_text().splitlines()
         assert len(rows) == 2  # the crashed call is not ledgered
+
+    def test_crash_after_ledgers_exactly_n_calls_across_threads(self, tmp_path):
+        # Eight threads race for the calls under a short switch interval, and
+        # still exactly n calls are ledgered when the process exits.
+        proc, rows = self._run_crashing(
+            tmp_path, 40,
+            """
+            sys.setswitchinterval(1e-6)
+            def hammer():
+                while True:
+                    ep.complete("p")
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            print("UNREACHABLE")
+            """,
+        )
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        assert "UNREACHABLE" not in proc.stdout
+        assert len(rows) == 40
 
 
 class TestRoleGuards:
@@ -566,7 +603,7 @@ class TestPoolMap:
             time.sleep(0.002 * (8 - i))
             return i * i
 
-        assert map_items(slow_first, range(8), 4) == ([i * i for i in range(8)], [])
+        assert map_items(slow_first, range(8), 4) == [i * i for i in range(8)]
 
     def test_a_slow_item_does_not_hold_up_the_rest(self):
         # Item 0 finishes only after the last item has run.
@@ -579,7 +616,7 @@ class TestPoolMap:
                 last_done.set()
             return i
 
-        assert map_items(wait_for_last, list(range(100)), 2) == (list(range(100)), [])
+        assert map_items(wait_for_last, list(range(100)), 2) == list(range(100))
 
     def test_first_error_cancels_the_items_not_yet_started(self):
         started = []
@@ -596,7 +633,7 @@ class TestPoolMap:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failed_items_come_back_in_item_order(self, workers, caplog):
-        # Each item is called once; the failed ones are returned, not requeued.
+        # Each item is called once; a failed one leaves its error in its slot, not requeued.
         calls = {}
         lock = threading.Lock()
 
@@ -609,9 +646,10 @@ class TestPoolMap:
 
         items = ["a", "down1", "b", "down2", "c"]
         with caplog.at_level("WARNING", logger="figqa.gateway"):
-            results, failed = map_items(call, items, workers)
-        assert results == ["A", None, "B", None, "C"]
-        assert failed == ["down1", "down2"]
+            results = map_items(call, items, workers)
+        assert results[::2] == ["A", "B", "C"]
+        assert all(isinstance(r, EndpointUnavailable) for r in results[1::2])
+        assert [str(r) for r in results[1::2]] == ["down1", "down2"]
         assert calls == dict.fromkeys(items, 1)
         # One warning per failed item.
         assert len(caplog.records) == 2
@@ -619,9 +657,8 @@ class TestPoolMap:
     def test_a_rejected_request_is_posted_once(self):
         session = FakeSession([FakeResponse(400)])
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        results, failed = map_items(ep.complete, ["p"], 1)
-        assert results == [None]
-        assert failed == ["p"]
+        (result,) = map_items(ep.complete, ["p"], 1)
+        assert isinstance(result, EndpointUnavailable)
         assert len(session.posts) == 1
 
     def test_a_failing_request_is_posted_max_retries_plus_one_times(self):
@@ -631,9 +668,8 @@ class TestPoolMap:
         cfg = _http_cfg()
         session = FakeSession([FakeResponse(503)] * 100)
         ep = HttpEndpoint(cfg, sleep=sleeps.append, session=session)
-        results, failed = map_items(ep.complete, ["p", "q"], 1)
-        assert results == [None, None]
-        assert failed == ["p", "q"]
+        results = map_items(ep.complete, ["p", "q"], 1)
+        assert [type(r) for r in results] == [EndpointUnavailable] * 2
         assert cfg.max_retries == 4
         assert len(session.posts) == 2 * (cfg.max_retries + 1)
         assert sleeps == [1, 2, 4, 8] * 2

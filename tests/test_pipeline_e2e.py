@@ -23,10 +23,9 @@ from click.testing import CliRunner
 
 from figqa import pipeline
 from figqa.cli import main
-from figqa.errors import EndpointUnavailable
+from figqa.errors import EndpointUnavailable, ImageUnreadable
 from figqa.gateway import HttpEndpoint, render_template, request_digest
 from figqa.pipeline import (
-    CRASH_AFTER_ENV,
     STAGE_ORDER,
     RunConfig,
     build_endpoints,
@@ -275,7 +274,7 @@ def crash_resume(e2e_bundle, run_cli, tmp_path_factory):
 
     crash = run_cli(
         ["verify", "--config", str(config)],
-        env_extra={CRASH_AFTER_ENV: str(expect["crash_after"])},
+        crash_after=expect["crash_after"],
     )
     mid_verdicts = read_jsonl(out / "verdict_log.jsonl")
     mid_ledger = read_jsonl(out / "mock_calls.jsonl")
@@ -347,7 +346,7 @@ def pooled_crash_resume(e2e_bundle, run_cli, tmp_path_factory):
     assert prep.returncode == 0, prep.stderr
     crash = run_cli(
         ["verify", "--config", str(config)],
-        env_extra={CRASH_AFTER_ENV: str(expect["crash_after"])},
+        crash_after=expect["crash_after"],
     )
     mid_ledger = read_jsonl(out / "mock_calls.jsonl")
     resume = run_cli(["verify", "--config", str(config)])
@@ -384,6 +383,53 @@ class TestPooledCrashAndResume:
         # at most one check per worker, and only two candidates reach the votes.
         assert repeated == sum(got.values()) - sum(want.values())
         assert repeated <= 3 * VOTE_COUNT
+
+
+class TestCrashInEveryPaidStage:
+    """Generate, annotate and evaluate each crash at one model call and are rerun.
+
+    The operator reruns the crashed command, then the commands after it.
+    Until these stages resume from a log of their own, the rerun repays the
+    crashed stage in full: every call it made before the crash is paid again.
+    """
+
+    COMMANDS = (*STAGE_ORDER, "evaluate")
+
+    @pytest.mark.parametrize(
+        "stage, crash_after",
+        # generate extracts claims from 6 contexts before its QA pass, so call 9 is inside it.
+        [("generate", 8), ("annotate", 1), ("evaluate", 0)],
+        ids=["generate-mid-qa-pass", "annotate-after-first-label", "evaluate-at-first-item"],
+    )
+    def test_rerun_repays_the_crashed_stage_and_matches_pinned_digests(
+        self, full_run, e2e_bundle, run_cli, tmp_path, stage, crash_after
+    ):
+        out = tmp_path / stage
+        shutil.copytree(full_run.out, out)
+        config = str(e2e_bundle.make_config(out))
+        commands = self.COMMANDS[self.COMMANDS.index(stage):]
+        outputs = [name for s in pipeline.STAGES if s.name in commands for name in s.writes]
+        outputs += ["eval_summary.json", "eval_report.txt"]
+        for name in outputs:
+            (out / name).unlink(missing_ok=True)
+        (out / "mock_calls.jsonl").write_text("", encoding="utf-8")
+        stage_calls = scripted_call_counter(full_run.expect, stage)
+
+        crash = run_cli([stage, "--config", config], crash_after=crash_after)
+        assert crash.returncode == 70, crash.stderr
+        assert [name for name in outputs if (out / name).exists()] == []
+        at_crash = ledger_digests(out)
+        assert sum(at_crash.values()) == crash_after
+        assert not at_crash - stage_calls
+
+        for command in commands:
+            proc = run_cli([command, "--config", config])
+            assert proc.returncode == 0, (command, proc.stderr)
+            if command == stage:
+                assert ledger_digests(out) == at_crash + stage_calls  # repaid in full
+        assert artifact_digests(out) == PINNED_SHA256
+        summary = (out / "eval_summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
 
 
 class FlakyVotes:
@@ -448,6 +494,19 @@ class Unreachable:
     def complete(self, prompt: str, image_ref: str | None = None):
         if self.marker in prompt:
             raise EndpointUnavailable("scripted outage")
+        return self.inner.complete(prompt, image_ref)
+
+
+class UnreadableImages:
+    """A vision endpoint that cannot read any figure image."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+
+    def complete(self, prompt: str, image_ref: str | None = None):
+        if image_ref is not None:
+            raise ImageUnreadable(f"cannot read image {image_ref}")
         return self.inner.complete(prompt, image_ref)
 
 
@@ -643,12 +702,98 @@ class TestEvaluateCommand:
         summary = (eval_dir.out / "eval_summary.json").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
 
+    def test_dataset_option_scores_the_given_file(self, eval_dir, run_cli, tmp_path):
+        dataset = tmp_path / "elsewhere.jsonl"
+        shutil.copy(eval_dir.out / "retained.jsonl", dataset)
+        out = tmp_path / "out"
+        proc = run_cli(
+            ["evaluate", "--config", str(eval_dir.config), "--output", str(out),
+             "--dataset", str(dataset)]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Overall: 1/1 = 100.00%" in proc.stdout
+        assert "unlabeled" in proc.stdout  # retained.jsonl carries no labels
+        summary = json.loads((out / "eval_summary.json").read_text(encoding="utf-8"))
+        assert [row["key"] for row in summary["per_item"]] == [
+            row["key"] for row in read_jsonl(dataset)
+        ]
+
+    def test_dataset_option_naming_a_missing_file_is_an_input_error(
+        self, eval_dir, run_cli, tmp_path
+    ):
+        missing = tmp_path / "nope.jsonl"
+        proc = run_cli(["evaluate", "--config", str(eval_dir.config), "--dataset", str(missing)])
+        assert proc.returncode == 3
+        assert proc.stderr == f"input error: evaluation dataset not found: {missing}\n"
+
     def test_threshold_gate_fails_the_run(self, eval_dir, run_cli):
         proc = run_cli(
             ["evaluate", "--config", str(eval_dir.config), "--unevaluated-threshold", "-1"]
         )
         assert proc.returncode == 1
         assert "exceed threshold" in proc.stderr
+
+
+def _set(rows_name: str, index: int, field: str, value):
+    def edit(files):
+        files[rows_name][index][field] = value
+    return edit
+
+
+# One corrupting edit of the full run's verdict log or retained dataset per
+# replay check, and the problem it must raise. Log rows 0-3 are the retained
+# candidate's four verdicts, row 4 is the SourceConsistency rejection, and
+# rows 8-11 are the candidate that reached the votes and tied.
+REPLAY_EDITS = {
+    "duplicate-verdict": (lambda f: f["log"].append(dict(f["log"][4])), "duplicate verdict for"),
+    "unknown-filter": (_set("log", 4, "filter", "NoSuchFilter"), "unknown filter names"),
+    "non-prefix-cascade": (lambda f: f["log"].pop(9), "are not a cascade prefix"),
+    "failed-then-later": (
+        _set("log", 8, "passed", False),
+        "SourceConsistency failed but a later filter was still recorded",
+    ),
+    "duplicate-retained-key": (
+        lambda f: f["retained"].append(dict(f["retained"][0])),
+        "retained dataset contains duplicate keys",
+    ),
+    "retained-without-full-chain": (
+        _set("log", 3, "passed", False), "retained without a fully passing verdict chain"
+    ),
+    "vote-count": (_set("log", 3, "selections", ["C", "C"]), "vision verdict has 2 selections"),
+    "majority-not-correct-letter": (
+        _set("retained", 0, "correct_index", 1), "majority 'C' != correct letter 'B'"
+    ),
+    "majority-without-two-votes": (
+        _set("log", 3, "selections", ["C", "A", "None"]), "majority 'C' lacks two votes"
+    ),
+    "agreeing-index": (
+        _set("log", 3, "agreeing_run_index", 2), "agreeing_run_index 2 does not match majority"
+    ),
+    "reasoning-missing": (_set("log", 3, "reasoning", None), "retained without stored reasoning"),
+    "reasoning-differs": (
+        _set("retained", 0, "reasoning", "Edited."),
+        "record reasoning differs from agreeing vote response",
+    ),
+}
+
+
+class TestReplayChecks:
+    @pytest.mark.parametrize("case", sorted(REPLAY_EDITS))
+    def test_each_check_names_its_problem_under_stats(self, full_run, e2e_bundle, tmp_path, case):
+        edit, problem = REPLAY_EDITS[case]
+        out = tmp_path / case
+        shutil.copytree(full_run.out, out)
+        paths = {"log": out / "verdict_log.jsonl", "retained": out / "retained.jsonl"}
+        files = {name: read_jsonl(path) for name, path in paths.items()}
+        assert files["log"][3]["filter"] == "VisionConsistency"
+        assert files["log"][3]["majority"] == "C" and files["retained"][0]["correct_index"] == 2
+        edit(files)
+        for name, path in paths.items():
+            path.write_text("".join(json.dumps(r) + "\n" for r in files[name]), encoding="utf-8")
+        pipeline.stage_stats(RunConfig.from_yaml(e2e_bundle.make_config(out)))
+        replay = json.loads((out / "stats.json").read_text(encoding="utf-8"))["replay"]
+        assert replay["ok"] is False
+        assert any(problem in p for p in replay["problems"]), replay["problems"]
 
 
 class TestExitCodes:
@@ -1025,6 +1170,25 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert {name: (out / name).read_bytes() for name in names} == before
 
+    def test_unreadable_image_in_verify_discards_the_candidate(
+        self, full_run, e2e_bundle, tmp_path
+    ):
+        out = tmp_path / "unreadable_votes"
+        shutil.copytree(full_run.out, out)
+        (out / "verdict_log.jsonl").unlink()
+        cfg = RunConfig.from_yaml(e2e_bundle.make_config(out))
+        endpoints = build_endpoints(cfg)
+        endpoints["vision"] = UnreadableImages(endpoints["vision"])
+        manifest = pipeline.STAGE_FUNCTIONS["verify"](cfg, endpoints)
+        # The two candidates that reach the votes are the ones sent with their figure.
+        voted = sorted(full_run.expect["vote_digests"])
+        assert manifest["discarded"] == len(voted) == 2
+        assert manifest["retained"] == 0
+        discards = read_jsonl(out / "verify_discards.jsonl")
+        assert [row["key"] for row in discards] == voted
+        assert all("cannot read" in row["reason"] for row in discards)
+        assert pipeline.STAGE_FUNCTIONS["stats"](cfg)["replay_ok"] is True
+
     @pytest.mark.parametrize("stage", ["annotate", "evaluate"])
     def test_unreadable_image_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path, stage
@@ -1054,6 +1218,50 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
         assert manifest["skipped"] == [{"arxiv_id": bad.stem, "reason": "latex_not_utf8"}]
         assert manifest["papers_prepared"] == manifest["papers_in"] - 1
+
+    def test_paper_without_latex_source_is_skipped(self, e2e_bundle, run_cli, tmp_path):
+        latex = tmp_path / "latex"
+        shutil.copytree(e2e_bundle.latex_dir, latex)
+        gone = sorted(latex.glob("*.tex"))[0]
+        gone.unlink()
+        out = tmp_path / "out"
+        proc = run_cli(
+            ["prepare", "--config", str(e2e_bundle.make_config(out, latex_cache=str(latex)))]
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest_prepare.json").read_text(encoding="utf-8"))
+        assert manifest["skipped"] == [{"arxiv_id": gone.stem, "reason": "missing_latex_source"}]
+        assert manifest["papers_prepared"] == manifest["papers_in"] - 1
+
+    @pytest.mark.parametrize(
+        "field, edit, named",
+        [
+            ("arxiv_id", lambda rows: rows[1].update(arxiv_id=""), "must be non-empty"),
+            ("figure_index", lambda rows: rows[1].update(figure_index=-1), "non-negative"),
+            ("figure_index", lambda rows: rows.append(dict(rows[1])), "duplicate figure"),
+        ],
+        ids=["empty-arxiv-id", "negative-figure-index", "duplicate-figure"],
+    )
+    def test_corpus_row_breaking_a_rule_is_an_input_error(
+        self, e2e_bundle, tmp_path, field, edit, named
+    ):
+        rows = read_jsonl(e2e_bundle.corpus_path)
+        edit(rows)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        config = e2e_bundle.make_config(tmp_path / "out", corpus=str(corpus))
+        result = CliRunner().invoke(main, ["prepare", "--config", str(config)])
+        assert result.exit_code == 3
+        assert "corpus.jsonl" in result.stderr and f"field {field!r}" in result.stderr
+        assert named in result.stderr
+        assert not (tmp_path / "out" / "papers_clean.jsonl").exists()
+
+    def test_missing_corpus_is_an_input_error(self, e2e_bundle, tmp_path):
+        corpus = tmp_path / "no_corpus.jsonl"
+        config = e2e_bundle.make_config(tmp_path / "out", corpus=str(corpus))
+        result = CliRunner().invoke(main, ["prepare", "--config", str(config)])
+        assert result.exit_code == 3
+        assert result.stderr == f"input error: corpus file not found: {corpus}\n"
 
     def test_runaway_macro_is_skipped_in_bounded_memory(self, e2e_bundle, tmp_path):
         # Under a 1 GiB address-space cap, each preamble would kill the run
@@ -1163,19 +1371,6 @@ class TestExitCodes:
         proc = run_cli(["generate", "--config", str(config)])
         assert proc.returncode == 2
         assert "claim_extract.txt" in proc.stderr and "not UTF-8" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_crash_after_that_is_not_an_integer_is_a_config_error(
-        self, full_run, e2e_bundle, run_cli, tmp_path
-    ):
-        out = tmp_path / "bad_crash_after"
-        shutil.copytree(full_run.out, out)
-        proc = run_cli(
-            ["generate", "--config", str(e2e_bundle.make_config(out))],
-            env_extra={CRASH_AFTER_ENV: "abc"},
-        )
-        assert proc.returncode == 2
-        assert CRASH_AFTER_ENV in proc.stderr and "'abc'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):
