@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from figqa.dataset import annotate_taxonomy, compute_funnel
 from figqa.figure_context import build_figure_contexts
-from figqa.gateway import ModelTranscript, load_templates
+from figqa.gateway import load_templates
 from figqa.generation import extract_claims, generate_qa
 from figqa.latex_prep import RawPaper, clean_paper
 from figqa.verification import VerdictLog, run_cascade
@@ -48,7 +48,7 @@ class ScriptedEndpoint:
 
     def complete(self, prompt, image_ref=None):
         response = self.queue.pop(0)
-        return response, ModelTranscript(request_digest="demo", latency=0.0, attempt_count=1)
+        return response, "demo"
 
 
 def main() -> None:

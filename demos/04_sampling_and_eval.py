@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord, stratified_sample
 from figqa.eval_harness import evaluate, format_report
-from figqa.gateway import ModelTranscript, load_templates
+from figqa.gateway import load_templates
 
 STRATA = {
     ("cs.LG", "Line Plot", "Descriptive"): 20,
@@ -47,7 +47,7 @@ class ScriptedEndpoint:
 
     def complete(self, prompt, image_ref=None):
         response = self.queue.pop(0)
-        return response, ModelTranscript("demo", 0.0, 1)
+        return response, "demo"
 
 
 def main() -> None:

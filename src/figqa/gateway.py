@@ -1,8 +1,9 @@
 """Model access layer: endpoints, prompt templates, and response parsing.
 
-Two endpoint flavors share one interface: an HTTP chat-completion client
-with retries and rate limiting, and a scripted mock keyed by request digest
-for deterministic tests. All parsing helpers are pure functions.
+Two endpoint flavors share one interface, complete(prompt, image_ref) ->
+(text, request digest): an HTTP chat-completion client with retries and rate
+limiting, and a scripted mock keyed by request digest for deterministic
+tests. All parsing helpers are pure functions.
 """
 
 from __future__ import annotations
@@ -92,13 +93,6 @@ class PromptTemplate:
     body: str
 
 
-@dataclass
-class ModelTranscript:
-    request_digest: str
-    latency: float
-    attempt_count: int
-
-
 _VAR_RE = re.compile(r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*\}\}")
 
 
@@ -134,16 +128,10 @@ def format_options(options: list[str]) -> str:
     return "\n".join(f"{chr(65 + i)}. {opt}" for i, opt in enumerate(options))
 
 
-def request_digest(
-    role: str,
-    model_name: str,
-    temperature: float,
-    prompt: str,
-    image_ref: str | None = None,
-) -> str:
-    """Stable hash identifying one logical model request."""
-    payload = "\x1f".join([role, model_name, f"{temperature:g}", image_ref or "", prompt])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def request_digest(config: ModelEndpointConfig, prompt: str, image_ref: str | None = None) -> str:
+    """Stable hash of one model request: config role, model and temperature, image, prompt."""
+    fields = [config.role, config.model_name, f"{config.temperature:g}", image_ref or "", prompt]
+    return hashlib.sha256("\x1f".join(fields).encode("utf-8")).hexdigest()
 
 
 _PATTERNS_RE = re.compile(r"<Patterns>(.*?)</Patterns>", re.DOTALL | re.IGNORECASE)
@@ -237,6 +225,9 @@ class HttpEndpoint:
         self.config = config
         self._sleep = sleep
         self._session = session or requests.Session()
+        # An auth of the session's own, which keeps the request as built, stops
+        # requests from swapping in credentials from ~/.netrc.
+        self._session.auth = lambda request: request
         # A bucket passed in is shared with other endpoints of one address.
         if bucket is None and config.requests_per_minute:
             bucket = TokenBucket(config.requests_per_minute)
@@ -266,11 +257,10 @@ class HttpEndpoint:
         uri = f"data:{mime};base64,{base64.b64encode(data).decode('ascii')}"
         return {"type": "image_url", "image_url": {"url": uri}}
 
-    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, ModelTranscript]:
+    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
         cfg = self.config
         if image_ref is not None and cfg.role != "vision":
             raise ValueError("text endpoint cannot accept an image attachment")
-        digest = request_digest(cfg.role, cfg.model_name, cfg.temperature, prompt, image_ref)
         content: object = prompt
         if image_ref is not None:
             content = [{"type": "text", "text": prompt}, self._image_part(image_ref)]
@@ -284,7 +274,6 @@ class HttpEndpoint:
         if key:
             headers["Authorization"] = f"Bearer {key}"
 
-        start = time.monotonic()
         last_error = "no attempt made"
         for attempt in range(1, cfg.max_retries + 2):
             wait = 2 ** (attempt - 1)  # 1s, 2s, 4s...
@@ -309,10 +298,12 @@ class HttpEndpoint:
                 if resp.status_code == 200:
                     try:
                         text = resp.json()["choices"][0]["message"]["content"]
+                        if not isinstance(text, str):  # the API allows a null content
+                            raise TypeError(f"message content is {type(text).__name__}")
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         last_error = f"unparseable completion payload: {exc}"
                     else:
-                        return text, ModelTranscript(digest, time.monotonic() - start, attempt)
+                        return text, request_digest(cfg, prompt, image_ref)
                 else:
                     last_error = f"HTTP {resp.status_code}"
                 if resp.status_code in (429, 503):
@@ -367,10 +358,8 @@ class MockBackend:
 
     def serve(
         self, config: ModelEndpointConfig, prompt: str, image_ref: str | None
-    ) -> tuple[str, ModelTranscript]:
-        digest = request_digest(
-            config.role, config.model_name, config.temperature, prompt, image_ref
-        )
+    ) -> tuple[str, str]:
+        digest = request_digest(config, prompt, image_ref)
         with self._lock:
             if digest not in self.script:
                 raise UnscriptedRequest(
@@ -392,7 +381,7 @@ class MockBackend:
                 self.ledger(
                     {"digest": digest, "model": config.model_name, "image": image_ref is not None}
                 )
-        return response, ModelTranscript(request_digest=digest, latency=0.0, attempt_count=1)
+        return response, digest
 
 
 class MockEndpoint:
@@ -402,7 +391,7 @@ class MockEndpoint:
         self.config = config
         self.backend = backend
 
-    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, ModelTranscript]:
+    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
         if image_ref is not None and self.config.role != "vision":
             raise ValueError("text endpoint cannot accept an image attachment")
         return self.backend.serve(self.config, prompt, image_ref)

@@ -25,7 +25,7 @@ CLAIM_PREFIX = "the figure shows"
 class AtomicClaim:
     arxiv_id: str
     figure_index: int
-    ordinal: int  # line position within the extraction response
+    ordinal: int  # position among the non-blank lines of the extraction's <Patterns> block
     text: str
 
     @property
@@ -84,8 +84,9 @@ def extract_claims(ctx: FigureContext, endpoint, templates) -> list[AtomicClaim]
     """Render claim_extract, call the text model, keep conforming claims.
 
     One retry on a structurally malformed response, then the figure simply
-    contributes no claims. Ordinals are response line positions, so filtered
-    non-conforming lines leave gaps that map back to the raw transcript.
+    contributes no claims. Blank lines are dropped before numbering, so an
+    ordinal is a position among the <Patterns> block's non-blank lines, and
+    filtered non-conforming lines leave gaps in the ordinals.
     """
     prompt = render_template(
         templates["claim_extract"], {"context": ctx.context, "label": ctx.label}

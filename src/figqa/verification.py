@@ -184,7 +184,7 @@ def apply_filter(
         filter=step.name,
         passed=(selection == candidate.correct_letter) == step.pass_if_correct,
         model_selection=selection,
-        transcript_ref=answers[0][1].request_digest,
+        transcript_ref=answers[0][1],
         **tally,
     )
 

@@ -302,9 +302,7 @@ def tiny_png(color: tuple[int, int, int]) -> bytes:
 
 
 def _digest(slot: dict, prompt: str, image_ref: str | None = None) -> str:
-    return request_digest(
-        slot["role"], slot["model_name"], slot["temperature"], prompt, image_ref
-    )
+    return request_digest(ModelEndpointConfig(**slot), prompt, image_ref)
 
 
 def _option_response(kind: str, correct: str) -> str:
@@ -573,12 +571,9 @@ def build_corpus(root: Path) -> CorpusBundle:
         "question_type": QUESTION_TYPE_LABEL,
         "generate_calls": 12,
         "verify_calls": 18,
-        "annotate_calls": 2,
-        "eval_calls": 1,
         "verdict_lines_total": 14,
         "crash_after": CRASH_AFTER,
         "verdicts_at_crash": 5,
-        "calls_at_crash": CRASH_AFTER,
         "resume_verify_calls": 11,
         "generate_digest_counts": dict(generate_counter),
         "verify_digest_counts": dict(verify_counter),
@@ -590,6 +585,7 @@ def build_corpus(root: Path) -> CorpusBundle:
     }
     assert sum(generate_counter.values()) == expectations["generate_calls"]
     assert sum(verify_counter.values()) == expectations["verify_calls"]
+    assert sum(annotate_counter.values()) == 2  # one figure-type and one question-type label
 
     return CorpusBundle(
         root=root,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord
-from figqa.gateway import ModelTranscript
 from figqa.generation import QACandidate
 
 
@@ -68,9 +67,7 @@ class StubEndpoint:
             raise AssertionError("stub endpoint exhausted")
         if isinstance(result, Exception):
             raise result
-        return result, ModelTranscript(
-            request_digest=f"stub-{len(self.calls)}", latency=0.0, attempt_count=1
-        )
+        return result, f"stub-{len(self.calls)}"
 
 
 def make_candidate(**overrides) -> QACandidate:

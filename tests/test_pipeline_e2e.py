@@ -194,7 +194,8 @@ class TestFullRun:
         want = scripted_call_counter(expect, "generate", "verify", "annotate")
         assert got == want
         assert sum(got.values()) == (
-            expect["generate_calls"] + expect["verify_calls"] + expect["annotate_calls"]
+            expect["generate_calls"] + expect["verify_calls"]
+            + sum(expect["annotate_digest_counts"].values())
         )
 
     def test_no_call_ever_reaches_a_short_circuited_stage(self, full_run):
@@ -300,7 +301,7 @@ class TestCrashAndResume:
         verify_rows = [r for r in crash_resume.mid_ledger if r["model"] != "mock-text"
                        or r["digest"] in expect["verify_digest_counts"]]
         assert len(crash_resume.mid_ledger) == (
-            expect["generate_calls"] + expect["calls_at_crash"]
+            expect["generate_calls"] + expect["crash_after"]
         )
         assert verify_rows  # the crash happened mid-verify, not before it
 
@@ -571,8 +572,7 @@ class TestTransportRounds:
             templates["qa_generate"],
             {"claim": claim["text"], "caption": ctx["caption"], "context": ctx["context"]},
         )
-        text = cfg.endpoint_config("text")
-        return claim["text"], request_digest(text.role, text.model_name, text.temperature, prompt)
+        return claim["text"], request_digest(cfg.endpoint_config("text"), prompt)
 
     def test_lost_qa_response_is_the_only_request_paid_again(
         self, full_run, e2e_bundle, tmp_path, templates

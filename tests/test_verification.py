@@ -13,7 +13,17 @@ import pytest
 
 from figqa import replay
 from figqa.errors import EndpointUnavailable, SchemaViolation
-from figqa.gateway import AMBIGUOUS, NONE_SIGNAL, load_templates
+from figqa.gateway import (
+    AMBIGUOUS,
+    NONE_SIGNAL,
+    HttpEndpoint,
+    MockBackend,
+    ModelEndpointConfig,
+    format_options,
+    load_templates,
+    render_template,
+    request_digest,
+)
 from figqa.verification import (
     CASCADE,
     CASCADE_ORDER,
@@ -30,7 +40,7 @@ from figqa.verification import (
     run_cascade,
 )
 
-from helpers import StubEndpoint, make_candidate
+from helpers import FakeSession, StubEndpoint, make_candidate, ok_response
 from oracles import majority_oracle
 
 TEMPLATES = load_templates()
@@ -262,6 +272,32 @@ class TestVisionConsistency:
         )
         with pytest.raises(EndpointUnavailable):
             apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
+
+    @pytest.mark.parametrize("kind", ["mock", "http"])
+    def test_transcript_ref_is_the_digest_of_the_vote_request(self, tmp_path, kind):
+        image = tmp_path / "fig.png"
+        image.write_bytes(b"\x89PNGfake")
+        cand = make_candidate(figure_image_ref=str(image))
+        cfg = ModelEndpointConfig(role="vision", model_name="v", base_url="https://api.test/v1")
+        prompt = render_template(
+            TEMPLATES["vision_answer"],
+            {
+                "question": cand.question,
+                "options": format_options(cand.options),
+                "caption": cand.caption,
+            },
+        )
+        digest = request_digest(cfg, prompt, cand.figure_image_ref)
+        if kind == "mock":
+            ep = MockBackend({digest: _opt("A")}).endpoint(cfg)
+        else:
+            session = FakeSession([ok_response(_opt("A"))] * 3)
+            ep = HttpEndpoint(cfg, sleep=lambda s: None, session=session)
+        v = apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
+        assert v.transcript_ref == digest
+        if kind == "http":
+            sent = [post["json"]["messages"][0]["content"][0]["text"] for post in session.posts]
+            assert sent == [prompt] * 3
 
 
 class TestVerdictLog:
