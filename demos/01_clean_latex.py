@@ -32,15 +32,15 @@ def main() -> None:
         primary_category="cs.DB",
         latex_source=SOURCE,
     )
-    clean = clean_paper(raw)
+    paragraphs = clean_paper(raw)
 
     print("=== original source ===")
     print(SOURCE)
     print("=== cleaned body ===")
-    print(clean.body)
+    print("\n\n".join(paragraphs))
     print()
-    print(f"=== {len(clean.paragraphs)} paragraphs ===")
-    for i, para in enumerate(clean.paragraphs):
+    print(f"=== {len(paragraphs)} paragraphs ===")
+    for i, para in enumerate(paragraphs):
         preview = para if len(para) <= 72 else para[:69] + "..."
         print(f"  [{i}] {preview!r}")
 

@@ -49,7 +49,7 @@ def main() -> None:
         latex_source=SOURCE,
         figure_caption_pairs=PAIRS,
     )
-    clean = clean_paper(raw)
+    paragraphs = clean_paper(raw)
 
     print("=== caption normalization ===")
     fancy = r"\textbf{Accuracy} over $10^4$ training steps."
@@ -61,7 +61,7 @@ def main() -> None:
     print(f"  similarity to the corpus caption: {sim:.3f}")
     print()
 
-    contexts, discards = build_figure_contexts(clean, raw)
+    contexts, discards = build_figure_contexts(paragraphs, raw)
 
     print(f"=== {len(contexts)} bound, {len(discards)} discarded ===")
     for ctx in contexts:

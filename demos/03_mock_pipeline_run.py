@@ -60,8 +60,8 @@ def main() -> None:
         latex_source=SOURCE,
         figure_caption_pairs=[("images/thr.png", "Throughput during warmup.")],
     )
-    clean = clean_paper(raw)
-    contexts, _ = build_figure_contexts(clean, raw)
+    paragraphs = clean_paper(raw)
+    contexts, _ = build_figure_contexts(paragraphs, raw)
     ctx = contexts[0]
     print(f"bound figure {ctx.label}: {ctx.citing_paragraph_count} citing paragraph(s)\n")
 

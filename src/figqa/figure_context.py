@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .latex_prep import PARAGRAPH_SEPARATOR, CleanPaper, RawPaper, read_brace_group
+from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
 CITATION_COMMANDS = ("ref", "cref", "autoref")
@@ -249,7 +249,7 @@ def _paragraph_spans(paragraphs: list[str]) -> list[tuple[int, int]]:
 
 
 def build_figure_contexts(
-    clean: CleanPaper,
+    paragraphs: list[str],
     raw: RawPaper,
     figure_indices: list[int] | None = None,
 ) -> tuple[list[FigureContext], list[tuple[int, DiscardReason]]]:
@@ -258,8 +258,8 @@ def build_figure_contexts(
     Every input pair lands in exactly one of the two output lists. Figures
     matched to the same environment are all discarded as ambiguous.
     """
-    envs = find_figure_environments(clean.body)
-    para_spans = _paragraph_spans(clean.paragraphs)
+    envs = find_figure_environments(PARAGRAPH_SEPARATOR.join(paragraphs))
+    para_spans = _paragraph_spans(paragraphs)
     pairs = raw.figure_caption_pairs
     if figure_indices is None:
         figure_indices = list(range(len(pairs)))
@@ -302,7 +302,7 @@ def build_figure_contexts(
             for i, (s, e) in enumerate(para_spans)
             if s < env.span[1] and env.span[0] < e
         )
-        citing = find_citing_paragraphs(labels, clean.paragraphs, skip)
+        citing = find_citing_paragraphs(labels, paragraphs, skip)
         if not citing:
             discards[pos] = DiscardReason(
                 DiscardKind.NO_CITING_PARAGRAPH,
@@ -312,7 +312,7 @@ def build_figure_contexts(
         resolved = env.outer_labels[0] if env.outer_labels else labels[0]
         contexts.append(
             FigureContext(
-                arxiv_id=clean.arxiv_id,
+                arxiv_id=raw.arxiv_id,
                 primary_category=raw.primary_category,
                 figure_index=figure_indices[pos],
                 figure_image_ref=image_ref,

@@ -36,22 +36,6 @@ class RawPaper:
     figure_caption_pairs: list[tuple[str, str]] = field(default_factory=list)
 
 
-@dataclass
-class CleanPaper:
-    """Comment-free, macro-expanded, bibliography-free paragraphs of one paper."""
-
-    arxiv_id: str
-    paragraphs: list[str]
-
-    @property
-    def body(self) -> str:
-        """The paragraphs joined, so segmenting the body gives them back exactly.
-
-        Downstream span arithmetic relies on that round trip.
-        """
-        return PARAGRAPH_SEPARATOR.join(self.paragraphs)
-
-
 def _opaque_spans(text: str) -> list[tuple[int, int]]:
     """Each \\begin{env} to the first \\end{env} after it, in one scan of text."""
     spans: list[tuple[int, int]] = []
@@ -268,13 +252,17 @@ def strip_bibliography(latex: str) -> str:
 
 
 def segment_paragraphs(body: str) -> list[str]:
-    """Split on PARAGRAPH_SEPARATOR, trim each chunk, drop empties."""
+    """Split on PARAGRAPH_SEPARATOR, trim each chunk, drop empties.
+
+    Joining the result with PARAGRAPH_SEPARATOR and segmenting again gives
+    it back exactly; figure binding's span arithmetic relies on that.
+    """
     chunks = [c.strip() for c in body.split(PARAGRAPH_SEPARATOR)]
     return [c for c in chunks if c]
 
 
-def clean_paper(raw: RawPaper) -> CleanPaper:
-    """Run the full cleanup chain on one paper.
+def clean_paper(raw: RawPaper) -> list[str]:
+    """Run the full cleanup chain on one paper and return its paragraphs.
 
     Raises RecursionLimitExceeded for self-referential macros; the caller
     skips the paper with a logged reason.
@@ -282,4 +270,4 @@ def clean_paper(raw: RawPaper) -> CleanPaper:
     text = strip_comments(raw.latex_source)
     text = expand_macros(text)
     text = strip_bibliography(text)
-    return CleanPaper(arxiv_id=raw.arxiv_id, paragraphs=segment_paragraphs(text))
+    return segment_paragraphs(text)

@@ -51,7 +51,7 @@ from .generation import (
     extract_claims,
     generate_qa,
 )
-from .latex_prep import CleanPaper, RawPaper, clean_paper
+from .latex_prep import RawPaper, clean_paper
 from .replay import replay_verdicts
 
 # Endpoint slots and their built-in defaults, which each slot's config entry overrides in
@@ -329,12 +329,12 @@ def stage_prepare(cfg: RunConfig) -> dict:
             latex_source=latex_source,
         )
         try:
-            clean = clean_paper(raw)
+            paragraphs = clean_paper(raw)
         except RecursionLimitExceeded:
             skipped.append({"arxiv_id": arxiv_id, "reason": "macro_recursion_limit"})
             continue
         figures = [asdict(PreparedFigure(r.figure_index, r.image, r.caption)) for r in fig_rows]
-        paper = PreparedPaper(arxiv_id, raw.primary_category, clean.paragraphs, figures)
+        paper = PreparedPaper(arxiv_id, raw.primary_category, paragraphs, figures)
         prepared_rows.append(asdict(paper))
     ds.write_jsonl(out_dir / "papers_clean.jsonl", prepared_rows)
     return dict(
@@ -354,7 +354,6 @@ def stage_extract(cfg: RunConfig) -> dict:
     figures_in = 0
     for paper in papers:
         figures = [ds.from_row(PreparedFigure, f) for f in paper.figures]
-        clean = CleanPaper(arxiv_id=paper.arxiv_id, paragraphs=paper.paragraphs)
         raw = RawPaper(
             arxiv_id=paper.arxiv_id,
             primary_category=paper.primary_category,
@@ -363,7 +362,7 @@ def stage_extract(cfg: RunConfig) -> dict:
         )
         indices = [f.figure_index for f in figures]
         figures_in += len(indices)
-        contexts, discards = build_figure_contexts(clean, raw, figure_indices=indices)
+        contexts, discards = build_figure_contexts(paper.paragraphs, raw, figure_indices=indices)
         if len(contexts) + len(discards) != len(indices):
             raise AssertionError(
                 f"conservation violated for {paper.arxiv_id}: "

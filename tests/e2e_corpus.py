@@ -398,9 +398,9 @@ def build_corpus(root: Path) -> CorpusBundle:
             latex_source=source,
             figure_caption_pairs=[(r["image"], r["caption"]) for r in rows],
         )
-        clean = clean_paper(raw)
+        paragraphs = clean_paper(raw)
         found, discards = build_figure_contexts(
-            clean, raw, figure_indices=[r["figure_index"] for r in rows]
+            paragraphs, raw, figure_indices=[r["figure_index"] for r in rows]
         )
         assert not discards, f"unexpected extraction discards for {arxiv_id}: {discards}"
         for ctx in found:

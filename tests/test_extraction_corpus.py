@@ -45,9 +45,9 @@ def load_raw(doc_id: str) -> RawPaper:
 
 def bind(doc_id: str):
     raw = load_raw(doc_id)
-    clean = clean_paper(raw)
-    contexts, discards = build_figure_contexts(clean, raw)
-    return raw, clean, contexts, discards
+    paragraphs = clean_paper(raw)
+    contexts, discards = build_figure_contexts(paragraphs, raw)
+    return raw, paragraphs, contexts, discards
 
 
 def test_fixture_files_are_consistent():
@@ -75,7 +75,7 @@ def test_discards_match_golden(doc_id):
 def test_binding_matches_the_full_matrix_oracle(doc_id, monkeypatch):
     # Same contexts and same discards, the "best similarity" detail text
     # included, when every distance comes from the full-matrix oracle.
-    raw, clean, contexts, discards = bind(doc_id)
+    raw, paragraphs, contexts, discards = bind(doc_id)
     calls = []
 
     def oracle(a, b):
@@ -83,7 +83,7 @@ def test_binding_matches_the_full_matrix_oracle(doc_id, monkeypatch):
         return levenshtein_full_matrix(a, b)
 
     monkeypatch.setattr(figure_context, "levenshtein_distance", oracle)
-    assert build_figure_contexts(clean, raw) == (contexts, discards)
+    assert build_figure_contexts(paragraphs, raw) == (contexts, discards)
     assert calls
 
 
@@ -110,31 +110,32 @@ def test_bound_figures_carry_their_corpus_pair(doc_id):
 @pytest.mark.parametrize("doc_id", BOUND_IDS)
 def test_cleaning_is_a_fixed_point(doc_id):
     # Running the cleaner on its own output must change nothing.
-    _, clean, _, _ = bind(doc_id)
+    _, paragraphs, _, _ = bind(doc_id)
     again = clean_paper(
         RawPaper(
             arxiv_id=doc_id,
             primary_category="cs.LG",
-            latex_source=clean.body,
+            latex_source="\n\n".join(paragraphs),
         )
     )
-    assert again.body == clean.body
-    assert again.paragraphs == clean.paragraphs
+    assert again == paragraphs
 
 
 def test_verbatim_content_survives_while_comments_go():
-    _, clean, _, _ = bind("d09")
+    _, paragraphs, _, _ = bind("d09")
+    body = "\n\n".join(paragraphs)
     for needle in GOLDENS["d09"]["body_contains"]:
-        assert needle in clean.body
+        assert needle in body
     for needle in GOLDENS["d09"]["body_excludes"]:
-        assert needle not in clean.body
+        assert needle not in body
 
 
 def test_bibliography_blocks_are_removed():
-    _, clean, _, _ = bind("d16")
+    _, paragraphs, _, _ = bind("d16")
+    body = "\n\n".join(paragraphs)
     for needle in GOLDENS["d16"]["body_excludes"]:
-        assert needle not in clean.body
-    assert "thebibliography" not in clean.body
+        assert needle not in body
+    assert "thebibliography" not in body
 
 
 def test_recursive_macro_document_is_rejected():

@@ -304,10 +304,10 @@ class TestBuildFigureContexts:
     )
 
     def test_basic_binding(self):
-        clean, raw = _paper(
+        paragraphs, raw = _paper(
             self.SOURCE, [("a.png", "Accuracy curve."), ("b.png", "Loss curve.")]
         )
-        found, discards = build_figure_contexts(clean, raw)
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert discards == []
         assert [c.figure_index for c in found] == [0, 1]
         ctx = found[0]
@@ -325,8 +325,8 @@ class TestBuildFigureContexts:
             "Discussion that cites nothing relevant.\n\n"
             "\\begin{figure}\n\\caption{Orphan plot.}\n\\label{fig:orphan}\n\\end{figure}\n"
         )
-        clean, raw = _paper(source, [("x.png", "Orphan plot.")])
-        found, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(source, [("x.png", "Orphan plot.")])
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert found == []
         assert len(discards) == 1
         idx, reason = discards[0]
@@ -334,21 +334,21 @@ class TestBuildFigureContexts:
         assert reason.kind is DiscardKind.NO_CITING_PARAGRAPH
 
     def test_empty_caption_discarded_first(self):
-        clean, raw = _paper(self.SOURCE, [("x.png", "   ")])
-        _, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(self.SOURCE, [("x.png", "   ")])
+        _, discards = build_figure_contexts(paragraphs, raw)
         assert discards[0][1].kind is DiscardKind.EMPTY_CAPTION
 
     def test_no_environment_match(self):
-        clean, raw = _paper(self.SOURCE, [("x.png", "Totally unrelated words here.")])
-        _, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(self.SOURCE, [("x.png", "Totally unrelated words here.")])
+        _, discards = build_figure_contexts(paragraphs, raw)
         assert discards[0][1].kind is DiscardKind.NO_ENVIRONMENT_MATCH
 
     def test_two_pairs_same_environment_both_ambiguous(self):
-        clean, raw = _paper(
+        paragraphs, raw = _paper(
             self.SOURCE,
             [("x.png", "Accuracy curve."), ("y.png", "Accuracy curve.")],
         )
-        found, discards = build_figure_contexts(clean, raw)
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert found == []
         kinds = {reason.kind for _, reason in discards}
         assert kinds == {DiscardKind.AMBIGUOUS_MATCH}
@@ -359,8 +359,8 @@ class TestBuildFigureContexts:
             "Cited in \\ref{fig:z} once.\n\n"
             "\\begin{figure}\n\\caption{Unlabeled plot.}\n\\end{figure}\n"
         )
-        clean, raw = _paper(source, [("x.png", "Unlabeled plot.")])
-        _, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(source, [("x.png", "Unlabeled plot.")])
+        _, discards = build_figure_contexts(paragraphs, raw)
         assert discards[0][1].kind is DiscardKind.NO_LABEL
 
     def test_environment_paragraph_excluded_from_context(self):
@@ -368,10 +368,28 @@ class TestBuildFigureContexts:
             "\\begin{figure}\n\\caption{Self-citing panel; see \\cref{fig:s}.}\n"
             "\\label{fig:s}\n\\end{figure}\n"
         )
-        clean, raw = _paper(source, [("x.png", "Self-citing panel; see .")])
-        found, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(source, [("x.png", "Self-citing panel; see .")])
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert found == []
         assert discards[0][1].kind is DiscardKind.NO_CITING_PARAGRAPH
+
+    def test_environment_split_by_a_blank_line_is_skipped_whole(self):
+        # Segmenting cuts the environment into two paragraphs; binding must
+        # skip both, so the inner note's citation is not context.
+        source = (
+            "Intro.\n\n" * 8
+            + "As \\cref{fig:s} shows, it rises.\n\n"
+            "\\begin{figure}\n\\caption{Split panel.}\n\n"
+            "\\label{fig:s} Inner note on \\cref{fig:s}.\n\\end{figure}\n\n"
+            "Later, \\cref{fig:s} again.\n"
+        )
+        paragraphs, raw = _paper(source, [("x.png", "Split panel.")])
+        found, discards = build_figure_contexts(paragraphs, raw)
+        assert discards == []
+        assert found[0].citing_paragraph_count == 2
+        assert found[0].context == (
+            "As \\cref{fig:s} shows, it rises.\n\nLater, \\cref{fig:s} again."
+        )
 
     def test_outer_label_preferred_over_subfigure(self):
         source = (
@@ -381,8 +399,8 @@ class TestBuildFigureContexts:
             "\\begin{subfigure}{.5\\textwidth}\\caption{dec}\\label{fig:sub-b}\\end{subfigure}\n"
             "\\end{figure}\n"
         )
-        clean, raw = _paper(source, [("x.png", "Architecture panels.")])
-        found, discards = build_figure_contexts(clean, raw)
+        paragraphs, raw = _paper(source, [("x.png", "Architecture panels.")])
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert discards == []
         ctx = found[0]
         assert ctx.label == "fig:arch"
@@ -390,14 +408,14 @@ class TestBuildFigureContexts:
         assert "mirrors the encoder" in ctx.context
 
     def test_explicit_figure_indices(self):
-        clean, raw = _paper(
+        paragraphs, raw = _paper(
             self.SOURCE, [("a.png", "Accuracy curve."), ("b.png", "Loss curve.")]
         )
-        found, discards = build_figure_contexts(clean, raw, figure_indices=[4, 9])
+        found, discards = build_figure_contexts(paragraphs, raw, figure_indices=[4, 9])
         assert [c.figure_index for c in found] == [4, 9]
 
     def test_conservation(self):
-        clean, raw = _paper(
+        paragraphs, raw = _paper(
             self.SOURCE,
             [
                 ("a.png", "Accuracy curve."),
@@ -406,7 +424,7 @@ class TestBuildFigureContexts:
                 ("d.png", ""),
             ],
         )
-        found, discards = build_figure_contexts(clean, raw)
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert len(found) + len(discards) == 4
 
     def test_multi_key_citation_counts_for_both(self):
@@ -415,10 +433,10 @@ class TestBuildFigureContexts:
             "\\begin{figure}\n\\caption{First panel.}\n\\label{fig:p}\n\\end{figure}\n\n"
             "\\begin{figure}\n\\caption{Second panel.}\n\\label{fig:q}\n\\end{figure}\n"
         )
-        clean, raw = _paper(
+        paragraphs, raw = _paper(
             source, [("p.png", "First panel."), ("q.png", "Second panel.")]
         )
-        found, discards = build_figure_contexts(clean, raw)
+        found, discards = build_figure_contexts(paragraphs, raw)
         assert discards == []
         assert [c.citing_paragraph_count for c in found] == [1, 1]
         assert found[0].context == found[1].context

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from figqa.errors import RecursionLimitExceeded
 from figqa.latex_prep import (
-    CleanPaper,
     RawPaper,
     clean_paper,
     expand_macros,
@@ -235,7 +234,7 @@ class TestSegmentParagraphs:
         assert segment_paragraphs(body) == paras
 
 
-class TestCleanPaper:
+class TestCleanupChain:
     def test_full_chain(self):
         raw = RawPaper(
             arxiv_id="2000.00001",
@@ -246,17 +245,12 @@ class TestCleanPaper:
                 "\\begin{thebibliography}{9}\n\\bibitem{a} A.\n\\end{thebibliography}\n"
             ),
         )
-        clean = clean_paper(raw)
-        assert isinstance(clean, CleanPaper)
-        assert clean.arxiv_id == "2000.00001"
-        assert clean.paragraphs == ["FastDB{} is fast."]
-        assert clean.body == "FastDB{} is fast."
+        assert clean_paper(raw) == ["FastDB{} is fast."]
 
-    def test_body_is_exact_join_of_paragraphs(self):
+    def test_joined_paragraphs_segment_back_exactly(self):
         raw = RawPaper("x", "cs.LG", "a\n\n\nb\n\nc % z\n")
-        clean = clean_paper(raw)
-        assert clean.body == "\n\n".join(clean.paragraphs)
-        assert segment_paragraphs(clean.body) == clean.paragraphs
+        paragraphs = clean_paper(raw)
+        assert segment_paragraphs("\n\n".join(paragraphs)) == paragraphs
 
     def test_recursive_macro_propagates(self):
         raw = RawPaper("x", "cs.LG", "\\def\\loop{\\loop}\n\\loop")
