@@ -109,7 +109,10 @@ def render_template(template: PromptTemplate, variables: dict[str, str]) -> str:
 
 
 def load_templates(prompt_dir: str | Path | None = None) -> dict[str, PromptTemplate]:
-    """Load all known templates from a directory (default: packaged assets)."""
+    """Load all known templates from a directory (default: packaged assets).
+
+    A template there naming a variable its packaged one does not is a ConfigError.
+    """
     root = resources.files("figqa").joinpath("prompts") if prompt_dir is None else Path(prompt_dir)
     templates: dict[str, PromptTemplate] = {}
     for name in TEMPLATE_NAMES:
@@ -120,6 +123,13 @@ def load_templates(prompt_dir: str | Path | None = None) -> dict[str, PromptTemp
             templates[name] = PromptTemplate(name, ref.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"prompt template {ref} is not UTF-8: {exc}") from None
+    if prompt_dir is not None:
+        for name, packaged in load_templates().items():
+            supplied = set(_VAR_RE.findall(packaged.body))
+            unknown = sorted(set(_VAR_RE.findall(templates[name].body)) - supplied)
+            if unknown:
+                path = root / f"{name}.txt"
+                raise ConfigError(f"{path} names {unknown[0]!r}, which its task does not supply")
     return templates
 
 
@@ -285,15 +295,19 @@ class HttpEndpoint:
                     json=payload,
                     headers=headers,
                     timeout=cfg.timeout,
+                    # A followed redirect would carry ~/.netrc credentials, not the key.
+                    allow_redirects=False,
                 )
             except requests.RequestException as exc:
                 last_error = str(exc)
             else:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-                if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                if 300 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                    location = resp.headers.get("Location")
                     raise EndpointUnavailable(
                         f"{cfg.model_name}: HTTP {resp.status_code} is not retryable"
+                        + (f" (redirected to {location}; check base_url)" if location else "")
                     )
                 if resp.status_code == 200:
                     try:

@@ -563,10 +563,9 @@ def stage_stats(cfg: RunConfig) -> dict:
         table = stats.format_table()
 
     report = replay_verdicts(log_path, retained_path)
-    extract_manifest_path = out_dir / "manifest_extract.json"
-    discards = {}
-    if extract_manifest_path.is_file():
-        discards = ds.read_json(extract_manifest_path).get("discards", {})
+    discards = ds.read_json(_require_file(out_dir / "manifest_extract.json")).get("discards")
+    if not isinstance(discards, dict) or any(type(n) is not int for n in discards.values()):
+        raise UpstreamInputError("manifest_extract.json: discards must map each kind to an integer")
     payload = {
         "funnel": funnel,
         "replay": {"ok": report.ok, "problems": report.problems},

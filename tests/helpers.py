@@ -34,7 +34,7 @@ class FakeSession:
         self.queue = list(queue)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
         self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         item = self.queue.pop(0)
         if isinstance(item, Exception):

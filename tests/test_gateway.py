@@ -84,9 +84,19 @@ class TestLoadTemplates:
 
     def test_directory_override(self, tmp_path):
         for name in TEMPLATE_NAMES:
-            (tmp_path / f"{name}.txt").write_text(f"custom {name} {{{{x}}}}")
+            (tmp_path / f"{name}.txt").write_text(f"custom {name}")
+        (tmp_path / "qa_generate.txt").write_text("custom qa_generate {{ claim }}")
         loaded = load_templates(tmp_path)
-        assert loaded["qa_generate"].body == "custom qa_generate {{x}}"
+        assert loaded["qa_generate"].body == "custom qa_generate {{ claim }}"
+        assert loaded["claim_extract"].body == "custom claim_extract"
+
+    def test_override_naming_a_variable_its_task_lacks_is_config_error(self, tmp_path):
+        for name in TEMPLATE_NAMES:
+            (tmp_path / f"{name}.txt").write_text(f"custom {name}")
+        # qa_generate is handed claim, caption and context, never a label.
+        (tmp_path / "qa_generate.txt").write_text("{{claim}} {{label}}")
+        with pytest.raises(ConfigError, match=r"qa_generate\.txt names 'label', which its task"):
+            load_templates(tmp_path)
 
     def test_missing_file_is_config_error(self, tmp_path):
         (tmp_path / "claim_extract.txt").write_text("only one")
@@ -432,6 +442,22 @@ class RecordingAdapter(requests.adapters.HTTPAdapter):
         return response
 
 
+class RedirectingAdapter(RecordingAdapter):
+    """Answers the first request with a 307 to another path on the same host."""
+
+    def send(self, request, **kwargs):
+        if self.sent:
+            return super().send(request, **kwargs)
+        self.sent.append(request)
+        response = requests.Response()
+        response.status_code = 307
+        response.headers["Location"] = "https://api.example.test/v2/chat/completions"
+        response._content = b""
+        response.request = request
+        response.url = request.url
+        return response
+
+
 def _http_cfg(**kw):
     base = dict(role="text", model_name="live-model", base_url="https://api.example.test/v1")
     base.update(kw)
@@ -560,6 +586,24 @@ class TestHttpEndpoint:
         assert HttpEndpoint(cfg, sleep=lambda s: None, session=session).complete("p")[0] == "ok"
         (sent,) = adapter.sent
         assert sent.headers.get("Authorization") == (f"Bearer {key}" if key else None)
+
+    def test_redirect_is_not_followed(self, tmp_path, monkeypatch):
+        # Following it would re-send the request with the netrc entry's credentials.
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example.test login user password netrcsecret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("FIGQA_TEST_KEY", "sk-x")
+        adapter = RedirectingAdapter()
+        session = requests.Session()
+        session.mount("https://", adapter)
+        ep = HttpEndpoint(
+            _http_cfg(api_key_env="FIGQA_TEST_KEY"), sleep=lambda s: None, session=session
+        )
+        with pytest.raises(EndpointUnavailable, match="HTTP 307 is not retryable") as exc:
+            ep.complete("p")
+        assert "https://api.example.test/v2/chat/completions" in str(exc.value)
+        (sent,) = adapter.sent
+        assert sent.headers["Authorization"] == "Bearer sk-x"
 
     def test_unparseable_success_payload(self):
         # Each unparseable 200 is one failed attempt; the retries post again.

@@ -466,7 +466,7 @@ class LostResponseSession:
         self.lost = False
         self._lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
         prompt = json["messages"][0]["content"]
         text, _ = self.inner.complete(prompt)
         if self.marker in prompt:
@@ -886,6 +886,7 @@ class TestExitCodes:
             ("verify", ["figure_contexts.jsonl"], "extract"),
             ("annotate", ["retained.jsonl"], "verify"),
             ("stats", ["manifest_prepare.json"], "prepare"),
+            ("stats", ["manifest_extract.json"], "extract"),
             ("stats", ["claims.jsonl"], "generate"),
             ("stats", ["candidates.jsonl"], "generate"),
             ("stats", ["verdict_log.jsonl"], "verify"),
@@ -894,7 +895,7 @@ class TestExitCodes:
         ],
         ids=["extract-papers_clean", "generate-figure_contexts", "verify-candidates",
              "verify-figure_contexts", "annotate-retained", "stats-manifest_prepare",
-             "stats-claims", "stats-candidates", "stats-verdict_log", "stats-retained",
+             "stats-manifest_extract", "stats-claims", "stats-candidates", "stats-verdict_log", "stats-retained",
              "evaluate-no-dataset"],
     )
     def test_missing_input_names_producer(
@@ -995,6 +996,20 @@ class TestExitCodes:
         assert key in proc.stderr and artifact in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_extract_manifest_whose_discard_count_is_not_an_integer_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "bad_discards"
+        shutil.copytree(full_run.out, out)
+        path = out / "manifest_extract.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["discards"] = {"NoLabel": "1"}
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        proc = run_cli(["stats", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3
+        assert "manifest_extract.json" in proc.stderr and "discards" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_prepare_manifest_without_its_paper_count_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path
     ):
@@ -1071,6 +1086,28 @@ class TestExitCodes:
         proc = run_cli(["generate", "--config", str(config)])
         assert proc.returncode == 2
         assert "no_such_variable" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_qa_template_variable_exits_before_any_call(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
+    ):
+        # qa_generate is rendered only after every claim extraction is paid for.
+        out = tmp_path / "qa_prompt_run"
+        shutil.copytree(full_run.out, out)
+        calls_before = len(read_jsonl(out / "mock_calls.jsonl"))
+        prompts = tmp_path / "prompts"
+        prompts.mkdir()
+        for name, template in templates.items():
+            (prompts / f"{name}.txt").write_text(template.body, encoding="utf-8")
+        (prompts / "qa_generate.txt").write_text(
+            templates["qa_generate"].body + "\n{{no_such_variable}}\n", encoding="utf-8"
+        )
+        config = e2e_bundle.make_config(out, prompts=str(prompts))
+        proc = run_cli(["generate", "--config", str(config)])
+        assert proc.returncode == 2
+        assert len(read_jsonl(out / "mock_calls.jsonl")) == calls_before
+        assert "qa_generate.txt" in proc.stderr
+        assert "'no_such_variable'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_visdep_prompt_naming_the_context_is_a_config_error(
