@@ -4,24 +4,33 @@ Two endpoint flavors share one interface, complete(prompt, image_ref) ->
 (text, request digest): an HTTP chat-completion client with retries and rate
 limiting, and a scripted mock keyed by request digest for deterministic
 tests. All parsing helpers are pure functions.
+
+The HTTP client posts through the standard library's http.client, on
+keep-alive connections that every thread of one endpoint shares. It sends
+exactly the request it builds: no proxy, no ~/.netrc credential, no followed
+redirect. HTTPS verifies against the system trust store.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
+import http.client
 import json
 import logging
+import math
 import os
 import re
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
 from concurrent import futures
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from .errors import (
     AuthError,
@@ -79,12 +88,30 @@ class ModelEndpointConfig:
         # Each message starts with the field name, which the config loader prefixes with the slot.
         if self.max_retries < 0:
             raise ConfigError(f"max_retries: must be at least 0, got {self.max_retries}")
+        if not math.isfinite(self.temperature):
+            raise ConfigError(f"temperature: must be a finite number, got {self.temperature}")
+        if self.base_url:
+            _check_base_url(self.base_url)
         if self.timeout <= 0:
             raise ConfigError(f"timeout: must be positive, got {self.timeout}")
         if self.requests_per_minute is not None and self.requests_per_minute < 1:
             raise ConfigError(
                 f"requests_per_minute: must be at least 1, got {self.requests_per_minute}"
             )
+
+
+def _check_base_url(base_url: str) -> None:
+    try:
+        url = urllib.parse.urlsplit(base_url)
+        url.port  # raises on a port that is not a number in range
+    except ValueError as exc:
+        raise ConfigError(f"base_url: {exc}: {base_url!r}") from None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigError(
+            f"base_url: must be an http:// or https:// URL with a host, got {base_url!r}"
+        )
+    if url.username is not None:
+        raise ConfigError("base_url: holds credentials; name their variable in api_key_env")
 
 
 @dataclass
@@ -228,16 +255,87 @@ class TokenBucket:
             sleep(wait)
 
 
-class HttpEndpoint:
-    """Chat-completion client over HTTP with retry, backoff, and rate limit."""
+# A reused connection the server closed while it sat idle fails with one of
+# these before any response arrives; the request is sent again on a new one.
+_STALE = (BrokenPipeError, ConnectionResetError)  # RemoteDisconnected is a ConnectionResetError
 
-    def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, session=None, bucket=None):
+
+class Connections:
+    """Keep-alive connections to one base URL, shared by the threads that post to it.
+
+    A post takes the most recently idle connection, or opens one when none
+    is idle, and puts it back once the whole response is read, unless the
+    server is closing it. A connection that raised is closed, never reused.
+    So no more connections are open than posts are in flight.
+    """
+
+    def __init__(self, base_url: str, timeout: float):
+        url = urllib.parse.urlsplit(base_url)
+        self._path = f"{url.path.rstrip('/')}/chat/completions"
+        # The timeout holds for each socket operation. The port is explicit,
+        # because http.client would read the host "::1" as ":" and port 1.
+        if url.scheme == "https":
+            self._new = functools.partial(
+                http.client.HTTPSConnection, url.hostname, url.port or 443,
+                timeout=timeout, context=ssl.create_default_context(),
+            )
+        else:
+            self._new = functools.partial(
+                http.client.HTTPConnection, url.hostname, url.port or 80, timeout=timeout
+            )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """(status, headers, body) of one POST of body to the chat-completions path."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                resp = self._send(conn, body, headers)
+            except _STALE:
+                conn = None
+        if conn is None:
+            conn = self._new()
+            resp = self._send(conn, body, headers)
+        try:
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, resp.headers, data
+
+    def _send(self, conn: http.client.HTTPConnection, body: bytes, headers: dict):
+        """The response to one request on conn, read up to the end of its headers."""
+        try:
+            if conn.sock is None:
+                conn.connect()
+                # The headers and the body go out in two writes: without this, the
+                # body's last segment can wait for the server's delayed ACK.
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.request("POST", self._path, body, headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
+
+class HttpEndpoint:
+    """Chat-completion client over HTTP with retry, backoff, and rate limit.
+
+    post(body, headers) -> (status, headers, body) sends one request; by
+    default it is a Connections(config.base_url, config.timeout).post.
+    """
+
+    def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, post=None, bucket=None):
         self.config = config
         self._sleep = sleep
-        self._session = session or requests.Session()
-        # An auth of the session's own, which keeps the request as built, stops
-        # requests from swapping in credentials from ~/.netrc.
-        self._session.auth = lambda request: request
+        self._post = post or Connections(config.base_url, config.timeout).post
         # A bucket passed in is shared with other endpoints of one address.
         if bucket is None and config.requests_per_minute:
             bucket = TokenBucket(config.requests_per_minute)
@@ -279,7 +377,9 @@ class HttpEndpoint:
             "messages": [{"role": "user", "content": content}],
             "temperature": cfg.temperature,
         }
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        # Some gateways refuse a request that names no User-Agent.
+        headers = {"Content-Type": "application/json", "User-Agent": "figqa"}
         key = self._api_key()
         if key:
             headers["Authorization"] = f"Bearer {key}"
@@ -290,28 +390,21 @@ class HttpEndpoint:
             if self._bucket is not None:
                 self._bucket.acquire(self._sleep)
             try:
-                resp = self._session.post(
-                    f"{cfg.base_url.rstrip('/')}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=cfg.timeout,
-                    # A followed redirect would carry ~/.netrc credentials, not the key.
-                    allow_redirects=False,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
+                status, resp_headers, data = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = str(exc) or type(exc).__name__
             else:
-                if resp.status_code in (401, 403):
-                    raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-                if 300 <= resp.status_code < 500 and resp.status_code not in (408, 429):
-                    location = resp.headers.get("Location")
+                if status in (401, 403):
+                    raise AuthError(f"endpoint rejected credentials (HTTP {status})")
+                if 300 <= status < 500 and status not in (408, 429):
+                    location = resp_headers.get("Location")
                     raise EndpointUnavailable(
-                        f"{cfg.model_name}: HTTP {resp.status_code} is not retryable"
+                        f"{cfg.model_name}: HTTP {status} is not retryable"
                         + (f" (redirected to {location}; check base_url)" if location else "")
                     )
-                if resp.status_code == 200:
+                if status == 200:
                     try:
-                        text = resp.json()["choices"][0]["message"]["content"]
+                        text = json.loads(data)["choices"][0]["message"]["content"]
                         if not isinstance(text, str):  # the API allows a null content
                             raise TypeError(f"message content is {type(text).__name__}")
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -319,10 +412,10 @@ class HttpEndpoint:
                     else:
                         return text, request_digest(cfg, prompt, image_ref)
                 else:
-                    last_error = f"HTTP {resp.status_code}"
-                if resp.status_code in (429, 503):
+                    last_error = f"HTTP {status}"
+                if status in (429, 503):
                     # Integer seconds only; an HTTP-date value keeps the backoff step.
-                    retry_after = resp.headers.get("Retry-After", "").strip()
+                    retry_after = resp_headers.get("Retry-After", "").strip()
                     if retry_after.isascii() and retry_after.isdigit():
                         wait = int(retry_after)
             if attempt <= cfg.max_retries:

@@ -20,7 +20,6 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import requests
 import yaml
 
 from . import dataset as ds
@@ -199,12 +198,7 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
         if config.requests_per_minute:
             address = (config.base_url, config.api_key_env, config.requests_per_minute)
             bucket = buckets.setdefault(address, TokenBucket(config.requests_per_minute))
-        # One pooled connection per worker; requests' default pool keeps 10.
-        session = requests.Session()
-        adapter = requests.adapters.HTTPAdapter(pool_maxsize=cfg.concurrency)
-        session.mount("http://", adapter)
-        session.mount("https://", adapter)
-        endpoints[name] = HttpEndpoint(config, session=session, bucket=bucket)
+        endpoints[name] = HttpEndpoint(config, bucket=bucket)
     return endpoints
 
 

@@ -3,12 +3,13 @@
 StubEndpoint consumes responses strictly in call order, which keeps
 single-function tests independent of prompt wording. An item that is an
 Exception instance is raised instead of returned; a callable handler takes
-priority over the queue. FakeSession stands in for the requests.Session
-under an HttpEndpoint.
+priority over the queue. FakePost stands in for the transport under an
+HttpEndpoint.
 """
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord
@@ -16,30 +17,28 @@ from figqa.generation import QACandidate
 
 
 class FakeResponse:
+    """One reply: a status, headers, and the payload as a JSON body (bytes are sent as given)."""
+
     def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
-        self._payload = payload
+        self.body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.headers = headers or {}
 
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
 
-
-class FakeSession:
-    """Records posts and serves a queue of FakeResponse or Exception items."""
+class FakePost:
+    """A post(body, headers) transport: records each request, serves a queue of
+    FakeResponse or Exception items."""
 
     def __init__(self, queue):
         self.queue = list(queue)
         self.posts = []
 
-    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
-        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def __call__(self, body, headers):
+        self.posts.append({"json": json.loads(body), "headers": headers})
         item = self.queue.pop(0)
         if isinstance(item, Exception):
             raise item
-        return item
+        return item.status_code, item.headers, item.body
 
 
 def ok_response(text: str) -> FakeResponse:

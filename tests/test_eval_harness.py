@@ -5,13 +5,12 @@ from __future__ import annotations
 import re
 
 import pytest
-import requests
 
 from figqa.errors import EndpointUnavailable
 from figqa.eval_harness import UNLABELED, accuracy_pct, evaluate, format_report
 from figqa.gateway import HttpEndpoint, ModelEndpointConfig, load_templates
 
-from helpers import FakeResponse, FakeSession, StubEndpoint, make_record, ok_response
+from helpers import FakePost, FakeResponse, StubEndpoint, make_record, ok_response
 
 TEMPLATES = load_templates()
 
@@ -160,10 +159,10 @@ class TestEvaluate:
         # The endpoint's retries are the only ones: three posts, then the
         # item is excluded without being called again.
         record = make_record(figure_image_ref="https://host.test/x.png")
-        session = FakeSession([FakeResponse(503)] * 4)
-        ep = HttpEndpoint(_eval_cfg(max_retries=2), sleep=lambda s: None, session=session)
+        transport = FakePost([FakeResponse(503)] * 4)
+        ep = HttpEndpoint(_eval_cfg(max_retries=2), sleep=lambda s: None, post=transport)
         result = evaluate(ep, [record], TEMPLATES)
-        assert len(session.posts) == 3
+        assert len(transport.posts) == 3
         assert result.unevaluated == 1
         assert result.unevaluated_keys == [record.key]
         assert result.overall["total"] == 0
@@ -173,10 +172,10 @@ class TestEvaluate:
 
     def test_transport_failure_then_recovery(self):
         record = make_record(correct_index=0, figure_image_ref="https://host.test/x.png")
-        session = FakeSession([requests.ConnectionError("blip"), ok_response("<option>A</option>")])
-        ep = HttpEndpoint(_eval_cfg(), sleep=lambda s: None, session=session)
+        transport = FakePost([ConnectionResetError("blip"), ok_response("<option>A</option>")])
+        ep = HttpEndpoint(_eval_cfg(), sleep=lambda s: None, post=transport)
         result = evaluate(ep, [record], TEMPLATES)
-        assert len(session.posts) == 2
+        assert len(transport.posts) == 2
         assert result.unevaluated == 0
         assert result.overall["correct"] == 1
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-import requests
 import yaml
 from click.testing import CliRunner
 
@@ -452,8 +451,8 @@ class FlakyVotes:
         return self.inner.complete(prompt, image_ref)
 
 
-class LostResponseSession:
-    """A requests.Session stand-in that answers text requests from a mock endpoint.
+class LostResponse:
+    """A post(body, headers) transport that answers text requests from a mock endpoint.
 
     It loses its first response to a prompt holding `marker`: the request
     reaches the mock, so the mock ledger records it, and then fails in
@@ -466,22 +465,23 @@ class LostResponseSession:
         self.lost = False
         self._lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None, allow_redirects=True):
-        prompt = json["messages"][0]["content"]
+    def __call__(self, body, headers):
+        prompt = json.loads(body)["messages"][0]["content"]
         text, _ = self.inner.complete(prompt)
         if self.marker in prompt:
             with self._lock:
                 lose, self.lost = not self.lost, True
             if lose:
-                raise requests.ConnectionError("response lost")
-        return ok_response(text)
+                raise ConnectionResetError("response lost")
+        reply = ok_response(text)
+        return reply.status_code, reply.headers, reply.body
 
 
-def lossy_http(endpoints: dict, slot: str, marker: str) -> LostResponseSession:
-    """Put slot's mock endpoint behind an HttpEndpoint whose session loses one response."""
-    session = LostResponseSession(endpoints[slot], marker)
-    endpoints[slot] = HttpEndpoint(endpoints[slot].config, sleep=lambda s: None, session=session)
-    return session
+def lossy_http(endpoints: dict, slot: str, marker: str) -> LostResponse:
+    """Put slot's mock endpoint behind an HttpEndpoint whose transport loses one response."""
+    transport = LostResponse(endpoints[slot], marker)
+    endpoints[slot] = HttpEndpoint(endpoints[slot].config, sleep=lambda s: None, post=transport)
+    return transport
 
 
 class Unreachable:
@@ -583,9 +583,9 @@ class TestTransportRounds:
                 full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
             )
             claim_text, digest = self._second_qa_request(full_run, cfg, templates)
-            session = lossy_http(endpoints, "text", claim_text)
+            transport = lossy_http(endpoints, "text", claim_text)
             stage_generate(cfg, endpoints)
-            assert session.lost
+            assert transport.lost
             got = ledger_digests(out)
             assert got == scripted_call_counter(full_run.expect, "generate") + Counter({digest: 1})
             assert sum(got.values()) == full_run.expect["generate_calls"] + 1
@@ -621,9 +621,9 @@ class TestTransportRounds:
             cfg, endpoints = self._stage_config(
                 full_run, e2e_bundle, out, concurrency, "retained.jsonl"
             )
-            session = lossy_http(endpoints, "annotator_text", question)
+            transport = lossy_http(endpoints, "annotator_text", question)
             manifest = stage_annotate(cfg, endpoints)
-            assert session.lost
+            assert transport.lost
             assert manifest["question_type_labeled"] == manifest["figure_type_labeled"] == 1
             assert (out / "annotated.jsonl").read_bytes() == (
                 full_run.out / "annotated.jsonl"
@@ -1058,10 +1058,11 @@ class TestExitCodes:
             ({"endpoints": {"eval": {"requests_per_minute": 0}}},
              "endpoints.eval.requests_per_minute"),
             ({"endpoints": {"text": {"role": "vision"}}}, "endpoints.text.role"),
+            ({"endpoints": {"text": {"base_url": "localhost:8000/v1"}}}, "endpoints.text.base_url"),
         ],
         ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
              "unknown-slot", "bool-seed", "string-threshold", "negative-max-retries",
-             "zero-timeout", "zero-requests-per-minute", "role-key"],
+             "zero-timeout", "zero-requests-per-minute", "role-key", "scheme-less-base-url"],
     )
     def test_bad_config_value_is_a_config_error(
         self, e2e_bundle, run_cli, tmp_path, overrides, named

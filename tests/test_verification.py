@@ -40,7 +40,7 @@ from figqa.verification import (
     run_cascade,
 )
 
-from helpers import FakeSession, StubEndpoint, make_candidate, ok_response
+from helpers import FakePost, StubEndpoint, make_candidate, ok_response
 from oracles import majority_oracle
 
 TEMPLATES = load_templates()
@@ -291,12 +291,12 @@ class TestVisionConsistency:
         if kind == "mock":
             ep = MockBackend({digest: _opt("A")}).endpoint(cfg)
         else:
-            session = FakeSession([ok_response(_opt("A"))] * 3)
-            ep = HttpEndpoint(cfg, sleep=lambda s: None, session=session)
+            transport = FakePost([ok_response(_opt("A"))] * 3)
+            ep = HttpEndpoint(cfg, sleep=lambda s: None, post=transport)
         v = apply_filter(CASCADE[3], cand, "ctx", ep, TEMPLATES)
         assert v.transcript_ref == digest
         if kind == "http":
-            sent = [post["json"]["messages"][0]["content"][0]["text"] for post in session.posts]
+            sent = [post["json"]["messages"][0]["content"][0]["text"] for post in transport.posts]
             assert sent == [prompt] * 3
 
 
