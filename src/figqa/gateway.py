@@ -349,6 +349,10 @@ class HttpEndpoint:
             raise AuthError(
                 f"credential environment variable {self.config.api_key_env!r} is not set"
             )
+        if "\r" in key or "\n" in key:  # not a valid header value; the error would print it
+            raise AuthError(
+                f"credential environment variable {self.config.api_key_env!r} holds a line break"
+            )
         return key
 
     def _image_part(self, image_ref: str) -> dict:

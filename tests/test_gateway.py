@@ -651,6 +651,17 @@ class TestHttpEndpoint:
             ep.complete("p")
         assert transport.posts == []
 
+    def test_credential_with_a_line_break_fails_without_being_shown(self, monkeypatch):
+        monkeypatch.setenv("FIGQA_TEST_KEY", "sk-secret\n")
+        transport = FakePost([])
+        ep = HttpEndpoint(
+            _http_cfg(api_key_env="FIGQA_TEST_KEY"), sleep=lambda s: None, post=transport
+        )
+        with pytest.raises(AuthError, match="FIGQA_TEST_KEY") as exc:
+            ep.complete("p")
+        assert "sk-secret" not in str(exc.value)
+        assert transport.posts == []
+
     def test_credential_header_attached(self, monkeypatch):
         monkeypatch.setenv("FIGQA_TEST_KEY", "sk-testvalue")
         transport = FakePost([ok_response("r")])
