@@ -1,26 +1,8 @@
 """Command-line interface: `run`, one subcommand per pipeline stage, and `evaluate`.
 
 `figqa <stage>` is `figqa run --stage <stage>`: both print each stage's
-summary line and share one exit-code map.
-
-Exit codes: 0 success, 1 evaluation over the unevaluated threshold, 2
-configuration error (a mistyped or out-of-range value, an unknown key or
-endpoint slot, a config file or prompt template that is not UTF-8, a prompt
-template naming an unknown variable, a mock script that cannot be read, is
-not JSON or maps a digest to anything but a string or a list of strings, or
-a request the mock script has no response for), 3 upstream-input error (a
-missing, truncated, corrupt or non-UTF-8 input file or row, a candidate or
-record that is not a valid four-option question, an unreadable figure image,
-a candidate whose figure context changed since generate, stage files whose
-funnel counts are inconsistent, or a failed verdict replay under `stats` or
-`run`), 4 endpoint auth error, 5 endpoint unavailable after its max_retries
-retries, or a request it refused (rerun the stage; generate, verify and
-annotate write nothing while any item is deferred), 6 file-system error (an
-output path that cannot be created or written, say), 7 internal error (any
-other exception, reported as one line naming its type and the innermost
-frame that raised it). Every file a stage writes is replaced atomically, so
-a failed or killed stage leaves the old file or the new one, never a
-half-written one.
+summary line and share one exit-code map, the EXIT_* codes below. README's
+exit-code table says what each code means.
 """
 
 from __future__ import annotations
@@ -159,7 +141,8 @@ for _stage in STAGES:
 @_handle_errors
 def evaluate(config_path, **params):
     cfg = _build_config(config_path, params)
-    summary = pipeline.stage_evaluate(cfg, pipeline.build_endpoints(cfg))
+    with pipeline.open_endpoints(cfg, ("eval",)) as endpoints:
+        summary = pipeline.stage_evaluate(cfg, endpoints)
     click.echo(summary["report"])
     if summary["unevaluated"] > cfg.unevaluated_threshold:
         click.echo(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
-CITATION_COMMANDS = ("ref", "cref", "autoref")
+CITATION_COMMANDS = ("ref", "cref", "Cref", "autoref")
 _CITATION_RE = re.compile(r"\\(?:" + "|".join(CITATION_COMMANDS) + r")\*?\s*\{([^{}]*)\}")
 
 

@@ -310,6 +310,13 @@ class Connections:
                 self._idle.append(conn)
         return resp.status, resp.headers, data
 
+    def close(self) -> None:
+        """Close every idle connection; one in use goes back to the idle list when its post ends."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
     def _send(self, conn: http.client.HTTPConnection, body: bytes, headers: dict):
         """The response to one request on conn, read up to the end of its headers."""
         try:
@@ -329,17 +336,20 @@ class HttpEndpoint:
     """Chat-completion client over HTTP with retry, backoff, and rate limit.
 
     post(body, headers) -> (status, headers, body) sends one request; by
-    default it is a Connections(config.base_url, config.timeout).post.
+    default it is a Connections(config.base_url, config.timeout).post, which
+    close() closes. Each attempt first takes a token from bucket, when given.
     """
 
     def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, post=None, bucket=None):
         self.config = config
         self._sleep = sleep
-        self._post = post or Connections(config.base_url, config.timeout).post
-        # A bucket passed in is shared with other endpoints of one address.
-        if bucket is None and config.requests_per_minute:
-            bucket = TokenBucket(config.requests_per_minute)
+        self._connections = None if post else Connections(config.base_url, config.timeout)
+        self._post = post or self._connections.post
         self._bucket = bucket
+
+    def close(self) -> None:
+        if self._connections is not None:
+            self._connections.close()
 
     def _api_key(self) -> str | None:
         if not self.config.api_key_env:

@@ -5,12 +5,13 @@ predecessor's output, writes line-delimited records plus a manifest, and is
 deterministic given identical inputs and seed under mock backends. The
 verify stage additionally skips already-verdicted items via the verdict
 log, which is what makes crashed runs resumable without duplicate calls.
-STAGES declares the stages once: their order, the files each writes, which
-ones pay for model calls, and each one's summary line.
+STAGES declares the stages once: their order, the files each writes, the
+endpoint slots each calls, and each one's summary line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -53,8 +54,8 @@ from .generation import (
 from .latex_prep import RawPaper, clean_paper
 from .replay import replay_verdicts
 
-# Endpoint slots and their built-in defaults, which each slot's config entry overrides in
-# every mode; outside mock mode, annotator/eval slots first inherit text/vision's address.
+# Endpoint slots and their built-in defaults. In every mode a slot takes every key but temperature
+# that its base slot (the one its role names) sets, then its own entry's keys on top.
 ROLE_DEFAULTS: dict[str, dict] = {
     "text": {"role": "text", "model_name": "mock-text", "temperature": 1.0},
     "vision": {"role": "vision", "model_name": "mock-vision", "temperature": 1.0},
@@ -90,17 +91,19 @@ class RunConfig:
         unknown = sorted(self.endpoints.keys() - ROLE_DEFAULTS.keys())
         if unknown:
             raise ConfigError(f"unknown endpoint slots: {unknown}")
-        for name in ROLE_DEFAULTS:
+        self._resolved: dict[str, ModelEndpointConfig] = {}
+        for name, defaults in ROLE_DEFAULTS.items():
             if "role" in self.endpoints.get(name, {}):  # fixed per slot
                 raise ConfigError(f"endpoints.{name}.role: unknown endpoint key")
-            _check_config(ENDPOINT_CHECK, self._endpoint_dict(name), f"endpoints.{name}")
+            values = {**defaults, **self._given(name)}
+            _check_config(ENDPOINT_CHECK, values, f"endpoints.{name}")
             try:
-                self.endpoint_config(name)
+                self._resolved[name] = ModelEndpointConfig(**values)
             except ConfigError as exc:
                 raise ConfigError(f"endpoints.{name}.{exc}") from None
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
-        if self._endpoint_dict("eval")["temperature"] != 0:
+        if self._resolved["eval"].temperature != 0:
             raise ConfigError("endpoints.eval.temperature must be 0: evaluation is greedy")
 
     def config_digest(self) -> str:
@@ -108,34 +111,20 @@ class RunConfig:
         payload = {
             "seed": self.seed,
             "endpoints": {
-                name: {
-                    k: v
-                    for k, v in sorted(self._endpoint_dict(name).items())
-                    if k != "api_key_env"
-                }
-                for name in ROLE_DEFAULTS
+                name: {k: v for k, v in asdict(config).items() if k != "api_key_env"}
+                for name, config in self._resolved.items()
             },
         }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
-    def _endpoint_dict(self, name: str) -> dict:
-        merged = dict(ROLE_DEFAULTS[name])
-        # Annotator/eval roles inherit the base vision/text endpoint address.
-        base_role = merged["role"]
-        if not self.mock_script and base_role in self.endpoints:
-            inherited = {
-                k: v
-                for k, v in self.endpoints[base_role].items()
-                if k in ("base_url", "api_key_env", "requests_per_minute", "timeout", "max_retries")
-            }
-            merged.update(inherited)
-        merged.update(self.endpoints.get(name, {}))
-        return merged
+    def _given(self, name: str) -> dict:
+        """The keys the config sets for a slot: its base slot's but temperature, then its own."""
+        base = self.endpoints.get(ROLE_DEFAULTS[name]["role"], {})
+        inherited = {k: v for k, v in base.items() if k != "temperature"}
+        return {**inherited, **self.endpoints.get(name, {})}
 
     def endpoint_config(self, name: str) -> ModelEndpointConfig:
-        return ModelEndpointConfig(**self._endpoint_dict(name))
+        return self._resolved[name]
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -175,24 +164,28 @@ def _check_config(check, values: dict, where: str) -> None:
         raise ConfigError(f"{where}.{exc.field}: {exc.detail}") from None
 
 
-def build_endpoints(cfg: RunConfig) -> dict[str, object]:
-    """Instantiate all five endpoint slots, mock or HTTP."""
+def build_endpoints(cfg: RunConfig, slots: tuple[str, ...] = tuple(ROLE_DEFAULTS)) -> dict:
+    """The named endpoint slots (default: all five), mock or HTTP.
+
+    A live slot takes its base_url and model_name from the config, never a built-in mock name.
+    """
     if cfg.mock_script:
         backend = MockBackend.from_file(
             cfg.mock_script,
             ledger=functools.partial(ds.append_jsonl, Path(cfg.output) / "mock_calls.jsonl"),
         )
-        return {name: backend.endpoint(cfg.endpoint_config(name)) for name in ROLE_DEFAULTS}
-    for required in ("text", "vision"):
-        if required not in cfg.endpoints or not cfg.endpoints[required].get("base_url"):
-            raise ConfigError(
-                f"live runs need an endpoints.{required} entry with a base_url"
-            )
+        return {name: backend.endpoint(cfg.endpoint_config(name)) for name in slots}
     # Slots that inherit one address and limit share one bucket, so the
     # configured requests_per_minute caps their combined rate.
     buckets: dict[tuple, TokenBucket] = {}
     endpoints = {}
-    for name in ROLE_DEFAULTS:
+    for name in slots:
+        missing = [key for key in ("base_url", "model_name") if not cfg._given(name).get(key)]
+        if missing:
+            raise ConfigError(
+                f"endpoints.{name}: a live run needs {' and '.join(missing)}, from this slot's "
+                "entry or its base slot's"
+            )
         config = cfg.endpoint_config(name)
         bucket = None
         if config.requests_per_minute:
@@ -200,6 +193,18 @@ def build_endpoints(cfg: RunConfig) -> dict[str, object]:
             bucket = buckets.setdefault(address, TokenBucket(config.requests_per_minute))
         endpoints[name] = HttpEndpoint(config, bucket=bucket)
     return endpoints
+
+
+@contextlib.contextmanager
+def open_endpoints(cfg: RunConfig, slots: tuple[str, ...]):
+    """build_endpoints(cfg, slots) for the with block, which closes their idle connections."""
+    endpoints = build_endpoints(cfg, slots) if slots else {}
+    try:
+        yield endpoints
+    finally:
+        for endpoint in endpoints.values():
+            if isinstance(endpoint, HttpEndpoint):  # a mock endpoint holds no connection
+                endpoint.close()
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +582,21 @@ def stage_stats(cfg: RunConfig) -> dict:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage: its body, the files it writes, and its summary line.
+    """One pipeline stage: its body, the files it writes, the slots it calls, its summary line.
 
-    A paid body also takes the endpoints. The manifest is the body's counts under
-    the stage name; a row that writes manifest_<name>.json writes it last.
+    A body that calls slots also takes the endpoints. The manifest is the body's counts
+    under the stage name; a row that writes manifest_<name>.json writes it last.
     """
 
     name: str
     run: Callable[..., dict]
     writes: tuple[str, ...]
-    paid: bool
+    slots: tuple[str, ...]
     summary: Callable[[dict], str]
 
     def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
         try:
-            counts = self.run(cfg, endpoints) if self.paid else self.run(cfg)
+            counts = self.run(cfg, endpoints) if self.slots else self.run(cfg)
         except EndpointUnavailable as exc:
             raise EndpointUnavailable(f"{exc}; no {self.name} output written") from None
         manifest = {"stage": self.name, **counts}
@@ -603,25 +608,26 @@ class Stage:
 
 
 STAGES = (
-    Stage("prepare", stage_prepare, ("papers_clean.jsonl", "manifest_prepare.json"), False,
+    Stage("prepare", stage_prepare, ("papers_clean.jsonl", "manifest_prepare.json"), (),
           lambda m: f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
                     f"({len(m['skipped'])} skipped)"),
     Stage("extract", stage_extract,
-          ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), False,
+          ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), (),
           lambda m: f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
                     f"(discards: {json.dumps(m['discards'], sort_keys=True)})"),
-    Stage("generate", stage_generate,
-          ("claims.jsonl", "candidates.jsonl", "declined.jsonl", "manifest_generate.json"), True,
+    Stage("generate", stage_generate, ("claims.jsonl", "candidates.jsonl", "declined.jsonl",
+                                       "manifest_generate.json"), ("text",),
           lambda m: f"generated {m['candidates']} candidates from {m['claims']} claims "
                     f"({m['declined']} declined)"),
-    Stage("verify", stage_verify, ("verdict_log.jsonl", "retained.jsonl",
-                                   "verify_discards.jsonl", "manifest_verify.json"), True,
+    Stage("verify", stage_verify, ("verdict_log.jsonl", "retained.jsonl", "verify_discards.jsonl",
+                                   "manifest_verify.json"), ("text", "vision"),
           lambda m: f"retained {m['retained']} of {m['candidates']} candidates "
                     f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"),
-    Stage("annotate", stage_annotate, ("annotated.jsonl", "manifest_annotate.json"), True,
+    Stage("annotate", stage_annotate, ("annotated.jsonl", "manifest_annotate.json"),
+          ("annotator_text", "annotator_vision"),
           lambda m: f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
                     f"question type {m['question_type_labeled']})"),
-    Stage("stats", stage_stats, ("stats.json",), False,
+    Stage("stats", stage_stats, ("stats.json",), (),
           lambda m: f"{m['table']}\n{m['replay_summary']}"),
 )
 STAGE_FUNCTIONS = {stage.name: stage for stage in STAGES}
@@ -635,5 +641,6 @@ def run_stages(cfg: RunConfig, stages: list[str] | None = None) -> list[dict]:
     if unknown:
         raise ConfigError(f"unknown stages: {unknown}")
     rows = [stage for stage in STAGES if stage.name in selected]
-    endpoints = build_endpoints(cfg) if any(stage.paid for stage in rows) else None
-    return [stage(cfg, endpoints) for stage in rows]
+    slots = tuple(dict.fromkeys(slot for stage in rows for slot in stage.slots))
+    with open_endpoints(cfg, slots) as endpoints:
+        return [stage(cfg, endpoints) for stage in rows]

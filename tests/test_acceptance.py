@@ -272,4 +272,5 @@ def test_criterion_9_live_endpoint_smoke():
         cfg = RunConfig.from_yaml(config_path)
         endpoint = HttpEndpoint(cfg.endpoint_config("text"))
         text, _ = endpoint.complete("Reply with the single word: ready.")
+        endpoint.close()
         assert text.strip()

@@ -3,7 +3,7 @@
 The config-key table, the endpoint-key sentence, the exit-code table and
 the list of output files are written by hand; these guards fail when a
 field, an exit code or a stage's output is added, renamed or removed
-without them.
+without them. The example configs must load and resolve as README says.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import yaml
+
 from figqa import cli
 from figqa.gateway import ModelEndpointConfig
-from figqa.pipeline import STAGES, RunConfig
+from figqa.pipeline import ROLE_DEFAULTS, STAGES, RunConfig, open_endpoints
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -57,3 +59,26 @@ def test_readme_outputs_name_every_file_the_stages_write():
     assert re.findall(r"`(\w+)`", without) == [
         stage.name for stage in STAGES if f"manifest_{stage.name}.json" not in stage.writes
     ]
+
+
+def _yaml_block(intro: str) -> dict:
+    """The YAML block that follows the line intro."""
+    block = README.split(intro + "\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    return yaml.safe_load(block)
+
+
+def test_readme_example_config_names_the_model_of_every_slot():
+    # No live request carries a built-in mock model name, and only text and vision sample.
+    data = _yaml_block("Write a YAML config:")
+    named = {entry["model_name"] for entry in data["endpoints"].values()}
+    with open_endpoints(RunConfig.from_dict(data), tuple(ROLE_DEFAULTS)) as endpoints:
+        for name, endpoint in endpoints.items():
+            assert endpoint.config.model_name in named, name
+            greedy = name not in ("text", "vision")
+            assert (endpoint.config.temperature == 0) == greedy, name
+
+
+def test_readme_evaluate_only_config_builds_its_eval_slot():
+    data = _yaml_block("Evaluating another model on a finished dataset needs only its `eval` entry:")
+    with open_endpoints(RunConfig.from_dict(data), ("eval",)) as endpoints:
+        assert endpoints["eval"].config.model_name == data["endpoints"]["eval"]["model_name"]

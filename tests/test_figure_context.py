@@ -287,6 +287,11 @@ class TestFindCitingParagraphs:
             "See \\cref*{fig:a}."
         ]
 
+    def test_capitalised_cref_cites(self):
+        # cleveref's \Cref, the form that starts a sentence, binds like \cref.
+        para = "\\Cref{fig:a} shows the value rising."
+        assert find_citing_paragraphs(["fig:a"], [para]) == [para]
+
 
 def _paper(source: str, pairs: list[tuple[str, str]]) -> tuple:
     raw = RawPaper("2000.00001", "cs.LG", source, figure_caption_pairs=pairs)
@@ -319,6 +324,18 @@ class TestBuildFigureContexts:
         )
         assert ctx.figure_image_ref == "a.png"
         assert ctx.caption == "Accuracy curve."
+
+    def test_figure_cited_only_by_capitalised_cref_is_kept(self):
+        source = (
+            "\\Cref{fig:a} shows accuracy rising.\n\n"
+            "\\begin{figure}\n\\caption{Accuracy curve.}\n\\label{fig:a}\n\\end{figure}\n"
+        )
+        paragraphs, raw = _paper(source, [("a.png", "Accuracy curve.")])
+        found, discards = build_figure_contexts(paragraphs, raw)
+        assert discards == []
+        assert [(c.label, c.context) for c in found] == [
+            ("fig:a", "\\Cref{fig:a} shows accuracy rising.")
+        ]
 
     def test_never_cited_discarded(self):
         source = (

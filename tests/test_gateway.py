@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import base64
+import gc
+import http.client
 import json
 import os
+import ssl
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import warnings
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from figqa.dataset import append_jsonl
+from figqa import pipeline
+from figqa.cli import main
+from figqa.dataset import append_jsonl, write_dataset
 from figqa.errors import (
     AuthError,
     ConfigError,
@@ -25,11 +31,13 @@ from figqa.errors import (
     MalformedResponse,
     MissingVariable,
     UnscriptedRequest,
+    UpstreamInputError,
 )
 from figqa.gateway import (
     AMBIGUOUS,
     NONE_SIGNAL,
     TEMPLATE_NAMES,
+    Connections,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
@@ -44,10 +52,11 @@ from figqa.gateway import (
     render_template,
     request_digest,
 )
-from figqa.pipeline import RunConfig, build_endpoints
+from figqa.pipeline import RunConfig, build_endpoints, run_stages
 
+from click.testing import CliRunner
 from crash_launcher import CRASH_EXIT_CODE
-from helpers import FakePost, FakeResponse, ok_response
+from helpers import FakePost, FakeResponse, make_record, ok_response
 
 
 class TestRenderTemplate:
@@ -680,7 +689,9 @@ class TestHttpEndpoint:
         with Loopback() as server:
             key_env = "FIGQA_TEST_KEY" if key else None
             cfg = _http_cfg(base_url=server.base_url, api_key_env=key_env)
-            assert HttpEndpoint(cfg, sleep=lambda s: None).complete("p")[0] == "ok"
+            ep = HttpEndpoint(cfg, sleep=lambda s: None)
+            assert ep.complete("p")[0] == "ok"
+            ep.close()
         (sent,) = server.received
         assert sent["headers"].get("Authorization") == (f"Bearer {key}" if key else None)
 
@@ -695,6 +706,7 @@ class TestHttpEndpoint:
             )
             with pytest.raises(EndpointUnavailable, match="HTTP 307 is not retryable") as exc:
                 ep.complete("p")
+            ep.close()
         assert f"{server.origin}/v2/chat/completions" in str(exc.value)
         (sent,) = server.received
         assert sent["headers"]["Authorization"] == "Bearer sk-x"
@@ -816,8 +828,13 @@ class TestTokenBucket:
         cfg = RunConfig(
             output=str(tmp_path),
             endpoints={
-                "text": {"base_url": "http://text.test/v1", "requests_per_minute": 60},
-                "vision": {"base_url": "http://vision.test/v1", "requests_per_minute": 60},
+                "text": {
+                    "base_url": "http://text.test/v1", "model_name": "t", "requests_per_minute": 60
+                },
+                "vision": {
+                    "base_url": "http://vision.test/v1", "model_name": "v",
+                    "requests_per_minute": 60,
+                },
             },
         )
         eps = build_endpoints(cfg)
@@ -826,6 +843,35 @@ class TestTokenBucket:
         assert eps["vision"]._bucket is eps["annotator_vision"]._bucket
         assert eps["text"]._bucket is not eps["vision"]._bucket
         assert isinstance(eps["text"]._bucket, TokenBucket)
+        for ep in eps.values():
+            ep.close()
+
+    def test_complete_waits_on_the_shared_bucket_before_each_attempt(self, tmp_path, monkeypatch):
+        # One request a minute: each retry waits out its backoff, then the rest of its
+        # minute, and annotator_text, which shares text's bucket, then waits a whole one.
+        clock = {"now": 0.0}
+        monkeypatch.setattr("figqa.gateway.time.monotonic", lambda: clock["now"])
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock["now"] += seconds
+
+        text = {"base_url": "http://text.test/v1", "model_name": "t", "requests_per_minute": 1}
+        cfg = RunConfig(output=str(tmp_path), endpoints={"text": text})
+        eps = build_endpoints(cfg, ("text", "annotator_text"))
+        transport = FakePost([FakeResponse(503), FakeResponse(503), ok_response("a")])
+        eps["text"]._sleep, eps["text"]._post = sleep, transport
+        assert eps["text"].complete("p")[0] == "a"
+        assert sleeps == [1, 59, 2, 58]
+        assert len(transport.posts) == 3
+
+        sleeps.clear()
+        annotator = FakePost([ok_response("b")])
+        eps["annotator_text"]._sleep, eps["annotator_text"]._post = sleep, annotator
+        assert eps["annotator_text"].complete("q")[0] == "b"
+        assert sleeps == [60]
+        assert annotator.posts[0]["json"]["model"] == "t"
 
 
 class TestPoolMap:
@@ -917,6 +963,7 @@ class TestConnections:
             ep = HttpEndpoint(_http_cfg(base_url=server.base_url), sleep=lambda s: None)
             for i in range(20):
                 assert ep.complete(f"p{i}")[0] == "ok"
+            ep.close()
         assert server.opened == 1
         assert [r["path"] for r in server.received] == ["/v1/chat/completions"] * 20
         assert [r["json"]["messages"][0]["content"] for r in server.received] == [
@@ -932,6 +979,7 @@ class TestConnections:
             assert ep.complete("first")[0] == "ok"
             assert server.closed.acquire(timeout=10)
             assert ep.complete("second")[0] == "ok"
+            ep.close()
         assert sleeps == []
         assert server.opened == 2
         assert [r["json"]["messages"][0]["content"] for r in server.received] == ["first", "second"]
@@ -941,6 +989,7 @@ class TestConnections:
         with Loopback(["truncated"]) as server:
             ep = HttpEndpoint(_http_cfg(base_url=server.base_url), sleep=sleeps.append)
             assert ep.complete("p")[0] == "ok"
+            ep.close()
         assert sleeps == [1]
         assert len(server.received) == 2
         assert server.opened == 2
@@ -954,11 +1003,30 @@ class TestConnections:
             assert ep.complete("first")[0] == "ok"
             assert server.closed.acquire(timeout=10)
             assert ep.complete("second")[0] == "ok"
+            ep.close()
         assert sleeps == [1]
         assert server.opened == 3
         assert [r["json"]["messages"][0]["content"] for r in server.received] == [
             "first", "second", "second"
         ]
+
+    def test_close_closes_the_idle_connections(self):
+        with Loopback() as server:
+            ep = HttpEndpoint(_http_cfg(base_url=server.base_url), sleep=lambda s: None)
+            assert ep.complete("first")[0] == "ok"
+            ep.close()
+            assert server.closed.acquire(timeout=10)
+            assert ep.complete("second")[0] == "ok"
+            ep.close()
+        assert server.opened == 2
+
+    def test_https_verifies_the_certificate_and_the_host_name(self):
+        conn = Connections("https://host.test/v1", 5.0)._new()
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert (conn.host, conn.port, conn.timeout) == ("host.test", 443, 5.0)
+        assert conn.sock is None  # built, not connected
+        assert conn._context.check_hostname
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
 
     def test_an_error_without_text_is_named_by_its_class(self):
         ep = HttpEndpoint(
@@ -977,13 +1045,14 @@ class TestBuildEndpoints:
                 output=str(tmp_path),
                 concurrency=concurrency,
                 endpoints={
-                    "text": {"base_url": server.base_url},
-                    "vision": {"base_url": server.base_url},
+                    "text": {"base_url": server.base_url, "model_name": "t"},
+                    "vision": {"base_url": server.base_url, "model_name": "v"},
                 },
             )
             for name, ep in build_endpoints(cfg).items():
                 opened = server.opened
                 results = map_items(ep.complete, [f"p{i}" for i in range(40)], concurrency)
+                ep.close()
                 assert [text for text, _ in results] == ["ok"] * 40, name
                 assert 1 <= server.opened - opened <= concurrency, name
 
@@ -997,3 +1066,105 @@ class TestBuildEndpoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestSlots:
+    """How each endpoint slot resolves, and which slots a command builds."""
+
+    @pytest.mark.parametrize("mock_script", [None, "script.json"], ids=["live", "mock"])
+    def test_a_derived_slot_takes_every_key_of_its_base_but_temperature(
+        self, tmp_path, mock_script
+    ):
+        vision = {
+            "base_url": "http://vision.test/v1", "model_name": "v", "temperature": 0.7,
+            "timeout": 5.0, "max_retries": 1, "api_key_env": "VISION_KEY",
+            "requests_per_minute": 30,
+        }
+        cfg = RunConfig(
+            output=str(tmp_path), mock_script=mock_script,
+            endpoints={"vision": vision, "eval": {"model_name": "judge"}},
+        )
+        for name, model in (("annotator_vision", "v"), ("eval", "judge")):
+            config = cfg.endpoint_config(name)
+            assert config.model_name == model
+            assert config.temperature == 0
+            assert (config.base_url, config.timeout, config.max_retries) == (
+                "http://vision.test/v1", 5.0, 1
+            )
+            assert (config.api_key_env, config.requests_per_minute) == ("VISION_KEY", 30)
+        assert cfg.endpoint_config("vision").temperature == 0.7
+
+    def test_evaluate_with_only_an_eval_entry_runs_live(self, tmp_path):
+        image = tmp_path / "figure.png"
+        image.write_bytes(b"not really a png")
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset([make_record(figure_image_ref=str(image))], dataset)
+        with Loopback() as server:
+            config = tmp_path / "eval.yaml"
+            config.write_text(json.dumps({
+                "output": str(tmp_path / "out"),
+                "eval_dataset": str(dataset),
+                "endpoints": {"eval": {"base_url": server.base_url, "model_name": "live-eval"}},
+            }))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                result = CliRunner().invoke(main, ["evaluate", "--config", str(config)])
+                gc.collect()
+        assert result.exit_code == 0, result.output
+        assert "Unevaluated: 0" in result.output
+        assert [(r["json"]["model"], r["json"]["temperature"]) for r in server.received] == [
+            ("live-eval", 0.0)
+        ]
+        # evaluate closed its endpoint's connection; none was left to the garbage collector.
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize(
+        "command, endpoints, named",
+        [
+            ("generate", {"text": {}, "vision": {"model_name": "v"}}, "endpoints.text"),
+            ("verify", {"text": {"model_name": "t"}, "vision": {}}, "endpoints.vision"),
+            ("annotate", {"text": {"model_name": "t"}, "vision": {}}, "endpoints.annotator_vision"),
+            ("evaluate", {"vision": {}}, "endpoints.eval"),
+        ],
+        ids=["generate", "verify", "annotate", "evaluate"],
+    )
+    def test_a_called_slot_without_a_model_name_exits_2_before_any_post(
+        self, tmp_path, command, endpoints, named
+    ):
+        with Loopback() as server:
+            for entry in endpoints.values():
+                entry["base_url"] = server.base_url
+            config = tmp_path / "live.yaml"
+            config.write_text(json.dumps({"output": str(tmp_path / "out"), "endpoints": endpoints}))
+            result = CliRunner().invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"config error: {named}: a live run needs model_name")
+        assert server.opened == 0
+        assert server.received == []
+
+    def test_a_live_slot_without_a_base_url_is_a_config_error(self, tmp_path):
+        cfg = RunConfig(output=str(tmp_path), endpoints={"eval": {"model_name": "m"}})
+        with pytest.raises(ConfigError, match=r"^endpoints\.eval: a live run needs base_url,"):
+            build_endpoints(cfg, ("eval",))
+
+    def test_annotate_builds_and_closes_only_the_annotator_slots(self, tmp_path, monkeypatch):
+        built, closed = {}, []
+
+        def recording_build(cfg, slots):
+            built.update(build_endpoints(cfg, slots))
+            return built
+
+        monkeypatch.setattr(pipeline, "build_endpoints", recording_build)
+        monkeypatch.setattr(HttpEndpoint, "close", lambda ep: closed.append(ep.config.model_name))
+        # No text or vision entry: building either slot would be a ConfigError.
+        cfg = RunConfig(
+            output=str(tmp_path),
+            endpoints={
+                "annotator_text": {"base_url": "http://a.test/v1", "model_name": "a-text"},
+                "annotator_vision": {"base_url": "http://a.test/v1", "model_name": "a-vision"},
+            },
+        )
+        with pytest.raises(UpstreamInputError, match="missing retained.jsonl"):
+            run_stages(cfg, ["annotate"])
+        assert sorted(built) == ["annotator_text", "annotator_vision"]
+        assert sorted(closed) == ["a-text", "a-vision"]  # closed though the stage raised

@@ -1157,7 +1157,7 @@ class TestExitCodes:
     @staticmethod
     def _live_config(e2e_bundle, out):
         """A config whose endpoints sit on a closed local port, with no retries."""
-        endpoint = {"base_url": "http://127.0.0.1:9/v1", "max_retries": 0}
+        endpoint = {"base_url": "http://127.0.0.1:9/v1", "model_name": "live", "max_retries": 0}
         return e2e_bundle.make_config(
             out, mock_script=None, endpoints={"text": dict(endpoint), "vision": dict(endpoint)}
         )
@@ -1413,7 +1413,10 @@ class TestExitCodes:
 
     def test_missing_credential_variable(self, e2e_bundle, run_cli, tmp_path):
         out = tmp_path / "live"
-        endpoint = {"base_url": "http://127.0.0.1:9/v1", "api_key_env": "FIGQA_TEST_NO_SUCH_KEY"}
+        endpoint = {
+            "base_url": "http://127.0.0.1:9/v1", "model_name": "live",
+            "api_key_env": "FIGQA_TEST_NO_SUCH_KEY",
+        }
         config = e2e_bundle.make_config(
             out, mock_script=None, endpoints={"text": dict(endpoint), "vision": dict(endpoint)}
         )
