@@ -68,6 +68,14 @@ _IMAGE_MIME = {
     ".bmp": "image/bmp",
 }
 
+# A scheme followed by "://"; schemes are case-insensitive (RFC 3986, 3.1).
+_URL_RE = re.compile(r"[a-z][a-z0-9+.-]*://", re.ASCII | re.IGNORECASE)
+
+# json.dumps writes an empty image URL as this slot. A local image's data URI
+# is spliced into it as bytes: base64 holds nothing JSON escapes, so the body
+# is the one json.dumps would write with the URI in place, without its escape scan.
+_EMPTY_URL = b'{"url": ""}'
+
 
 @dataclass(frozen=True)
 class ModelEndpointConfig:
@@ -346,6 +354,7 @@ class HttpEndpoint:
         self._connections = None if post else Connections(config.base_url, config.timeout)
         self._post = post or self._connections.post
         self._bucket = bucket
+        self._last_image = threading.local()  # .entry: (stamp, data URI), see _data_uri
 
     def close(self) -> None:
         if self._connections is not None:
@@ -365,33 +374,57 @@ class HttpEndpoint:
             )
         return key
 
-    def _image_part(self, image_ref: str) -> dict:
-        if re.match(r"^[a-z][a-z0-9+.-]*://", image_ref):
-            return {"type": "image_url", "image_url": {"url": image_ref}}
+    def _data_uri(self, image_ref: str) -> bytes:
+        """The local image's data URI as ASCII bytes: b"data:<mime>;base64,<file>".
+
+        Each thread keeps the last URI it built, so the votes of one candidate
+        and the claims of one figure read and encode the file once. The entry
+        is reused only while the file's path, inode, size and mtime are those
+        it was read under; a changed stamp or a failed stat reads it again.
+        """
         path = Path(image_ref)
         mime = _IMAGE_MIME.get(path.suffix.lower())
         if mime is None:
             raise ImageUnreadable(f"unsupported image format: {image_ref}")
         try:
+            st = os.stat(image_ref)
+            stamp = (image_ref, st.st_ino, st.st_size, st.st_mtime_ns)
+        except OSError:
+            stamp = None
+        last_stamp, last_uri = getattr(self._last_image, "entry", (None, b""))
+        if stamp is not None and stamp == last_stamp:
+            return last_uri
+        try:
             data = path.read_bytes()
         except OSError as exc:
             raise ImageUnreadable(f"cannot read image {image_ref}: {exc}") from exc
-        uri = f"data:{mime};base64,{base64.b64encode(data).decode('ascii')}"
-        return {"type": "image_url", "image_url": {"url": uri}}
+        uri = b"data:" + mime.encode("ascii") + b";base64," + base64.b64encode(data)
+        self._last_image.entry = (stamp, uri)
+        return uri
 
     def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
         cfg = self.config
         if image_ref is not None and cfg.role != "vision":
             raise ValueError("text endpoint cannot accept an image attachment")
         content: object = prompt
+        uri = None
         if image_ref is not None:
-            content = [{"type": "text", "text": prompt}, self._image_part(image_ref)]
+            if _URL_RE.match(image_ref):
+                url = image_ref
+            else:
+                url, uri = "", self._data_uri(image_ref)
+            image_part = {"type": "image_url", "image_url": {"url": url}}
+            content = [{"type": "text", "text": prompt}, image_part]
         payload = {
             "model": cfg.model_name,
             "messages": [{"role": "user", "content": content}],
             "temperature": cfg.temperature,
         }
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        if uri is not None:
+            # Only the temperature follows the image part, so its slot is the last one.
+            head, _, tail = body.rpartition(_EMPTY_URL)
+            body = b"".join((head, b'{"url": "', uri, b'"}', tail))
         # Some gateways refuse a request that names no User-Agent.
         headers = {"Content-Type": "application/json", "User-Agent": "figqa"}
         key = self._api_key()

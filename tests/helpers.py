@@ -10,6 +10,7 @@ HttpEndpoint.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord
@@ -26,19 +27,27 @@ class FakeResponse:
 
 
 class FakePost:
-    """A post(body, headers) transport: records each request, serves a queue of
-    FakeResponse or Exception items."""
+    """A post(body, headers) transport: records each request (its raw body, the body
+    parsed, its headers), serves a queue of FakeResponse or Exception items."""
 
     def __init__(self, queue):
         self.queue = list(queue)
         self.posts = []
 
     def __call__(self, body, headers):
-        self.posts.append({"json": json.loads(body), "headers": headers})
+        self.posts.append({"body": body, "json": json.loads(body), "headers": headers})
         item = self.queue.pop(0)
         if isinstance(item, Exception):
             raise item
         return item.status_code, item.headers, item.body
+
+
+def record_file_reads(monkeypatch) -> list:
+    """The paths read through Path.read_bytes from now on, in call order."""
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+    return reads
 
 
 def ok_response(text: str) -> FakeResponse:

@@ -56,7 +56,7 @@ from figqa.pipeline import RunConfig, build_endpoints, run_stages
 
 from click.testing import CliRunner
 from crash_launcher import CRASH_EXIT_CODE
-from helpers import FakePost, FakeResponse, make_record, ok_response
+from helpers import FakePost, FakeResponse, make_record, ok_response, record_file_reads
 
 
 class TestRenderTemplate:
@@ -762,6 +762,47 @@ class TestHttpEndpoint:
         content = transport.posts[0]["json"]["messages"][0]["content"]
         assert content[1]["image_url"]["url"] == "https://host.test/fig.png"
 
+    def test_remote_image_with_an_uppercase_scheme_passed_through(self):
+        transport = FakePost([ok_response("r")])
+        ep = HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, post=transport)
+        ep.complete("p", "HTTPS://host.test/fig.png")
+        content = transport.posts[0]["json"]["messages"][0]["content"]
+        assert content[1]["image_url"]["url"] == "HTTPS://host.test/fig.png"
+
+    @pytest.mark.parametrize(
+        "model, prompt, image",
+        [
+            ("live-model", "p", "local"),
+            ("live-model", "p", 'https://host.test/a"b\\c.png'),
+            ("live-model", 'see {"url": ""} — été 📈', "local"),
+            ("modèle-视觉", "p", "local"),
+        ],
+        ids=[
+            "local-png", "remote-url-with-quote-and-backslash", "prompt-holding-the-slot",
+            "non-ascii-model",
+        ],
+    )
+    def test_posted_bytes_are_the_json_encoding_of_the_payload(self, tmp_path, model, prompt, image):
+        data = bytes(range(256)) * 3
+        if image == "local":
+            image = str(tmp_path / "fig.png")
+            Path(image).write_bytes(data)
+            url = "data:image/png;base64," + base64.b64encode(data).decode()
+        else:
+            url = image
+        transport = FakePost([ok_response("r")])
+        cfg = _http_cfg(role="vision", model_name=model)
+        HttpEndpoint(cfg, sleep=lambda s: None, post=transport).complete(prompt, image)
+        payload = {
+            "model": model,
+            "messages": [{"role": "user", "content": [
+                {"type": "text", "text": prompt},
+                {"type": "image_url", "image_url": {"url": url}},
+            ]}],
+            "temperature": 1.0,
+        }
+        assert transport.posts[0]["body"] == json.dumps(payload, allow_nan=False).encode("utf-8")
+
     def test_unsupported_image_suffix(self):
         ep = HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, post=FakePost([]))
         with pytest.raises(ImageUnreadable):
@@ -776,6 +817,112 @@ class TestHttpEndpoint:
         ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, post=FakePost([]))
         with pytest.raises(ValueError):
             ep.complete("p", "x.png")
+
+
+def _sent_image(post) -> bytes:
+    """The file bytes one post carried as its image's data URI."""
+    url = post["json"]["messages"][0]["content"][1]["image_url"]["url"]
+    return base64.b64decode(url.split(",", 1)[1])
+
+
+class TestImageEncodingReuse:
+    """A figure's encoding is reused only by the thread that built it, and only while
+    the file's path, inode, size and mtime hold."""
+
+    def _endpoint(self, calls=4):
+        transport = FakePost([ok_response("r")] * calls)
+        return HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, post=transport), transport
+
+    def _set_mtime(self, path, mtime_ns):
+        os.utime(path, ns=(mtime_ns, mtime_ns))
+
+    def test_an_unchanged_file_is_read_once(self, tmp_path, monkeypatch):
+        img = tmp_path / "fig.png"
+        img.write_bytes(b"first")
+        reads = record_file_reads(monkeypatch)
+        ep, transport = self._endpoint(calls=3)
+        for prompt in ("a", "a", "b"):
+            ep.complete(prompt, str(img))
+        assert len(reads) == 1
+        assert _sent_image(transport.posts[-1]) == b"first"
+
+    def test_a_rewrite_at_another_size_is_read_again(self, tmp_path):
+        img = tmp_path / "fig.png"
+        img.write_bytes(b"first")
+        ep, transport = self._endpoint()
+        ep.complete("p", str(img))
+        before = img.stat()
+        img.write_bytes(b"second, longer")
+        self._set_mtime(img, before.st_mtime_ns)
+        assert img.stat().st_ino == before.st_ino
+        ep.complete("p", str(img))
+        assert _sent_image(transport.posts[-1]) == b"second, longer"
+
+    def test_a_replacement_at_the_same_size_is_read_again(self, tmp_path):
+        img = tmp_path / "fig.png"
+        img.write_bytes(b"first")
+        ep, transport = self._endpoint()
+        ep.complete("p", str(img))
+        before = img.stat()
+        new = tmp_path / "new.png"
+        new.write_bytes(b"other")
+        self._set_mtime(new, before.st_mtime_ns)
+        os.replace(new, img)
+        assert img.stat().st_size == before.st_size
+        ep.complete("p", str(img))
+        assert _sent_image(transport.posts[-1]) == b"other"
+
+    def test_a_new_mtime_is_read_again(self, tmp_path):
+        img = tmp_path / "fig.png"
+        img.write_bytes(b"first")
+        ep, transport = self._endpoint()
+        ep.complete("p", str(img))
+        before = img.stat()
+        with open(img, "r+b") as fh:
+            fh.write(b"FIRST")
+        self._set_mtime(img, before.st_mtime_ns + 10**9)
+        assert (img.stat().st_ino, img.stat().st_size) == (before.st_ino, before.st_size)
+        ep.complete("p", str(img))
+        assert _sent_image(transport.posts[-1]) == b"FIRST"
+
+    def test_each_thread_keeps_its_own_entry(self, tmp_path, monkeypatch):
+        workers, rounds = 4, 3
+        images = [tmp_path / f"fig{i}.png" for i in range(workers)]
+        for i, img in enumerate(images):
+            img.write_bytes(b"figure %d" % i)
+        reads = record_file_reads(monkeypatch)
+        ep, transport = self._endpoint(calls=workers * rounds)
+        barrier = threading.Barrier(workers, timeout=10)
+
+        def worker(i):
+            for _ in range(rounds):
+                ep.complete("p", str(images[i]))
+                barrier.wait()  # every thread encodes between two calls of this one
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(reads) == sorted(images)
+        sent = sorted(_sent_image(post) for post in transport.posts)
+        assert sent == sorted(img.read_bytes() for img in images for _ in range(rounds))
+
+    def test_a_deleted_file_is_unreadable_not_served_from_the_entry(self, tmp_path):
+        img = tmp_path / "fig.png"
+        img.write_bytes(b"first")
+        ep, transport = self._endpoint()
+        ep.complete("p", str(img))
+        img.unlink()
+        with pytest.raises(ImageUnreadable):
+            ep.complete("p", str(img))
+        assert len(transport.posts) == 1
 
 
 class TestTokenBucket:

@@ -40,7 +40,7 @@ from figqa.verification import (
     run_cascade,
 )
 
-from helpers import FakePost, StubEndpoint, make_candidate, ok_response
+from helpers import FakePost, StubEndpoint, make_candidate, ok_response, record_file_reads
 from oracles import majority_oracle
 
 TEMPLATES = load_templates()
@@ -298,6 +298,20 @@ class TestVisionConsistency:
         if kind == "http":
             sent = [post["json"]["messages"][0]["content"][0]["text"] for post in transport.posts]
             assert sent == [prompt] * 3
+
+    def test_votes_read_the_figure_once_and_post_three_identical_bodies(
+        self, tmp_path, monkeypatch
+    ):
+        image = tmp_path / "fig.png"
+        image.write_bytes(b"\x89PNGfake" * 100)
+        reads = record_file_reads(monkeypatch)
+        cfg = ModelEndpointConfig(role="vision", model_name="v", base_url="https://api.test/v1")
+        transport = FakePost([ok_response(_opt("A"))] * 3)
+        ep = HttpEndpoint(cfg, sleep=lambda s: None, post=transport)
+        apply_filter(CASCADE[3], make_candidate(figure_image_ref=str(image)), "ctx", ep, TEMPLATES)
+        assert reads == [image]
+        bodies = [post["body"] for post in transport.posts]
+        assert len(bodies) == 3 and bodies[0] == bodies[1] == bodies[2]
 
 
 class TestVerdictLog:
