@@ -113,7 +113,7 @@ def main() -> None:
         log = VerdictLog(Path(tmp) / "verdict_log.jsonl")
         outcome = run_cascade(candidate, ctx.context, text_endpoint,
                               vision_endpoint, templates, log)
-        print(f"cascade outcome: {outcome.status}")
+        print("cascade outcome:", "retained" if outcome.record is not None else "rejected")
         for verdict in outcome.verdicts:
             print(f"  {verdict.filter:22s} passed={verdict.passed}")
         record = outcome.record

@@ -76,6 +76,13 @@ _URL_RE = re.compile(r"[a-z][a-z0-9+.-]*://", re.ASCII | re.IGNORECASE)
 # is the one json.dumps would write with the URI in place, without its escape scan.
 _EMPTY_URL = b'{"url": ""}'
 
+# The longest retry sleep, in seconds: the backoff step stops doubling at it,
+# and a longer Retry-After is cut to it.
+MAX_RETRY_WAIT = 60
+# The longest timeout a config may set, in seconds; the socket layer
+# overflows above about 9.2e9.
+MAX_TIMEOUT = 10**9
+
 
 @dataclass(frozen=True)
 class ModelEndpointConfig:
@@ -100,8 +107,10 @@ class ModelEndpointConfig:
             raise ConfigError(f"temperature: must be a finite number, got {self.temperature}")
         if self.base_url:
             _check_base_url(self.base_url)
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout: must be positive, got {self.timeout}")
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise ConfigError(
+                f"timeout: must be above 0 and at most {MAX_TIMEOUT} seconds, got {self.timeout}"
+            )
         if self.requests_per_minute is not None and self.requests_per_minute < 1:
             raise ConfigError(
                 f"requests_per_minute: must be at least 1, got {self.requests_per_minute}"
@@ -433,7 +442,7 @@ class HttpEndpoint:
 
         last_error = "no attempt made"
         for attempt in range(1, cfg.max_retries + 2):
-            wait = 2 ** (attempt - 1)  # 1s, 2s, 4s...
+            wait = min(2 ** (attempt - 1), MAX_RETRY_WAIT)  # 1s, 2s, 4s ... 60s
             if self._bucket is not None:
                 self._bucket.acquire(self._sleep)
             try:
@@ -462,9 +471,10 @@ class HttpEndpoint:
                     last_error = f"HTTP {status}"
                 if status in (429, 503):
                     # Integer seconds only; an HTTP-date value keeps the backoff step.
+                    # float() takes digits too many for int(), and min() cuts them.
                     retry_after = resp_headers.get("Retry-After", "").strip()
                     if retry_after.isascii() and retry_after.isdigit():
-                        wait = int(retry_after)
+                        wait = min(float(retry_after), MAX_RETRY_WAIT)
             if attempt <= cfg.max_retries:
                 self._sleep(wait)
         raise EndpointUnavailable(

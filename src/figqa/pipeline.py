@@ -103,6 +103,8 @@ class RunConfig:
                 raise ConfigError(f"endpoints.{name}.{exc}") from None
         if self.concurrency < 1:
             raise ConfigError("concurrency must be at least 1")
+        if self.unevaluated_threshold < 0:
+            raise ConfigError("unevaluated_threshold must be at least 0")
         if self._resolved["eval"].temperature != 0:
             raise ConfigError("endpoints.eval.temperature must be 0: evaluation is greedy")
 
@@ -458,8 +460,8 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
         log.sort_file()
 
     cascaded = [o for o in outcomes if not isinstance(o, ImageUnreadable)]
-    retained = [o.record for o in cascaded if o.status == "retained"]
-    rejected_by_stage = Counter(o.rejected_stage for o in cascaded if o.status == "rejected")
+    retained = [o.record for o in cascaded if o.record is not None]
+    rejected_by_stage = Counter(o.verdicts[-1].filter for o in cascaded if o.record is None)
     discarded = [
         {"key": candidate.key, "reason": str(outcome)}
         for candidate, outcome in zip(candidates, outcomes)
@@ -539,14 +541,9 @@ def stage_stats(cfg: RunConfig) -> dict:
     candidates = len(
         ds.read_rows(_require_file(out_dir / "candidates.jsonl"), QACandidate, ds.check_question)
     )
-    log_path = _require_file(out_dir / "verdict_log.jsonl")
-    retained_path = _require_file(out_dir / "retained.jsonl")
-    after_text = sum(
-        1
-        for verdict in ds.read_rows(log_path, vf.FilterVerdict)
-        if verdict.filter == vf.FILTER_VISDEP_VISION and verdict.passed
-    )
-    retained = len(ds.read_dataset(retained_path))
+    verdicts = ds.read_rows(_require_file(out_dir / "verdict_log.jsonl"), vf.FilterVerdict)
+    records = ds.read_dataset(_require_file(out_dir / "retained.jsonl"))
+    after_text = sum(1 for v in verdicts if v.filter == vf.FILTER_VISDEP_VISION and v.passed)
 
     funnel = None
     table = "funnel unavailable: no claims were extracted"
@@ -556,12 +553,12 @@ def stage_stats(cfg: RunConfig) -> dict:
             claims=claims,
             qa_generated=candidates,
             after_text_filtering=after_text,
-            after_vision_filtering=retained,
+            after_vision_filtering=len(records),
         )
         funnel = asdict(stats)
         table = stats.format_table()
 
-    report = replay_verdicts(log_path, retained_path)
+    report = replay_verdicts(verdicts, records)
     discards = ds.read_json(_require_file(out_dir / "manifest_extract.json")).get("discards")
     if not isinstance(discards, dict) or any(type(n) is not int for n in discards.values()):
         raise UpstreamInputError("manifest_extract.json: discards must map each kind to an integer")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dataset import VerifiedRecord, append_jsonl, cut_torn_tail, from_row, read_rows, write_jsonl
@@ -191,9 +191,9 @@ def apply_filter(
 
 @dataclass
 class CascadeOutcome:
-    status: str  # "retained" | "rejected"
-    rejected_stage: str | None
-    verdicts: list[FilterVerdict] = field(default_factory=list)
+    """A candidate's verdicts; it was retained iff record is set, else verdicts[-1] rejected it."""
+
+    verdicts: list[FilterVerdict]
     record: VerifiedRecord | None = None
 
 
@@ -233,6 +233,5 @@ def run_cascade(
             log.append(verdict)
         verdicts.append(verdict)
         if not verdict.passed:
-            return CascadeOutcome("rejected", step.name, verdicts)
-    record = build_verified_record(candidate, verdicts[-1])
-    return CascadeOutcome("retained", None, verdicts, record)
+            return CascadeOutcome(verdicts)
+    return CascadeOutcome(verdicts, build_verified_record(candidate, verdicts[-1]))

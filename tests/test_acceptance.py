@@ -20,14 +20,14 @@ import pytest
 
 import test_extraction_corpus as extraction
 import test_eval_harness as eval_fixture
-from figqa.dataset import compute_funnel, stratified_sample
+from figqa.dataset import compute_funnel, read_dataset, read_rows, stratified_sample
 from figqa.errors import RecursionLimitExceeded
 from figqa.eval_harness import evaluate
 from figqa.figure_context import levenshtein_distance, levenshtein_similarity
 from figqa.gateway import load_templates
 from figqa.latex_prep import clean_paper
 from figqa.replay import replay_verdicts
-from figqa.verification import CASCADE, TIE, apply_filter, majority_vote
+from figqa.verification import CASCADE, TIE, FilterVerdict, apply_filter, majority_vote
 
 from helpers import StubEndpoint, make_candidate, make_record
 from oracles import (
@@ -194,7 +194,10 @@ def test_criterion_6_retention_replay(e2e_bundle, run_cli, tmp_path):
         assert retained_keys == conjunction
         assert len(verdicts) == e2e_bundle.expectations["candidates"]
 
-        report = replay_verdicts(out / "verdict_log.jsonl", out / "retained.jsonl")
+        report = replay_verdicts(
+            read_rows(out / "verdict_log.jsonl", FilterVerdict),
+            read_dataset(out / "retained.jsonl"),
+        )
         assert report.ok, report.problems
         assert report.candidates == len(verdicts)
         assert report.retained == len(retained_keys)

@@ -35,6 +35,7 @@ from figqa.errors import (
 )
 from figqa.gateway import (
     AMBIGUOUS,
+    MAX_RETRY_WAIT,
     NONE_SIGNAL,
     TEMPLATE_NAMES,
     Connections,
@@ -633,6 +634,27 @@ class TestHttpEndpoint:
         text, _ = ep.complete("p")
         assert text == "ok"
         assert sleeps == [1]
+
+    @pytest.mark.parametrize(
+        "status, retry_after",
+        [(429, "99999999999999999999"), (503, "86400"), (429, "9" * 5000)],
+        ids=["overflow", "one-day", "too-long-for-int"],
+    )
+    def test_retry_after_is_cut_to_the_longest_wait(self, status, retry_after):
+        sleeps = []
+        transport = FakePost(
+            [FakeResponse(status, headers={"Retry-After": retry_after}), ok_response("ok")]
+        )
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        assert ep.complete("p")[0] == "ok"
+        assert sleeps == [MAX_RETRY_WAIT]
+
+    def test_backoff_stops_doubling_at_the_longest_wait(self):
+        sleeps = []
+        transport = FakePost([FakeResponse(500)] * 70 + [ok_response("ok")])
+        ep = HttpEndpoint(_http_cfg(max_retries=70), sleep=sleeps.append, post=transport)
+        assert ep.complete("p")[0] == "ok"
+        assert sleeps == [1, 2, 4, 8, 16, 32] + [MAX_RETRY_WAIT] * 64
 
     def test_retries_exhausted(self):
         transport = FakePost([FakeResponse(503)] * 3)

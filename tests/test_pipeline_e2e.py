@@ -9,6 +9,7 @@ import hashlib
 import json
 import resource
 import shutil
+import socket
 import subprocess
 import sys
 import threading
@@ -726,11 +727,29 @@ class TestEvaluateCommand:
         assert proc.returncode == 3
         assert proc.stderr == f"input error: evaluation dataset not found: {missing}\n"
 
-    def test_threshold_gate_fails_the_run(self, eval_dir, run_cli):
-        proc = run_cli(
-            ["evaluate", "--config", str(eval_dir.config), "--unevaluated-threshold", "-1"]
-        )
+    def test_threshold_gate_fails_the_run(self, eval_dir, e2e_bundle, run_cli, tmp_path):
+        # Image refs are relative to the corpus root; the copy names each image absolutely.
+        rows = read_jsonl(eval_dir.out / "annotated.jsonl")
+        for row in rows:
+            row["figure_image_ref"] = str(e2e_bundle.root / row["figure_image_ref"])
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        # A local port that is bound but not listening refuses the one request,
+        # so the item stays unevaluated, above the default threshold 0.
+        with socket.socket() as refusing:
+            refusing.bind(("127.0.0.1", 0))
+            eval_slot = {
+                "base_url": f"http://127.0.0.1:{refusing.getsockname()[1]}/v1",
+                "model_name": "m", "max_retries": 0,
+            }
+            config = tmp_path / "live.yaml"
+            config.write_text(yaml.safe_dump({
+                "output": str(tmp_path / "out"), "eval_dataset": str(dataset),
+                "endpoints": {"eval": eval_slot},
+            }))
+            proc = run_cli(["evaluate", "--config", str(config)])
         assert proc.returncode == 1
+        assert "Unevaluated: 1" in proc.stdout
         assert "exceed threshold" in proc.stderr
 
 
@@ -794,6 +813,26 @@ class TestReplayChecks:
         replay = json.loads((out / "stats.json").read_text(encoding="utf-8"))["replay"]
         assert replay["ok"] is False
         assert any(problem in p for p in replay["problems"]), replay["problems"]
+
+    def test_stats_parses_the_log_and_the_dataset_once_each(
+        self, full_run, e2e_bundle, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "once"
+        shutil.copytree(full_run.out, out)
+        reads = Counter()
+        read_jsonl = pipeline.ds.read_jsonl
+
+        def counting(path, *args, **kwargs):
+            reads[Path(path).name] += 1
+            return read_jsonl(path, *args, **kwargs)
+
+        # Patched in every figqa module that binds the reader, so a call through any is counted.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("figqa") and vars(module).get("read_jsonl") is read_jsonl:
+                monkeypatch.setattr(module, "read_jsonl", counting)
+        manifest = pipeline.stage_stats(RunConfig.from_yaml(e2e_bundle.make_config(out)))
+        assert manifest["replay_ok"] is True
+        assert (reads["verdict_log.jsonl"], reads["retained.jsonl"]) == (1, 1)
 
 
 class TestExitCodes:
@@ -1055,6 +1094,10 @@ class TestExitCodes:
             ({"threshold": "0.9"}, "threshold"),
             ({"endpoints": {"text": {"max_retries": -1}}}, "endpoints.text.max_retries"),
             ({"endpoints": {"vision": {"timeout": 0}}}, "endpoints.vision.timeout"),
+            ({"endpoints": {"vision": {"timeout": float("nan")}}}, "endpoints.vision.timeout"),
+            ({"endpoints": {"vision": {"timeout": float("inf")}}}, "endpoints.vision.timeout"),
+            ({"endpoints": {"text": {"timeout": 1e12}}}, "endpoints.text.timeout"),
+            ({"unevaluated_threshold": -1}, "unevaluated_threshold"),
             ({"endpoints": {"eval": {"requests_per_minute": 0}}},
              "endpoints.eval.requests_per_minute"),
             ({"endpoints": {"text": {"role": "vision"}}}, "endpoints.text.role"),
@@ -1062,7 +1105,9 @@ class TestExitCodes:
         ],
         ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
              "unknown-slot", "bool-seed", "string-threshold", "negative-max-retries",
-             "zero-timeout", "zero-requests-per-minute", "role-key", "scheme-less-base-url"],
+             "zero-timeout", "nan-timeout", "inf-timeout", "overflow-timeout",
+             "negative-unevaluated-threshold", "zero-requests-per-minute", "role-key",
+             "scheme-less-base-url"],
     )
     def test_bad_config_value_is_a_config_error(
         self, e2e_bundle, run_cli, tmp_path, overrides, named

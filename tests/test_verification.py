@@ -8,6 +8,7 @@ import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -503,8 +504,10 @@ def _cascade_endpoints(source, visdep_text, visdep_vision=None, votes=None):
 
 class TestRunCascade:
     def test_order_matches_replay(self):
-        # Replay keeps its own copy of the order on purpose; the two must agree.
-        assert CASCADE_ORDER == replay._CASCADE
+        # Replay takes the order from CASCADE_ORDER and spells no filter name of its own.
+        assert replay.CASCADE_ORDER is CASCADE_ORDER
+        source = Path(replay.__file__).read_text(encoding="utf-8")
+        assert [name for name in CASCADE_ORDER if name in source] == []
 
     def test_vote_transport_error_records_no_vision_verdict(self, tmp_path):
         cand = make_candidate(correct_index=0)
@@ -530,8 +533,7 @@ class TestRunCascade:
         )
         log = VerdictLog(tmp_path / "log.jsonl")
         outcome = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
-        assert outcome.status == "retained"
-        assert outcome.rejected_stage is None
+        assert all(v.passed for v in outcome.verdicts)
         assert [v.filter for v in outcome.verdicts] == list(CASCADE_ORDER)
         assert outcome.record is not None
         assert outcome.record.reasoning == "why " + _opt("A")
@@ -547,8 +549,8 @@ class TestRunCascade:
         text_ep, vision_ep = _cascade_endpoints(source=_opt("D"), visdep_text=None)
         log = VerdictLog(tmp_path / "log.jsonl")
         outcome = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
-        assert outcome.status == "rejected"
-        assert outcome.rejected_stage == FILTER_SOURCE
+        assert outcome.record is None
+        assert outcome.verdicts[-1].filter == FILTER_SOURCE
         assert len(outcome.verdicts) == 1
         assert logged(log) == [(cand.key, FILTER_SOURCE)]
         assert len(text_ep.calls) == 1
@@ -559,7 +561,8 @@ class TestRunCascade:
         text_ep, vision_ep = _cascade_endpoints(source=_opt("A"), visdep_text=_opt("A"))
         log = VerdictLog(tmp_path / "log.jsonl")
         outcome = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, log)
-        assert outcome.rejected_stage == FILTER_VISDEP_TEXT
+        assert outcome.record is None
+        assert outcome.verdicts[-1].filter == FILTER_VISDEP_TEXT
         assert logged(log) == [(cand.key, name) for name in CASCADE_ORDER[:2]]
         assert vision_ep.calls == []
 
@@ -571,7 +574,8 @@ class TestRunCascade:
         outcome = run_cascade(
             cand, "ctx", text_ep, vision_ep, TEMPLATES, VerdictLog(tmp_path / "log.jsonl")
         )
-        assert outcome.rejected_stage == FILTER_VISDEP_VISION
+        assert outcome.record is None
+        assert outcome.verdicts[-1].filter == FILTER_VISDEP_VISION
         assert len(vision_ep.calls) == 1
 
     def test_vision_tie_rejected(self, tmp_path):
@@ -585,7 +589,7 @@ class TestRunCascade:
         outcome = run_cascade(
             cand, "ctx", text_ep, vision_ep, TEMPLATES, VerdictLog(tmp_path / "log.jsonl")
         )
-        assert outcome.rejected_stage == FILTER_VISION
+        assert outcome.verdicts[-1].filter == FILTER_VISION
         assert outcome.record is None
 
     def test_logged_verdicts_reused_without_calls(self, tmp_path):
@@ -598,14 +602,14 @@ class TestRunCascade:
             votes=["r " + _opt("A"), _opt("A"), _opt("B")],
         )
         first = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, VerdictLog(log_path))
-        assert first.status == "retained"
+        assert first.record is not None
 
         # Fresh endpoints with no scripted responses: any call would raise.
         replayed = run_cascade(
             cand, "ctx", StubEndpoint(), StubEndpoint(role="vision"), TEMPLATES,
             VerdictLog(log_path),
         )
-        assert replayed.status == "retained"
+        assert replayed.record is not None
         assert replayed.record.reasoning == first.record.reasoning
 
     def test_partial_log_resumes_midway(self, tmp_path):
@@ -628,7 +632,7 @@ class TestRunCascade:
             responses=[_opt("B"), "r " + _opt("A"), _opt("A"), _opt("None")],
         )
         outcome = run_cascade(cand, "ctx", text_ep, vision_ep, TEMPLATES, VerdictLog(log_path))
-        assert outcome.status == "retained"
+        assert outcome.record is not None
         assert len(text_ep.calls) == 1
         assert len(vision_ep.calls) == 4
 

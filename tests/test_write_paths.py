@@ -2,7 +2,8 @@
 
 dataset.py replaces whole files atomically and appends with fsync. Any
 other module that opened a file for writing, fsynced, renamed or
-truncated would be a second, unreviewed path to disk.
+truncated would be a second, unreviewed path to disk. replay.py does not
+even read a file: it checks the rows the stats stage already parsed.
 """
 
 from __future__ import annotations
@@ -77,6 +78,33 @@ def write_sites(source: str) -> list[tuple[int, str]]:
 )
 def test_no_module_but_dataset_writes_files(name):
     assert write_sites((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+READS = {"open", "read_jsonl", "read_rows", "read_text"}
+
+
+def read_sites(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each call in source that opens or reads a file."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in READS:
+                sites.append((node.lineno, name))
+    return sites
+
+
+def test_replay_reads_no_file():
+    assert read_sites((PACKAGE / "replay.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["open(p)", "p.open()", "read_jsonl(p)", "ds.read_rows(p, C)", "p.read_text()"],
+)
+def test_read_guard_sees_each_kind_of_read(snippet):
+    assert len(read_sites(snippet)) == 1
 
 
 def test_dataset_holds_the_write_paths():
