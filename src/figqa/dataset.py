@@ -9,6 +9,7 @@ decimals, then half-up at one).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -381,6 +382,18 @@ def read_json(path: str | Path) -> dict:
     """The JSON object a file holds (a manifest, say), checked like read_jsonl's lines."""
     with open(path, "rb") as fh:
         return _json_object(_utf8(fh.read(), path, 1), path, 1)
+
+
+def file_sha256(path: str | Path) -> str | None:
+    """The sha256 of path's bytes, or None when there is no file there."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 14), b""):
+                digest.update(block)
+    except FileNotFoundError:
+        return None
+    return digest.hexdigest()
 
 
 def _replace(path: str | Path, write) -> None:

@@ -2,11 +2,15 @@
 
 Stage files are the only inter-stage interface. Each stage reads its
 predecessor's output, writes line-delimited records plus a manifest, and is
-deterministic given identical inputs and seed under mock backends. The
-verify stage additionally skips already-verdicted items via the verdict
-log, which is what makes crashed runs resumable without duplicate calls.
-STAGES declares the stages once: their order, the files each writes, the
-endpoint slots each calls, and each one's summary line.
+deterministic given identical inputs and seed under mock backends. A stage
+that calls endpoints records in its manifest the sha256 of each file it
+read and wrote, of its templates and of the mock script; run again while
+those and the config digest are unchanged, it returns that manifest and
+makes no call. The verify stage additionally skips already-verdicted items
+via the verdict log, which is what makes a run that crashed inside verify
+resumable without duplicate calls. STAGES declares the stages once: their
+order, the files each reads and writes, the endpoint slots each calls, and
+each one's summary line.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import logging
 import random
 from collections import Counter
 from collections.abc import Callable
@@ -53,6 +58,8 @@ from .generation import (
 )
 from .latex_prep import RawPaper, clean_paper
 from .replay import replay_verdicts
+
+logger = logging.getLogger(__name__)
 
 # Endpoint slots and their built-in defaults. In every mode a slot takes every key but temperature
 # that its base slot (the one its role names) sets, then its own entry's keys on top.
@@ -579,52 +586,96 @@ def stage_stats(cfg: RunConfig) -> dict:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage: its body, the files it writes, the slots it calls, its summary line.
+    """One pipeline stage: its body, the files it reads and writes, the slots it calls, its summary.
 
     A body that calls slots also takes the endpoints. The manifest is the body's counts
-    under the stage name; a row that writes manifest_<name>.json writes it last.
+    under the stage name; a row that writes manifest_<name>.json writes it last. A row
+    that calls slots keys its manifest by the digests of what the body read and wrote,
+    and returns that manifest without running the body while they are all unchanged.
     """
 
     name: str
     run: Callable[..., dict]
+    reads: tuple[str, ...]
     writes: tuple[str, ...]
     slots: tuple[str, ...]
     summary: Callable[[dict], str]
 
     def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
+        path = Path(cfg.output) / f"manifest_{self.name}.json"
+        key = {"config_digest": cfg.config_digest()}
+        if self.slots:
+            key["inputs"] = self._input_digests(cfg)
+            stored = _stored_manifest(path)
+            unchanged = all(stored.get(k) == v for k, v in key.items())
+            if unchanged and stored.get("outputs") == self._output_digests(cfg):
+                logger.info("%s not run: config, inputs and outputs match %s", self.name, path.name)
+                return stored
         try:
             counts = self.run(cfg, endpoints) if self.slots else self.run(cfg)
         except EndpointUnavailable as exc:
             raise EndpointUnavailable(f"{exc}; no {self.name} output written") from None
         manifest = {"stage": self.name, **counts}
-        path = Path(cfg.output) / f"manifest_{self.name}.json"
         if path.name in self.writes:
-            manifest["config_digest"] = cfg.config_digest()
+            manifest.update(key)
+            if self.slots:
+                manifest["outputs"] = self._output_digests(cfg)
             ds.write_json(path, manifest)
         return manifest
 
+    def _input_digests(self, cfg: RunConfig) -> dict:
+        """sha256 of each file the body reads, of the templates it loads, and of the mock script.
+
+        Loading the templates here also makes a bad template exit before the skip.
+        """
+        out_dir = Path(cfg.output)
+        digests = {name: ds.file_sha256(out_dir / name) for name in self.reads}
+        bodies = {name: template.body for name, template in load_templates(cfg.prompts).items()}
+        digests["templates"] = hashlib.sha256(
+            json.dumps(bodies, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        if cfg.mock_script:
+            digests["mock_script"] = ds.file_sha256(cfg.mock_script)
+        return digests
+
+    def _output_digests(self, cfg: RunConfig) -> dict:
+        """sha256 of each file the body writes (None for one that is missing)."""
+        out_dir = Path(cfg.output)
+        manifest = f"manifest_{self.name}.json"
+        return {name: ds.file_sha256(out_dir / name) for name in self.writes if name != manifest}
+
+
+def _stored_manifest(path: Path) -> dict:
+    """The manifest at path, or {} when it is missing or cannot be parsed."""
+    try:
+        return ds.read_json(path)
+    except (OSError, SchemaViolation):
+        return {}
+
 
 STAGES = (
-    Stage("prepare", stage_prepare, ("papers_clean.jsonl", "manifest_prepare.json"), (),
+    Stage("prepare", stage_prepare, (), ("papers_clean.jsonl", "manifest_prepare.json"), (),
           lambda m: f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
                     f"({len(m['skipped'])} skipped)"),
-    Stage("extract", stage_extract,
+    Stage("extract", stage_extract, (),
           ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), (),
           lambda m: f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
                     f"(discards: {json.dumps(m['discards'], sort_keys=True)})"),
-    Stage("generate", stage_generate, ("claims.jsonl", "candidates.jsonl", "declined.jsonl",
-                                       "manifest_generate.json"), ("text",),
+    Stage("generate", stage_generate, ("figure_contexts.jsonl",),
+          ("claims.jsonl", "candidates.jsonl", "declined.jsonl", "manifest_generate.json"),
+          ("text",),
           lambda m: f"generated {m['candidates']} candidates from {m['claims']} claims "
                     f"({m['declined']} declined)"),
-    Stage("verify", stage_verify, ("verdict_log.jsonl", "retained.jsonl", "verify_discards.jsonl",
-                                   "manifest_verify.json"), ("text", "vision"),
+    Stage("verify", stage_verify, ("candidates.jsonl", "figure_contexts.jsonl"),
+          ("verdict_log.jsonl", "retained.jsonl", "verify_discards.jsonl", "manifest_verify.json"),
+          ("text", "vision"),
           lambda m: f"retained {m['retained']} of {m['candidates']} candidates "
                     f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"),
-    Stage("annotate", stage_annotate, ("annotated.jsonl", "manifest_annotate.json"),
-          ("annotator_text", "annotator_vision"),
+    Stage("annotate", stage_annotate, ("retained.jsonl",),
+          ("annotated.jsonl", "manifest_annotate.json"), ("annotator_text", "annotator_vision"),
           lambda m: f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
                     f"question type {m['question_type_labeled']})"),
-    Stage("stats", stage_stats, ("stats.json",), (),
+    Stage("stats", stage_stats, (), ("stats.json",), (),
           lambda m: f"{m['table']}\n{m['replay_summary']}"),
 )
 STAGE_FUNCTIONS = {stage.name: stage for stage in STAGES}

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import figqa
 from figqa.gateway import load_templates
 
 CRASH_LAUNCHER = Path(__file__).with_name("crash_launcher.py")
+# The directory holding the figqa package this process imported, as an absolute
+# path, so a child started in any directory imports the same package.
+PACKAGE_ROOT = str(Path(figqa.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="session")
@@ -33,11 +38,13 @@ def run_cli():
         command = [sys.executable, "-m", "figqa"]
         if crash_after is not None:
             command = [sys.executable, str(CRASH_LAUNCHER), str(crash_after)]
+        pythonpath = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [*command, *args],
             capture_output=True,
             text=True,
             cwd=cwd or str(Path.cwd()),
+            env={**os.environ, "PYTHONPATH": pythonpath},
             timeout=timeout,
         )
 

@@ -35,6 +35,7 @@ from figqa.pipeline import (
 )
 from figqa.verification import VOTE_COUNT
 
+from e2e_corpus import SEED
 from helpers import ok_response
 
 LETTERS = "ABCD"
@@ -71,15 +72,15 @@ MANIFEST_KEYS = {
     "extract": {"config_digest", "contexts", "discards", "figures_in", "papers", "stage"},
     "generate": {
         "candidates", "claims", "config_digest", "contexts", "declined",
-        "duplicate_claim_texts", "stage",
+        "duplicate_claim_texts", "inputs", "outputs", "stage",
     },
     "verify": {
-        "candidates", "config_digest", "deferred", "discarded", "rejected_by_stage",
-        "retained", "stage",
+        "candidates", "config_digest", "deferred", "discarded", "inputs", "outputs",
+        "rejected_by_stage", "retained", "stage",
     },
     "annotate": {
-        "config_digest", "deferred_calls", "figure_type_labeled", "question_type_labeled",
-        "records", "stage",
+        "config_digest", "deferred_calls", "figure_type_labeled", "inputs", "outputs",
+        "question_type_labeled", "records", "stage",
     },
 }
 
@@ -246,6 +247,8 @@ class TestDeterminism:
         for args in ([stage], ["run", "--stage", stage]):
             out = tmp_path / args[0]
             shutil.copytree(full_run.out, out)
+            # Without its manifest a paid stage runs its body instead of being skipped.
+            (out / f"manifest_{stage}.json").unlink(missing_ok=True)
             procs.append(run_cli([*args, "--config", str(e2e_bundle.make_config(out))]))
         single, run = procs
         assert single.returncode == run.returncode == 0, (single.stderr, run.stderr)
@@ -431,6 +434,188 @@ class TestCrashInEveryPaidStage:
         assert artifact_digests(out) == PINNED_SHA256
         summary = (out / "eval_summary.json").read_bytes()
         assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
+
+
+def _rewrite_rows(path: Path, edit) -> dict:
+    rows = read_jsonl(path)
+    edit(rows)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return {}
+
+
+def _copied_prompts(prompts: Path, templates) -> Path:
+    prompts.mkdir()
+    for name, template in templates.items():
+        (prompts / f"{name}.txt").write_text(template.body, encoding="utf-8")
+    return prompts
+
+
+def _edited_prompts(out: Path, templates) -> dict:
+    prompts = _copied_prompts(out.parent / "prompts", templates)
+    (prompts / "claim_extract.txt").write_text(
+        templates["claim_extract"].body + "\nBe brief.\n", encoding="utf-8"
+    )
+    return {"prompts": str(prompts)}
+
+
+def _redumped_script(out: Path, e2e_bundle) -> dict:
+    script = out.parent / "script.json"
+    entries = json.loads(e2e_bundle.script_path.read_text(encoding="utf-8"))
+    script.write_text(json.dumps(entries, indent=2), encoding="utf-8")  # the bundle's has 1
+    return {"mock_script": str(script)}
+
+
+def _strip_digests(out: Path, stage: str) -> dict:
+    path = out / f"manifest_{stage}.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["inputs"], manifest["outputs"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return {}
+
+
+def _unlink(out: Path, name: str) -> dict:
+    (out / name).unlink()
+    return {}
+
+
+# Each change a paid stage must not be skipped over: (stage, change, outcome).
+# change(out, e2e_bundle, templates) edits the finished run in out and returns
+# config overrides. "paid" means the stage made every one of its scripted calls
+# again; "unscripted" that its changed requests reached the mock script.
+RERUN_CAUSES = {
+    "edited-input-row": (
+        "annotate",
+        lambda out, bundle, templates: _rewrite_rows(
+            out / "retained.jsonl", lambda rows: rows[0]["provenance"].update(claim_text="Edited.")
+        ),
+        "paid",
+    ),
+    "changed-template": (
+        "generate", lambda out, bundle, templates: _edited_prompts(out, templates), "unscripted"
+    ),
+    "changed-seed": ("generate", lambda out, bundle, templates: {"seed": SEED + 1}, "paid"),
+    "different-script-bytes": (
+        "annotate", lambda out, bundle, templates: _redumped_script(out, bundle), "paid"
+    ),
+    "edited-output": (
+        "generate",
+        lambda out, bundle, templates: _rewrite_rows(
+            out / "claims.jsonl", lambda rows: rows[0].update(text="An edited claim.")
+        ),
+        "paid",
+    ),
+    "deleted-output": (
+        "verify", lambda out, bundle, templates: _unlink(out, "verdict_log.jsonl"), "paid"
+    ),
+    "deleted-manifest": (
+        "annotate", lambda out, bundle, templates: _unlink(out, "manifest_annotate.json"), "paid"
+    ),
+    "manifest-without-digests": (
+        "generate", lambda out, bundle, templates: _strip_digests(out, "generate"), "paid"
+    ),
+}
+
+
+class TestRerunSkip:
+    """A paid stage whose config, inputs and outputs match its manifest is not run again."""
+
+    def test_second_run_makes_no_model_call(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "again"
+        shutil.copytree(full_run.out, out)
+        ledger = (out / "mock_calls.jsonl").read_bytes()
+        proc = run_cli(["run", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == full_run.proc.stdout
+        assert (out / "mock_calls.jsonl").read_bytes() == ledger
+        assert artifact_digests(out) == PINNED_SHA256
+
+    def test_same_templates_and_script_at_other_paths_are_still_unchanged(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
+    ):
+        out = tmp_path / "moved"
+        shutil.copytree(full_run.out, out)
+        prompts = _copied_prompts(tmp_path / "prompts", templates)
+        script = tmp_path / "script.json"
+        shutil.copy(e2e_bundle.script_path, script)
+        config = e2e_bundle.make_config(out, prompts=str(prompts), mock_script=str(script))
+        ledger = (out / "mock_calls.jsonl").read_bytes()
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "mock_calls.jsonl").read_bytes() == ledger
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_run_after_a_verify_crash_does_not_pay_for_generate_again(
+        self, e2e_bundle, run_cli, tmp_path, concurrency
+    ):
+        expect = e2e_bundle.expectations
+        out = tmp_path / "run"
+        config = str(e2e_bundle.make_config(out, concurrency=concurrency))
+        prep = run_cli(
+            ["run", "--config", config, "--stage", "prepare", "--stage", "extract",
+             "--stage", "generate"]
+        )
+        assert prep.returncode == 0, prep.stderr
+        crash = run_cli(["verify", "--config", config], crash_after=expect["crash_after"])
+        assert crash.returncode == 70, crash.stderr
+        at_crash = ledger_digests(out)
+
+        rerun = run_cli(["run", "--config", config])
+        assert rerun.returncode == 0, rerun.stderr
+        assert "generated 5 candidates from 6 claims (1 declined)" in rerun.stdout
+        got = ledger_digests(out)
+        generate = scripted_call_counter(expect, "generate")
+        assert not (got - at_crash) & generate  # no generate digest was paid twice
+        assert Counter({digest: got[digest] for digest in generate}) == generate
+        want = scripted_call_counter(expect, "generate", "verify", "annotate")
+        if concurrency == 1:
+            assert got == want
+            new_calls = sum((got - at_crash).values())
+            assert new_calls == expect["resume_verify_calls"] + sum(
+                expect["annotate_digest_counts"].values()
+            )
+        else:
+            # As in TestPooledCrashAndResume: only checks in flight at the crash repeat.
+            assert not want - got
+            assert set(got - want) <= set(expect["verify_digest_counts"])
+            assert sum((got - want).values()) <= 3 * VOTE_COUNT
+        assert artifact_digests(out) == PINNED_SHA256
+
+    @pytest.mark.parametrize("cause", sorted(RERUN_CAUSES))
+    def test_change_makes_the_stage_run_again(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates, cause
+    ):
+        stage, change, outcome = RERUN_CAUSES[cause]
+        out = tmp_path / "run"
+        shutil.copytree(full_run.out, out)
+        overrides = change(out, e2e_bundle, templates)
+        before = ledger_digests(out)
+        proc = run_cli([stage, "--config", str(e2e_bundle.make_config(out, **overrides))])
+        if outcome == "unscripted":
+            assert proc.returncode == 2
+            assert "no scripted response" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert ledger_digests(out) == before + scripted_call_counter(full_run.expect, stage)
+            manifest = json.loads((out / f"manifest_{stage}.json").read_text(encoding="utf-8"))
+            assert {"inputs", "outputs"} <= set(manifest)
+
+    def test_stage_runs_again_after_a_deferral(self, full_run, e2e_bundle, tmp_path):
+        out = tmp_path / "deferred"
+        shutil.copytree(full_run.out, out)
+        (out / "verdict_log.jsonl").unlink()
+        (out / "mock_calls.jsonl").write_text("", encoding="utf-8")
+        manifest = (out / "manifest_verify.json").read_bytes()
+        verify = pipeline.STAGE_FUNCTIONS["verify"]
+        cfg = RunConfig.from_yaml(e2e_bundle.make_config(out))
+        endpoints = build_endpoints(cfg)
+        endpoints["vision"] = FlakyVotes(endpoints["vision"], full_run.expect["retained_question"])
+        with pytest.raises(EndpointUnavailable, match="no verify output written"):
+            verify(cfg, endpoints)  # the CLI exits 5 here
+        assert (out / "manifest_verify.json").read_bytes() == manifest
+        assert verify(cfg, build_endpoints(cfg))["retained"] == 1
+        assert ledger_digests(out) == scripted_call_counter(full_run.expect, "verify")
+        for name in ("verdict_log.jsonl", "retained.jsonl", "manifest_verify.json"):
+            assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
 
 
 class FlakyVotes:
@@ -793,6 +978,17 @@ REPLAY_EDITS = {
         _set("retained", 0, "reasoning", "Edited."),
         "record reasoning differs from agreeing vote response",
     ),
+    "retained-without-vision-verdict": (
+        lambda f: f["log"].pop(3), "retained without a fully passing verdict chain"
+    ),
+    "short-votes-with-index-past-them": (
+        lambda f: f["log"][3].update(selections=["C", "C"], agreeing_run_index=2),
+        "vision verdict has 2 selections",
+    ),
+    "failed-then-one-later": (
+        _set("log", 2, "passed", False),
+        "VisualDependenceVision failed but a later filter was still recorded",
+    ),
 }
 
 
@@ -860,6 +1056,13 @@ class TestExitCodes:
         config = tmp_path / "no_output.yaml"
         config.write_text(yaml.safe_dump(data))
         proc = run_cli(["stats", "--config", str(config), "--output", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict replay: consistent" in proc.stdout
+
+    def test_cli_runs_from_another_directory(self, full_run, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(full_run.out, out)
+        proc = run_cli(["stats", "--config", str(e2e_bundle.make_config(out))], cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert "verdict replay: consistent" in proc.stdout
 
