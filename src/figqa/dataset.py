@@ -197,8 +197,9 @@ def _parse_category(response: str, vocabulary: tuple[str, ...]) -> str:
 def annotate_taxonomy(record: VerifiedRecord, kind: str, endpoint, templates) -> str | None:
     """Label one record with a closed-vocabulary category.
 
-    Off-vocabulary responses get one retry, then the record stays unlabeled.
-    Transport errors propagate so the caller can defer the record.
+    Off-vocabulary responses get one retry, then None: the record stays
+    unlabeled, and the caller reports which records that leaves. Transport
+    errors propagate so the caller can defer the record.
     """
     if kind == "figure_type":
         vocabulary, image_ref = FIGURE_TYPES, record.figure_image_ref
@@ -216,7 +217,6 @@ def annotate_taxonomy(record: VerifiedRecord, kind: str, endpoint, templates) ->
             endpoint, prompt, lambda r: _parse_category(r, vocabulary), image_ref
         )
     except MalformedResponse:
-        logger.warning("record %s left unlabeled for %s", record.key, kind)
         return None
 
 

@@ -5,10 +5,10 @@ predecessor's output, writes line-delimited records plus a manifest, and is
 deterministic given identical inputs and seed under mock backends. A stage
 that calls endpoints records in its manifest the sha256 of each file it
 read and wrote, of its templates and of the mock script; run again while
-those and the config digest are unchanged, it returns that manifest and
-makes no call. The verify stage additionally skips already-verdicted items
-via the verdict log, which is what makes a run that crashed inside verify
-resumable without duplicate calls. STAGES declares the stages once: their
+those and the config digest of its slots are unchanged, it returns that
+manifest and makes no call. The verify stage additionally skips
+already-verdicted items via the verdict log, which is what makes a run
+that crashed inside verify resumable without duplicate calls. STAGES declares the stages once: their
 order, the files each reads and writes, the endpoint slots each calls, and
 each one's summary line.
 """
@@ -115,13 +115,19 @@ class RunConfig:
         if self._resolved["eval"].temperature != 0:
             raise ConfigError("endpoints.eval.temperature must be 0: evaluation is greedy")
 
-    def config_digest(self) -> str:
-        """Hash of behavior-relevant settings (paths excluded on purpose)."""
+    def config_digest(self, slots: tuple[str, ...]) -> str:
+        """Hash of the seed and the named slots' settings that can change a request or its answer.
+
+        Paths, concurrency and the transport settings in TRANSPORT_KEYS are left out on purpose.
+        """
         payload = {
             "seed": self.seed,
             "endpoints": {
-                name: {k: v for k, v in asdict(config).items() if k != "api_key_env"}
-                for name, config in self._resolved.items()
+                name: {
+                    k: v for k, v in asdict(self._resolved[name]).items()
+                    if k not in TRANSPORT_KEYS
+                }
+                for name in slots
             },
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
@@ -161,6 +167,8 @@ class RunConfig:
         return cls.from_dict({**data, **(overrides or {})})
 
 
+# Endpoint settings that change how a request is sent, never what it asks or what comes back.
+TRANSPORT_KEYS = frozenset({"api_key_env", "timeout", "max_retries", "requests_per_minute"})
 CONFIG_CHECK = ds.row_check(RunConfig)
 ENDPOINT_CHECK = ds.row_check(ModelEndpointConfig, closed=True)
 
@@ -486,20 +494,38 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
 
 
 def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
-    """Add closed-vocabulary figure-type and question-type labels."""
+    """Add closed-vocabulary figure-type and question-type labels.
+
+    Figure type is a property of the figure: it is asked once per distinct
+    (figure_image_ref, caption), with the figure's first record, and copied to
+    each record of that figure. Question type is asked once per record.
+    """
     out_dir = Path(cfg.output)
     records = ds.read_dataset(_require_file(out_dir / "retained.jsonl"))
     templates = load_templates(cfg.prompts)
 
-    # One paid item per label, so a record's two labels run on separate workers.
-    labels = [
-        (record, kind, endpoints[slot])
-        for record in records
-        for kind, slot in (("figure_type", "annotator_vision"), ("question_type", "annotator_text"))
-    ]
-    values = _run_paid(lambda label: ds.annotate_taxonomy(*label, templates), labels, cfg, "labels")
-    for (record, kind, _), value in zip(labels, values):
-        setattr(record, kind, value)
+    figures: dict[tuple[str, str], list[ds.VerifiedRecord]] = {}
+    for record in records:
+        figures.setdefault((record.figure_image_ref, record.caption), []).append(record)
+    # One paid item per label, (the records it labels, kind, endpoint), all in one pool pass.
+    labels = [(group, "figure_type", endpoints["annotator_vision"]) for group in figures.values()]
+    labels += [([record], "question_type", endpoints["annotator_text"]) for record in records]
+
+    def ask(label) -> str | None:
+        group, kind, endpoint = label
+        return ds.annotate_taxonomy(group[0], kind, endpoint, templates)
+
+    values = _run_paid(ask, labels, cfg, "labels")
+    for (group, kind, _), value in zip(labels, values):
+        for record in group:
+            setattr(record, kind, value)
+        if value is None and kind == "figure_type":
+            logger.warning(
+                "figure %s left unlabeled for figure_type: %d of its records stay unlabeled",
+                group[0].figure_image_ref, len(group),
+            )
+        elif value is None:
+            logger.warning("record %s left unlabeled for question_type", group[0].key)
     ds.write_dataset(records, out_dir / "annotated.jsonl")
     return dict(
         records=len(records),
@@ -573,7 +599,7 @@ def stage_stats(cfg: RunConfig) -> dict:
         "funnel": funnel,
         "replay": {"ok": report.ok, "problems": report.problems},
         "extraction_discards": discards,
-        "config_digest": cfg.config_digest(),
+        "config_digest": cfg.config_digest(tuple(ROLE_DEFAULTS)),
     }
     ds.write_json(out_dir / "stats.json", payload)
     return {
@@ -590,8 +616,9 @@ class Stage:
 
     A body that calls slots also takes the endpoints. The manifest is the body's counts
     under the stage name; a row that writes manifest_<name>.json writes it last. A row
-    that calls slots keys its manifest by the digests of what the body read and wrote,
-    and returns that manifest without running the body while they are all unchanged.
+    that calls slots keys its manifest by the config digest of those slots and the digests
+    of what the body read and wrote, and returns that manifest without running the body
+    while they are all unchanged.
     """
 
     name: str
@@ -603,7 +630,7 @@ class Stage:
 
     def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
         path = Path(cfg.output) / f"manifest_{self.name}.json"
-        key = {"config_digest": cfg.config_digest()}
+        key = {"config_digest": cfg.config_digest(self.slots)}
         if self.slots:
             key["inputs"] = self._input_digests(cfg)
             stored = _stored_manifest(path)

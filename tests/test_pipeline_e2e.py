@@ -23,8 +23,9 @@ from click.testing import CliRunner
 
 from figqa import pipeline
 from figqa.cli import main
+from figqa.dataset import FIGURE_TYPES, QUESTION_TYPES, annotate_taxonomy, write_dataset
 from figqa.errors import EndpointUnavailable, ImageUnreadable
-from figqa.gateway import HttpEndpoint, render_template, request_digest
+from figqa.gateway import HttpEndpoint, format_options, render_template, request_digest
 from figqa.pipeline import (
     STAGE_ORDER,
     RunConfig,
@@ -36,7 +37,7 @@ from figqa.pipeline import (
 from figqa.verification import VOTE_COUNT
 
 from e2e_corpus import SEED
-from helpers import ok_response
+from helpers import StubEndpoint, make_record, ok_response
 
 LETTERS = "ABCD"
 
@@ -513,6 +514,20 @@ RERUN_CAUSES = {
     "manifest-without-digests": (
         "generate", lambda out, bundle, templates: _strip_digests(out, "generate"), "paid"
     ),
+    "changed-text-temperature": (
+        "generate",
+        lambda out, bundle, templates: {"endpoints": {"text": {"temperature": 0.5}}},
+        "unscripted",
+    ),
+}
+
+# Settings that cannot change a request of run's stages or its answer: the eval
+# slot's model (evaluate is not one of them) and every slot's timeout.
+UNUSED_OR_TRANSPORT_SETTINGS = {
+    "endpoints": {
+        **{slot: {"timeout": 5.0} for slot in pipeline.ROLE_DEFAULTS},
+        "eval": {"model_name": "another-eval-model", "timeout": 5.0},
+    }
 }
 
 
@@ -542,6 +557,38 @@ class TestRerunSkip:
         proc = run_cli(["run", "--config", str(config)])
         assert proc.returncode == 0, proc.stderr
         assert (out / "mock_calls.jsonl").read_bytes() == ledger
+
+    def test_settings_no_stage_request_depends_on_pay_for_nothing(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "retimed"
+        shutil.copytree(full_run.out, out)
+        ledger = (out / "mock_calls.jsonl").read_bytes()
+        config = e2e_bundle.make_config(out, **UNUSED_OR_TRANSPORT_SETTINGS)
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "mock_calls.jsonl").read_bytes() == ledger
+        assert artifact_digests(out) == PINNED_SHA256
+
+    def test_config_digest_covers_the_seed_and_the_named_slots_request_settings(self, tmp_path):
+        def digest(slots, seed=SEED, **endpoints):
+            return RunConfig(output=str(tmp_path), seed=seed, endpoints=endpoints).config_digest(
+                slots
+            )
+
+        text = digest(("text",))
+        transport = {"timeout": 5.0, "max_retries": 0, "requests_per_minute": 60,
+                     "api_key_env": "TEXT_KEY"}
+        assert digest(("text",), text=transport) == text
+        assert digest(("text",), vision={"model_name": "v"}, eval={"model_name": "e"}) == text
+        assert digest(("text",), annotator_text={"temperature": 0.5}) == text
+        for changed in ({"temperature": 0.5}, {"model_name": "m"},
+                        {"base_url": "http://127.0.0.1:9/v1"}):
+            assert digest(("text",), text=changed) != text, changed
+        assert digest(("text",), seed=SEED + 1) != text
+        # annotator_text inherits text's model, so its digest follows it.
+        assert digest(("annotator_text",), text={"model_name": "m"}) != digest(("annotator_text",))
+        assert digest(()) != digest((), seed=SEED + 1)
 
     @pytest.mark.parametrize("concurrency", [1, 4])
     def test_run_after_a_verify_crash_does_not_pay_for_generate_again(
@@ -860,6 +907,153 @@ class TestTransportRounds:
         full_log = read_jsonl(full_run.out / "verdict_log.jsonl")
         others = [r for r in full_log if r["candidate_key"] != deferred_key]
         assert [r for r in log if r["candidate_key"] != deferred_key] == others
+
+
+# Hand-made retained records: the (figure_image_ref, caption) of each of three.
+FIGURE_SETS = {
+    # Two figures; the first has two records.
+    "two-figures": [("images/a.png", "Loss over training."), ("images/a.png", "Loss over training."),
+                    ("images/b.png", "Accuracy per model.")],
+    # One image under two captions: two figures.
+    "shared-image": [("images/c.png", "Left: loss."), ("images/c.png", "Left: loss."),
+                     ("images/c.png", "Right: accuracy.")],
+    # One caption on two images: two figures.
+    "shared-caption": [("images/d.png", "Results."), ("images/d.png", "Results."),
+                       ("images/e.png", "Results.")],
+}
+QUESTIONS = ("Which run converges first?", "Where does the loss plateau?", "Which model wins?")
+
+
+def _pure_label(vocabulary):
+    """A handler answering each (prompt, image) with a fixed category of vocabulary."""
+    def answer(prompt: str, image_ref: str | None) -> str:
+        digest = hashlib.sha256(f"{image_ref}\x1f{prompt}".encode("utf-8")).digest()
+        return vocabulary[digest[0] % len(vocabulary)]
+
+    return answer
+
+
+def _pure_annotators() -> dict:
+    return {
+        "annotator_vision": StubEndpoint("vision", handler=_pure_label(FIGURE_TYPES)),
+        "annotator_text": StubEndpoint("text", handler=_pure_label(QUESTION_TYPES)),
+    }
+
+
+class TestAnnotateLabelsEachFigureOnce:
+    """Annotate asks one figure-type request per (figure_image_ref, caption) and
+    one question-type request per record, and copies a figure's type to each of
+    its records."""
+
+    @staticmethod
+    def _retained(out: Path, name: str = "two-figures") -> list:
+        out.mkdir(parents=True, exist_ok=True)
+        records = [
+            make_record(key=f"2000.00001:f0:c{i}", figure_image_ref=image, caption=caption,
+                        question=question)
+            for i, ((image, caption), question) in enumerate(zip(FIGURE_SETS[name], QUESTIONS))
+        ]
+        write_dataset(records, out / "retained.jsonl")
+        return records
+
+    def test_one_figure_type_request_per_figure_and_one_question_type_per_record(
+        self, tmp_path
+    ):
+        for concurrency in (1, 4):
+            out = tmp_path / f"c{concurrency}"
+            self._retained(out)
+            endpoints = _pure_annotators()
+            cfg = RunConfig(output=str(out), concurrency=concurrency)
+            manifest = stage_annotate(cfg, endpoints)
+            figure_calls = endpoints["annotator_vision"].calls
+            assert sorted(image for _, image in figure_calls) == ["images/a.png", "images/b.png"]
+            assert len(endpoints["annotator_text"].calls) == 3
+            assert manifest["figure_type_labeled"] == manifest["question_type_labeled"] == 3
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_SETS))
+    def test_annotated_equals_labeling_every_record_on_its_own(self, tmp_path, templates, name):
+        out = tmp_path / "run"
+        records = self._retained(out, name)
+        endpoints = _pure_annotators()
+        stage_annotate(RunConfig(output=str(out)), endpoints)
+        # The oracle labels each record by itself, with the same pure endpoints.
+        oracle = _pure_annotators()
+        for record in records:
+            record.figure_type = annotate_taxonomy(
+                record, "figure_type", oracle["annotator_vision"], templates
+            )
+            record.question_type = annotate_taxonomy(
+                record, "question_type", oracle["annotator_text"], templates
+            )
+        write_dataset(records, tmp_path / "oracle.jsonl")
+        assert (out / "annotated.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        # The same labels, minus each figure's repeated figure-type request.
+        oracle_figure_calls = oracle["annotator_vision"].calls
+        assert endpoints["annotator_vision"].calls == list(dict.fromkeys(oracle_figure_calls))
+        assert endpoints["annotator_text"].calls == oracle["annotator_text"].calls
+
+    def test_records_of_one_figure_get_its_first_scripted_answer(self, tmp_path, templates):
+        out = tmp_path / "run"
+        records = self._retained(out)
+        script = tmp_path / "script.json"
+        cfg = RunConfig(output=str(out), mock_script=str(script))
+        vision = cfg.endpoint_config("annotator_vision")
+        text = cfg.endpoint_config("annotator_text")
+        entries = {}
+        for record, figure_answers in zip(records, (["Bar Chart", "Heatmap"], None, "Line Plot")):
+            if figure_answers is not None:
+                caption = {"caption": record.caption}
+                prompt = render_template(templates["figure_type_label"], caption)
+                entries[request_digest(vision, prompt, record.figure_image_ref)] = figure_answers
+            prompt = render_template(
+                templates["question_type_label"],
+                {"question": record.question, "options": format_options(record.options)},
+            )
+            entries[request_digest(text, prompt)] = "Descriptive"
+        script.write_text(json.dumps(entries), encoding="utf-8")
+        with pipeline.open_endpoints(cfg, ("annotator_text", "annotator_vision")) as endpoints:
+            stage_annotate(cfg, endpoints)
+        rows = read_jsonl(out / "annotated.jsonl")
+        assert [row["figure_type"] for row in rows] == ["Bar Chart", "Bar Chart", "Line Plot"]
+        assert [row["question_type"] for row in rows] == ["Descriptive"] * 3
+        assert sum(ledger_digests(out).values()) == 5
+
+    def test_off_vocabulary_figure_costs_two_requests_and_leaves_its_records_unlabeled(
+        self, tmp_path, caplog
+    ):
+        out = tmp_path / "run"
+        self._retained(out)
+        endpoints = _pure_annotators()
+        label = endpoints["annotator_vision"].handler
+        endpoints["annotator_vision"].handler = lambda prompt, image: (
+            "A sketch" if image == "images/a.png" else label(prompt, image)
+        )
+        with caplog.at_level("WARNING", logger="figqa"):
+            manifest = stage_annotate(RunConfig(output=str(out)), endpoints)
+        images = [image for _, image in endpoints["annotator_vision"].calls]
+        assert sorted(images) == ["images/a.png", "images/a.png", "images/b.png"]
+        rows = read_jsonl(out / "annotated.jsonl")
+        assert [row["figure_type"] is None for row in rows] == [True, True, False]
+        assert manifest["figure_type_labeled"] == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "figure images/a.png left unlabeled for figure_type: 2 of its records stay unlabeled"
+        ]
+
+    def test_failing_figure_item_exits_5_and_writes_nothing(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        records = self._retained(out)
+        endpoints = _pure_annotators()
+        vision = endpoints["annotator_vision"]
+        endpoints["annotator_vision"] = Unreachable(vision, records[0].caption)
+        monkeypatch.setattr(pipeline, "build_endpoints", lambda cfg, slots: endpoints)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"output": str(out)}), encoding="utf-8")
+        result = CliRunner().invoke(main, ["annotate", "--config", str(config)])
+        assert result.exit_code == 5, result.output
+        assert "1 of 5 labels deferred; no annotate output written" in result.stderr
+        assert not (out / "annotated.jsonl").exists()
+        assert not (out / "manifest_annotate.json").exists()
+        assert len(endpoints["annotator_text"].calls) == 3
 
 
 @pytest.fixture(scope="module")
