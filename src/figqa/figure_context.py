@@ -112,9 +112,15 @@ def levenshtein_distance(a: str, b: str) -> int:
 
 def levenshtein_similarity(a: str, b: str) -> float:
     """1 - d(a,b)/max(|a|,|b|); 1.0 when both strings are empty."""
-    if not a and not b:
-        return 1.0
-    return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b))
+    return _similarity(levenshtein_distance(a, b), len(a), len(b))
+
+
+def _similarity(distance: int, la: int, lb: int) -> float:
+    # The one expression for a similarity and for its length bound (distance
+    # |la - lb|): division and subtraction round monotonically, so a distance
+    # of at least |la - lb| gives sim <= bound in floats too.
+    longest = max(la, lb)
+    return 1.0 - distance / longest if longest else 1.0
 
 
 _ESCAPED_CHAR_RE = re.compile(r"\\([%&_#${}])")
@@ -192,27 +198,44 @@ def match_caption_to_environment(
     corpus_caption: str,
     environments: list[FigureEnvironment],
 ) -> FigureEnvironment | DiscardReason:
-    """Return the unique environment whose caption clears CAPTION_MATCH_THRESHOLD."""
+    """Return the unique environment whose caption clears CAPTION_MATCH_THRESHOLD.
+
+    An edit distance is at least the length difference, so a similarity is at
+    most 1 - |la - lb| / max(la, lb), the length filter of approximate string
+    matching (Ukkonen, Inf. & Control 1985). Environments are scored in
+    descending bound order until a bound can neither reach the threshold nor
+    raise the best similarity seen, so the result and its detail text are
+    those of scoring every environment.
+    """
     target = _comparison_form(corpus_caption)
+    la = len(target)
+    ranked = sorted(
+        ((_similarity(abs(la - len(env.compared)), la, len(env.compared)), i)
+         for i, env in enumerate(environments)),
+        reverse=True,
+    )
     hits = []
     best = 0.0
-    for i, env in enumerate(environments):
-        sim = levenshtein_similarity(target, env.compared)
+    for bound, i in ranked:
+        if bound < CAPTION_MATCH_THRESHOLD and bound <= best:
+            break
+        sim = levenshtein_similarity(target, environments[i].compared)
         best = max(best, sim)
         if sim >= CAPTION_MATCH_THRESHOLD:
-            hits.append((i, sim))
+            hits.append(i)
+    hits.sort()
     if not hits:
         return DiscardReason(
             DiscardKind.NO_ENVIRONMENT_MATCH,
             f"best similarity {best:.3f} below threshold {CAPTION_MATCH_THRESHOLD}",
         )
     if len(hits) > 1:
-        idxs = ", ".join(str(i) for i, _ in hits)
+        idxs = ", ".join(str(i) for i in hits)
         return DiscardReason(
             DiscardKind.AMBIGUOUS_MATCH,
             f"caption matches environments [{idxs}] at or above {CAPTION_MATCH_THRESHOLD}",
         )
-    return environments[hits[0][0]]
+    return environments[hits[0]]
 
 
 def find_citing_paragraphs(

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import socket
 import ssl
@@ -90,8 +91,8 @@ class ModelEndpointConfig:
     model_name: str
     base_url: str = ""
     temperature: float = 1.0
-    # Retries after the first attempt: 5 posts at most, after sleeps of 1, 2, 4 and 8 s.
-    # The only retry layer; a paid stage runs each item once.
+    # Retries after the first attempt: 5 posts at most, after jittered sleeps of up
+    # to 1, 2, 4 and 8 s. The only retry layer; a paid stage runs each item once.
     max_retries: int = 4
     timeout: float = 60.0
     api_key_env: str | None = None
@@ -355,11 +356,17 @@ class HttpEndpoint:
     post(body, headers) -> (status, headers, body) sends one request; by
     default it is a Connections(config.base_url, config.timeout).post, which
     close() closes. Each attempt first takes a token from bucket, when given.
+    The k-th retry waits draw() * min(2**(k-1), MAX_RETRY_WAIT) seconds, full
+    jitter with draw() in [0, 1), unless an integer Retry-After names the wait.
     """
 
-    def __init__(self, config: ModelEndpointConfig, sleep=time.sleep, post=None, bucket=None):
+    def __init__(
+        self, config: ModelEndpointConfig, sleep=time.sleep, post=None, bucket=None,
+        draw=random.random,
+    ):
         self.config = config
         self._sleep = sleep
+        self._draw = draw
         self._connections = None if post else Connections(config.base_url, config.timeout)
         self._post = post or self._connections.post
         self._bucket = bucket
@@ -442,7 +449,7 @@ class HttpEndpoint:
 
         last_error = "no attempt made"
         for attempt in range(1, cfg.max_retries + 2):
-            wait = min(2 ** (attempt - 1), MAX_RETRY_WAIT)  # 1s, 2s, 4s ... 60s
+            wait = None
             if self._bucket is not None:
                 self._bucket.acquire(self._sleep)
             try:
@@ -476,6 +483,8 @@ class HttpEndpoint:
                     if retry_after.isascii() and retry_after.isdigit():
                         wait = min(float(retry_after), MAX_RETRY_WAIT)
             if attempt <= cfg.max_retries:
+                if wait is None:  # 1s, 2s, 4s ... 60s, each scaled by its own draw
+                    wait = self._draw() * min(2 ** (attempt - 1), MAX_RETRY_WAIT)
                 self._sleep(wait)
         raise EndpointUnavailable(
             f"{cfg.model_name}: {last_error} after {cfg.max_retries + 1} attempts"

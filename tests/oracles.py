@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# The result types only: match_full_scan builds what the binder returns.
+from figqa.figure_context import DiscardKind, DiscardReason
+
 
 def levenshtein_full_matrix(a: str, b: str) -> int:
     """Classic full-table edit distance, no rolling rows."""
@@ -30,6 +33,33 @@ def similarity_from_distance(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - levenshtein_full_matrix(a, b) / max(len(a), len(b))
+
+
+def match_full_scan(corpus_caption: str, environments: list):
+    """Score every environment against the caption, with no pruning.
+
+    The comparison form (whitespace runs to one space, trimmed, lower case),
+    the 0.9 threshold and both detail texts are restated here.
+    """
+    def compared(text: str) -> str:
+        return " ".join(text.split()).lower()
+
+    target = compared(corpus_caption)
+    scores = [
+        similarity_from_distance(target, compared(env.caption_normalized))
+        for env in environments
+    ]
+    hits = [i for i, score in enumerate(scores) if score >= 0.9]
+    if len(hits) == 1:
+        return environments[hits[0]]
+    if hits:
+        return DiscardReason(
+            DiscardKind.AMBIGUOUS_MATCH, f"caption matches environments {hits} at or above 0.9"
+        )
+    best = max(scores, default=0.0)
+    return DiscardReason(
+        DiscardKind.NO_ENVIRONMENT_MATCH, f"best similarity {best:.3f} below threshold 0.9"
+    )
 
 
 def majority_oracle(selections: tuple[str, str, str]) -> str:

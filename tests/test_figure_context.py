@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from figqa import figure_context
 from figqa.figure_context import (
     CAPTION_MATCH_THRESHOLD,
     DiscardKind,
@@ -23,7 +25,7 @@ from figqa.figure_context import (
 )
 from figqa.latex_prep import RawPaper, clean_paper
 
-from oracles import levenshtein_full_matrix, similarity_from_distance
+from oracles import levenshtein_full_matrix, match_full_scan, similarity_from_distance
 
 
 class TestLevenshtein:
@@ -206,6 +208,41 @@ def _env(caption: str) -> FigureEnvironment:
     )
 
 
+_CAPTION_CHARS = "abA \t"
+
+
+@st.composite
+def _binding_cases(draw):
+    """A caption and environment captions built to sit near the threshold:
+    copies, near-duplicates, same-length captions, unrelated ones and empty ones."""
+    target = draw(st.text(_CAPTION_CHARS, max_size=30))
+    captions = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("copy", "near", "same_length", "any", "empty")))
+        if kind == "copy":
+            captions.append(target)
+        elif kind == "near":
+            chars = list(target)
+            for _ in range(draw(st.integers(1, 3))):
+                pos = draw(st.integers(0, len(chars)))
+                op = draw(st.sampled_from(("insert", "delete", "substitute")))
+                if op == "insert" or pos == len(chars):
+                    chars.insert(pos, draw(st.sampled_from(_CAPTION_CHARS)))
+                elif op == "delete":
+                    del chars[pos]
+                else:
+                    chars[pos] = draw(st.sampled_from(_CAPTION_CHARS))
+            captions.append("".join(chars))
+        elif kind == "same_length":
+            size = len(target)
+            captions.append(draw(st.text(_CAPTION_CHARS, min_size=size, max_size=size)))
+        elif kind == "any":
+            captions.append(draw(st.text(_CAPTION_CHARS, max_size=30)))
+        else:
+            captions.append("")
+    return target, captions
+
+
 class TestMatchCaption:
     def test_exact_match(self):
         envs = [_env("Training loss curves."), _env("Validation accuracy.")]
@@ -242,6 +279,53 @@ class TestMatchCaption:
 
     def test_default_threshold_constant(self):
         assert CAPTION_MATCH_THRESHOLD == 0.9
+
+    def test_ambiguous_indices_are_listed_in_environment_order(self):
+        # Index 2 has the higher length bound (1.0 against 0.9), so it is scored first.
+        envs = [_env("abcdefghi"), _env("x"), _env("abcdefghij")]
+        got = match_caption_to_environment("abcdefghij", envs)
+        assert got == DiscardReason(
+            DiscardKind.AMBIGUOUS_MATCH, "caption matches environments [0, 2] at or above 0.9"
+        )
+        assert got == match_full_scan("abcdefghij", envs)
+
+    def test_best_similarity_comes_from_every_environment_that_could_hold_it(self):
+        # The same-length caption (bound 1.0) scores 0.0; the shorter one
+        # (bound 0.8) scores 0.8, and the detail must report 0.8.
+        envs = [_env("zzzzzzzzzz"), _env("abcdefgh")]
+        got = match_caption_to_environment("abcdefghij", envs)
+        assert got == DiscardReason(
+            DiscardKind.NO_ENVIRONMENT_MATCH, "best similarity 0.800 below threshold 0.9"
+        )
+        assert got == match_full_scan("abcdefghij", envs)
+
+    def test_a_hit_whose_bound_is_exactly_the_threshold_is_scored(self):
+        # 10 characters against 9 at distance 1: bound and similarity are both 0.9.
+        envs = [_env("abcdefghij"), _env("abcdefghi")]
+        got = match_caption_to_environment("abcdefghij", envs)
+        assert got == DiscardReason(
+            DiscardKind.AMBIGUOUS_MATCH, "caption matches environments [0, 1] at or above 0.9"
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(_binding_cases())
+    @example(("abcdefghij", []))
+    @example(("abcdefghij", ["abcdefghiX"]))
+    @example(("abc", ["", "abd", "ABC"]))
+    @example(("abcdefghij", ["zzzzzzzzzz", "abcdefghzz", "abcdefghij"]))
+    @example(("abcdefghij", ["abcdefghi", "x", "abcdefghij", "abcdefghijk"]))
+    def test_result_equals_the_full_scan(self, case):
+        target, captions = case
+        envs = [
+            FigureEnvironment(span=(i, i), caption_raw=c, caption_normalized=c)
+            for i, c in enumerate(captions)
+        ]
+        got = match_caption_to_environment(target, envs)
+        want = match_full_scan(target, envs)
+        if isinstance(want, FigureEnvironment):
+            assert got is want
+        else:
+            assert got == want
 
 
 class TestFindCitingParagraphs:
@@ -443,6 +527,40 @@ class TestBuildFigureContexts:
         )
         found, discards = build_figure_contexts(paragraphs, raw)
         assert len(found) + len(discards) == 4
+
+    def test_binding_scores_few_of_the_environment_pairs(self, monkeypatch):
+        # 40 figures with caption lengths 60, 66, ..., 294. A pair can reach the
+        # 0.9 threshold only when its lengths are within 10 % of the longer one;
+        # 238 of the 1,600 pairs are, and binding scores exactly those 238. The
+        # bound asserted is 320, a fifth of the 1,600 a full scan scores.
+        rng = random.Random(7)
+        lengths = [60 + 6 * i for i in range(40)]
+        captions = [
+            "".join(
+                " " if 0 < j < n - 1 and j % 7 == 6 else rng.choice(string.ascii_lowercase)
+                for j in range(n)
+            )
+            for n in lengths
+        ]
+        rng.shuffle(captions)
+        source = "\n\n".join(
+            f"\\begin{{figure}}\n\\caption{{{c}}}\n\\label{{fig:{i}}}\n\\end{{figure}}"
+            f"\n\nFigure \\ref{{fig:{i}}} is discussed here."
+            for i, c in enumerate(captions)
+        )
+        pairs = [(f"{i}.png", c) for i, c in enumerate(captions)]
+        paragraphs, raw = _paper(source, pairs[::-1])
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return levenshtein_distance(a, b)
+
+        monkeypatch.setattr(figure_context, "levenshtein_distance", counted)
+        found, discards = build_figure_contexts(paragraphs, raw)
+        assert discards == []
+        assert [c.label for c in found] == [f"fig:{i}" for i in range(39, -1, -1)]
+        assert len(calls) <= 320
 
     def test_multi_key_citation_counts_for_both(self):
         source = (

@@ -557,6 +557,11 @@ def _netrc_and_dead_proxies(tmp_path, monkeypatch):
         monkeypatch.delenv(name, raising=False)
 
 
+def draws(*fractions):
+    """A stub for HttpEndpoint's draw that returns the given fractions in turn."""
+    return iter(fractions).__next__
+
+
 def _http_cfg(**kw):
     base = dict(role="text", model_name="live-model", base_url="https://api.example.test/v1")
     base.update(kw)
@@ -580,11 +585,13 @@ class TestHttpEndpoint:
         transport = FakePost(
             [ConnectionResetError("boom"), FakeResponse(500), ok_response("ok")]
         )
-        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(
+            _http_cfg(), sleep=sleeps.append, post=transport, draw=draws(0.25, 0.75)
+        )
         text, _ = ep.complete("p")
         assert text == "ok"
         assert len(transport.posts) == 3
-        assert sleeps == [1, 2]
+        assert sleeps == [0.25, 1.5]  # 0.25 of 1 s, then 0.75 of 2 s
 
     def test_non_retryable_status_fails_on_the_first_response(self):
         sleeps = []
@@ -600,11 +607,11 @@ class TestHttpEndpoint:
     def test_timeout_and_rate_limit_statuses_are_retried(self, status):
         sleeps = []
         transport = FakePost([FakeResponse(status), ok_response("ok")])
-        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport, draw=draws(0.5))
         text, _ = ep.complete("p")
         assert text == "ok"
         assert len(transport.posts) == 2
-        assert sleeps == [1]
+        assert sleeps == [0.5]
 
     @pytest.mark.parametrize("status", [429, 503])
     def test_retry_after_seconds_replace_the_backoff_step(self, status):
@@ -612,11 +619,12 @@ class TestHttpEndpoint:
         transport = FakePost([
             FakeResponse(status, headers={"Retry-After": "7"}), FakeResponse(status), ok_response("ok")
         ])
-        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport, draw=draws(0.5))
         text, _ = ep.complete("p")
         assert text == "ok"
         assert len(transport.posts) == 3
-        assert sleeps == [7, 2]
+        # Retry-After is the wait itself, with no draw; the second retry draws once.
+        assert sleeps == [7, 1.0]
 
     @pytest.mark.parametrize(
         "status, headers",
@@ -630,10 +638,10 @@ class TestHttpEndpoint:
     def test_backoff_without_integer_retry_after(self, status, headers):
         sleeps = []
         transport = FakePost([FakeResponse(status, headers=headers), ok_response("ok")])
-        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport, draw=draws(0.5))
         text, _ = ep.complete("p")
         assert text == "ok"
-        assert sleeps == [1]
+        assert sleeps == [0.5]
 
     @pytest.mark.parametrize(
         "status, retry_after",
@@ -645,16 +653,28 @@ class TestHttpEndpoint:
         transport = FakePost(
             [FakeResponse(status, headers={"Retry-After": retry_after}), ok_response("ok")]
         )
-        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport)
+        # draws() has no fraction to give: a Retry-After wait is never jittered.
+        ep = HttpEndpoint(_http_cfg(), sleep=sleeps.append, post=transport, draw=draws())
         assert ep.complete("p")[0] == "ok"
         assert sleeps == [MAX_RETRY_WAIT]
 
     def test_backoff_stops_doubling_at_the_longest_wait(self):
         sleeps = []
         transport = FakePost([FakeResponse(500)] * 70 + [ok_response("ok")])
-        ep = HttpEndpoint(_http_cfg(max_retries=70), sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(
+            _http_cfg(max_retries=70), sleep=sleeps.append, post=transport, draw=lambda: 0.5
+        )
         assert ep.complete("p")[0] == "ok"
-        assert sleeps == [1, 2, 4, 8, 16, 32] + [MAX_RETRY_WAIT] * 64
+        assert sleeps == [0.5, 1, 2, 4, 8, 16] + [MAX_RETRY_WAIT / 2] * 64
+
+    def test_default_waits_are_full_jitter_below_each_step(self):
+        sleeps = []
+        transport = FakePost([FakeResponse(500)] * 8 + [ok_response("ok")])
+        ep = HttpEndpoint(_http_cfg(max_retries=8), sleep=sleeps.append, post=transport)
+        assert ep.complete("p")[0] == "ok"
+        steps = [1, 2, 4, 8, 16, 32, MAX_RETRY_WAIT, MAX_RETRY_WAIT]
+        assert len(sleeps) == len(steps)
+        assert all(0 <= wait < step for wait, step in zip(sleeps, steps))
 
     def test_retries_exhausted(self):
         transport = FakePost([FakeResponse(503)] * 3)
@@ -1016,8 +1036,9 @@ class TestTokenBucket:
             ep.close()
 
     def test_complete_waits_on_the_shared_bucket_before_each_attempt(self, tmp_path, monkeypatch):
-        # One request a minute: each retry waits out its backoff, then the rest of its
-        # minute, and annotator_text, which shares text's bucket, then waits a whole one.
+        # One request a minute: each retry waits out its backoff (half of each step
+        # here), then the rest of its minute, and annotator_text, which shares text's
+        # bucket, then waits a whole one.
         clock = {"now": 0.0}
         monkeypatch.setattr("figqa.gateway.time.monotonic", lambda: clock["now"])
         sleeps = []
@@ -1031,8 +1052,9 @@ class TestTokenBucket:
         eps = build_endpoints(cfg, ("text", "annotator_text"))
         transport = FakePost([FakeResponse(503), FakeResponse(503), ok_response("a")])
         eps["text"]._sleep, eps["text"]._post = sleep, transport
+        eps["text"]._draw = draws(0.5, 0.5)
         assert eps["text"].complete("p")[0] == "a"
-        assert sleeps == [1, 59, 2, 58]
+        assert sleeps == [0.5, 59.5, 1.0, 59.0]
         assert len(transport.posts) == 3
 
         sleeps.clear()
@@ -1116,12 +1138,12 @@ class TestPoolMap:
         sleeps = []
         cfg = _http_cfg()
         transport = FakePost([FakeResponse(503)] * 100)
-        ep = HttpEndpoint(cfg, sleep=sleeps.append, post=transport)
+        ep = HttpEndpoint(cfg, sleep=sleeps.append, post=transport, draw=lambda: 0.5)
         results = map_items(ep.complete, ["p", "q"], 1)
         assert [type(r) for r in results] == [EndpointUnavailable] * 2
         assert cfg.max_retries == 4
         assert len(transport.posts) == 2 * (cfg.max_retries + 1)
-        assert sleeps == [1, 2, 4, 8] * 2
+        assert sleeps == [0.5, 1, 2, 4] * 2
 
 
 class TestConnections:
@@ -1156,10 +1178,12 @@ class TestConnections:
     def test_truncated_body_is_a_failed_attempt(self):
         sleeps = []
         with Loopback(["truncated"]) as server:
-            ep = HttpEndpoint(_http_cfg(base_url=server.base_url), sleep=sleeps.append)
+            ep = HttpEndpoint(
+                _http_cfg(base_url=server.base_url), sleep=sleeps.append, draw=draws(0.5)
+            )
             assert ep.complete("p")[0] == "ok"
             ep.close()
-        assert sleeps == [1]
+        assert sleeps == [0.5]
         assert len(server.received) == 2
         assert server.opened == 2
 
@@ -1168,12 +1192,14 @@ class TestConnections:
         # new one; that one is dropped too, which is an attempt, then a third answers.
         sleeps = []
         with Loopback(["ok-then-close", "drop"]) as server:
-            ep = HttpEndpoint(_http_cfg(base_url=server.base_url), sleep=sleeps.append)
+            ep = HttpEndpoint(
+                _http_cfg(base_url=server.base_url), sleep=sleeps.append, draw=draws(0.5)
+            )
             assert ep.complete("first")[0] == "ok"
             assert server.closed.acquire(timeout=10)
             assert ep.complete("second")[0] == "ok"
             ep.close()
-        assert sleeps == [1]
+        assert sleeps == [0.5]
         assert server.opened == 3
         assert [r["json"]["messages"][0]["content"] for r in server.received] == [
             "first", "second", "second"
