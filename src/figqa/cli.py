@@ -2,7 +2,8 @@
 
 `figqa <stage>` is `figqa run --stage <stage>`: both print each stage's
 summary line and share one exit-code map, the EXIT_* codes below. README's
-exit-code table says what each code means.
+exit-code table says what each code means. Every command holds its output
+directory's lock while it runs, so one run directory has one writer.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from .errors import (
     ImageUnreadable,
     InvalidFunnel,
     MissingVariable,
+    RunDirectoryLocked,
     SchemaViolation,
     UnscriptedRequest,
     UpstreamInputError,
 )
+from .dataset import run_directory_lock
 from .pipeline import STAGE_FUNCTIONS, STAGE_ORDER, STAGES, RunConfig, run_stages
 from . import pipeline
 
@@ -35,6 +38,7 @@ EXIT_AUTH = 4
 EXIT_UNAVAILABLE = 5
 EXIT_FILE = 6
 EXIT_INTERNAL = 7
+EXIT_LOCKED = 8
 
 
 def _build_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -62,6 +66,9 @@ def _handle_errors(fn):
         except EndpointUnavailable as exc:
             click.echo(f"endpoint unavailable; rerun the stage: {exc}", err=True)
             sys.exit(EXIT_UNAVAILABLE)
+        except RunDirectoryLocked as exc:
+            click.echo(f"output directory locked: {exc}", err=True)
+            sys.exit(EXIT_LOCKED)
         except OSError as exc:
             click.echo(f"file error: {exc}", err=True)
             sys.exit(EXIT_FILE)
@@ -111,7 +118,9 @@ def _run(config_path, stages, **params):
 
     Exits 3 when the stats stage's verdict replay is inconsistent.
     """
-    manifests = run_stages(_build_config(config_path, params), list(stages) or None)
+    cfg = _build_config(config_path, params)
+    with run_directory_lock(cfg.output):
+        manifests = run_stages(cfg, list(stages) or None)
     for manifest in manifests:
         click.echo(STAGE_FUNCTIONS[manifest["stage"]].summary(manifest))
     if any(m.get("replay_ok") is False for m in manifests):
@@ -141,7 +150,7 @@ for _stage in STAGES:
 @_handle_errors
 def evaluate(config_path, **params):
     cfg = _build_config(config_path, params)
-    with pipeline.open_endpoints(cfg, ("eval",)) as endpoints:
+    with run_directory_lock(cfg.output), pipeline.open_endpoints(cfg, ("eval",)) as endpoints:
         summary = pipeline.stage_evaluate(cfg, endpoints)
     click.echo(summary["report"])
     if summary["unevaluated"] > cfg.unevaluated_threshold:

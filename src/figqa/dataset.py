@@ -2,13 +2,16 @@
 
 Records are line-delimited JSON with a stable field order so runs are
 byte-comparable. This module is the one place figqa writes files: whole
-files are replaced atomically, logs grow by fsynced appends. Funnel
-percentages follow the published-table presentation (half-up at two
-decimals, then half-up at one).
+files are replaced atomically, logs grow by fsynced appends, and a lock
+file keeps one writer per run directory. Funnel percentages follow the
+published-table presentation (half-up at two decimals, then half-up at
+one).
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -21,7 +24,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import InvalidFunnel, MalformedResponse, SchemaViolation
+from .errors import InvalidFunnel, MalformedResponse, RunDirectoryLocked, SchemaViolation
 from .gateway import complete_parsed, format_options, render_template
 
 logger = logging.getLogger(__name__)
@@ -447,6 +450,35 @@ def append_jsonl(path: str | Path, row: dict) -> None:
         fh.write(_line(row))
         fh.flush()
         os.fsync(fh.fileno())
+
+
+LOCK_FILE = ".figqa.lock"
+
+
+@contextlib.contextmanager
+def run_directory_lock(directory: str | Path):
+    """Hold an exclusive lock on directory's lock file, which it creates, for the with block.
+
+    The file names the holder's process id. While one open of it holds the
+    lock, in this process or another, a second raises RunDirectoryLocked
+    naming that process, without waiting.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    fd = os.open(directory / LOCK_FILE, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.pread(fd, 32, 0).decode("ascii", "replace").strip() or "unknown"
+            raise RunDirectoryLocked(
+                f"{directory} is in use by another figqa process (pid {holder})"
+            ) from None
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+        yield
+    finally:
+        os.close(fd)
 
 
 def cut_torn_tail(path: str | Path) -> None:

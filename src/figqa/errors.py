@@ -66,3 +66,7 @@ class ConfigError(FigqaError):
 
 class UpstreamInputError(FigqaError):
     """A stage's required input file is missing or unreadable."""
+
+
+class RunDirectoryLocked(FigqaError):
+    """Another figqa process holds the run directory's lock."""

@@ -5,10 +5,13 @@ Two endpoint flavors share one interface, complete(prompt, image_ref) ->
 limiting, and a scripted mock keyed by request digest for deterministic
 tests. All parsing helpers are pure functions.
 
-The HTTP client posts through the standard library's http.client, on
-keep-alive connections that every thread of one endpoint shares. It sends
-exactly the request it builds: no proxy, no ~/.netrc credential, no followed
-redirect. HTTPS verifies against the system trust store.
+The HTTP client speaks a small subset of HTTP/1.1 (RFC 9112) itself, on
+keep-alive connections that every thread of one endpoint shares. It writes
+the request head http.client would write, and reads replies whose body ends
+at its Content-Length, at the end of a chunked body, or where the server
+closes the connection. It sends exactly the request it builds: no proxy, no
+~/.netrc credential, no followed redirect. HTTPS verifies against the
+system trust store.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
-import http.client
 import json
 import logging
 import math
@@ -71,6 +73,9 @@ _IMAGE_MIME = {
 
 # A scheme followed by "://"; schemes are case-insensitive (RFC 3986, 3.1).
 _URL_RE = re.compile(r"[a-z][a-z0-9+.-]*://", re.ASCII | re.IGNORECASE)
+
+# A request line carries its path as is: printable ASCII only.
+_UNSAFE_PATH_RE = re.compile(r"[^\x21-\x7e]")
 
 # json.dumps writes an empty image URL as this slot. A local image's data URI
 # is spliced into it as bytes: base64 holds nothing JSON escapes, so the body
@@ -130,6 +135,10 @@ def _check_base_url(base_url: str) -> None:
         )
     if url.username is not None:
         raise ConfigError("base_url: holds credentials; name their variable in api_key_env")
+    if _UNSAFE_PATH_RE.search(url.path):
+        raise ConfigError(
+            f"base_url: the path holds a space, a control or a non-ASCII character: {base_url!r}"
+        )
 
 
 @dataclass
@@ -274,59 +283,240 @@ class TokenBucket:
 
 
 # A reused connection the server closed while it sat idle fails with one of
-# these before any response arrives; the request is sent again on a new one.
-_STALE = (BrokenPipeError, ConnectionResetError)  # RemoteDisconnected is a ConnectionResetError
+# these before any byte of the reply arrives; the request is sent again on a new one.
+_STALE = (BrokenPipeError, ConnectionResetError)
+
+# http.client's limits on a reply: the longest line of its head, of a chunk
+# size or of its trailer, line break included, and the most field lines in
+# one head or trailer.
+MAX_LINE = 65536
+MAX_FIELDS = 100
+# The most bytes one read of a body asks for, so a false Content-Length or
+# chunk size costs no allocation of its size, only a short read.
+_READ_PIECE = 1 << 20
+
+_STATUS_RE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
+_FIELD_RE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n]*?)[ \t]*\r?\n")
+_CHUNK_SIZE_RE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+
+
+class ReplyError(OSError):
+    """A reply that breaks HTTP/1.1 framing, ends early or passes a limit: one failed attempt."""
+
+
+def _content_length(value: str) -> int:
+    """The one length a Content-Length value names, which a list may repeat (RFC 9112, 6.3)."""
+    lengths = {part.strip() for part in value.split(",")}
+    length = lengths.pop()
+    if lengths or not (length.isascii() and length.isdigit()):
+        raise ReplyError(f"malformed Content-Length {value!r}")
+    return int(length)
+
+
+class HttpConnection:
+    """One socket to a server, opened by the first send, and the one buffered reader of its replies.
+
+    A context wraps the socket in TLS, verified for host. Any error closes
+    the connection, and so does a reply that ends it.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float, context: ssl.SSLContext | None):
+        self.host, self.port, self.timeout, self.context = host, port, timeout, context
+        self.sock = None
+        self._reader = None
+
+    def send(self, head: bytes, body: bytes) -> bytes:
+        """Send one request; return the first line of its reply.
+
+        A reused connection the server has closed raises one of _STALE here.
+        """
+        try:
+            if self.sock is None:
+                self._open()
+            self.sock.sendall(head)
+            self.sock.sendall(body)
+            line = self._readline()
+        except BaseException:
+            self.close()
+            raise
+        if not line:
+            self.close()
+            raise ConnectionResetError("the server closed the connection without a reply")
+        return line
+
+    def read_reply(self, line: bytes) -> tuple[int, dict[str, str], bytes]:
+        """(status, fields, body) of the reply whose first line send returned.
+
+        fields maps each lower-cased field name to its value. Interim 1xx
+        replies are skipped. The body ends at its Content-Length, at the end
+        of a chunked body, or where the server closes the connection; a 204
+        or 304 has none.
+        """
+        try:
+            while True:
+                status_line = _STATUS_RE.fullmatch(line)
+                if status_line is None:
+                    raise ReplyError(f"malformed status line {line[:80]!r}")
+                status = int(status_line[2])
+                fields = self._read_fields()
+                if status >= 200:
+                    break
+                line = self._readline()
+            tokens = {token.strip() for token in fields.get("connection", "").lower().split(",")}
+            # HTTP/1.1 keeps the connection unless told otherwise; HTTP/1.0 closes it.
+            keep = "close" not in tokens if status_line[1] != b"0" else "keep-alive" in tokens
+            if status in (204, 304):
+                body = b""
+            elif "transfer-encoding" in fields:
+                if fields["transfer-encoding"].lower() != "chunked":
+                    raise ReplyError(
+                        f"unsupported transfer coding {fields['transfer-encoding']!r}"
+                    )
+                body = self._read_chunked()
+            elif "content-length" in fields:
+                body = self._read_exact(_content_length(fields["content-length"]))
+            else:
+                body, keep = self._reader.read(), False
+        except BaseException:
+            self.close()
+            raise
+        if not keep:
+            self.close()
+        return status, fields, body
+
+    def close(self) -> None:
+        reader, sock = self._reader, self.sock
+        self._reader = self.sock = None
+        if reader is not None:
+            reader.close()
+        if sock is not None:
+            sock.close()
+
+    def _open(self) -> None:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            # The head and the body go out in two writes: without this, the
+            # body's last segment can wait for the server's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.context is not None:
+                sock = self.context.wrap_socket(sock, server_hostname=self.host)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self._reader = sock, sock.makefile("rb")
+
+    def _readline(self) -> bytes:
+        line = self._reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise ReplyError(f"a line of the reply is longer than {MAX_LINE} bytes")
+        return line
+
+    def _read_fields(self) -> dict[str, str]:
+        """The field lines up to the blank line that ends them, as {lower-cased name: value}.
+
+        A name given twice maps to its values joined by ", " (RFC 9110, 5.3).
+        """
+        fields: dict[str, str] = {}
+        for _ in range(MAX_FIELDS + 1):
+            line = self._readline()
+            if line == b"\r\n" or line == b"\n":
+                return fields
+            field = _FIELD_RE.fullmatch(line)
+            if field is None:
+                if not line:
+                    raise ReplyError("the reply ends inside its head")
+                raise ReplyError(f"malformed field line {line[:80]!r}")
+            name, value = field[1].decode("ascii").lower(), field[2].decode("latin-1")
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+        raise ReplyError(f"more than {MAX_FIELDS} field lines")
+
+    def _read_exact(self, size: int) -> bytes:
+        pieces, left = [], size
+        while left:
+            piece = self._reader.read(min(left, _READ_PIECE))
+            if not piece:
+                raise ReplyError(f"the body ends after {size - left} of {size} bytes")
+            pieces.append(piece)
+            left -= len(piece)
+        return b"".join(pieces)
+
+    def _read_chunked(self) -> bytes:
+        pieces = []
+        while True:
+            line = self._readline()
+            chunk = _CHUNK_SIZE_RE.fullmatch(line)
+            if chunk is None:
+                raise ReplyError(f"malformed chunk size line {line[:80]!r}")
+            size = int(chunk[1], 16)
+            if not size:
+                break
+            pieces.append(self._read_exact(size))
+            if self._readline() not in (b"\r\n", b"\n"):
+                raise ReplyError("a chunk runs past its size")
+        self._read_fields()  # the trailer, which nothing here reads
+        return b"".join(pieces)
 
 
 class Connections:
     """Keep-alive connections to one base URL, shared by the threads that post to it.
 
     A post takes the most recently idle connection, or opens one when none
-    is idle, and puts it back once the whole response is read, unless the
-    server is closing it. A connection that raised is closed, never reused.
-    So no more connections are open than posts are in flight.
+    is idle, and puts it back once the whole reply is read, unless the
+    reply ends the connection. A connection that raised is closed, never
+    reused. So no more connections are open than posts are in flight.
     """
 
     def __init__(self, base_url: str, timeout: float):
         url = urllib.parse.urlsplit(base_url)
-        self._path = f"{url.path.rstrip('/')}/chat/completions"
-        # The timeout holds for each socket operation. The port is explicit,
-        # because http.client would read the host "::1" as ":" and port 1.
-        if url.scheme == "https":
-            self._new = functools.partial(
-                http.client.HTTPSConnection, url.hostname, url.port or 443,
-                timeout=timeout, context=ssl.create_default_context(),
-            )
-        else:
-            self._new = functools.partial(
-                http.client.HTTPConnection, url.hostname, url.port or 80, timeout=timeout
-            )
-        self._idle: list[http.client.HTTPConnection] = []
+        tls = url.scheme == "https"
+        default_port = 443 if tls else 80
+        port = url.port or default_port
+        # The request head as http.client writes it, up to Content-Length's
+        # value: Host brackets an IPv6 address, and names the port unless it
+        # is the scheme's default.
+        try:
+            host = url.hostname.encode("ascii")
+        except UnicodeEncodeError:
+            host = url.hostname.encode("idna")
+        if b":" in host:
+            host = b"[" + host + b"]"
+        if port != default_port:
+            host += b":%d" % port
+        path = f"{url.path.rstrip('/')}/chat/completions".encode("ascii")
+        self._head = (
+            b"POST %s HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\nContent-Length: "
+            % (path, host)
+        )
+        # The timeout holds for each socket operation.
+        context = ssl.create_default_context() if tls else None
+        self._new = functools.partial(HttpConnection, url.hostname, port, timeout, context)
+        self._idle: list[HttpConnection] = []
         self._lock = threading.Lock()
 
-    def post(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """(status, headers, body) of one POST of body to the chat-completions path."""
+    def post(self, body: bytes, headers: dict) -> tuple[int, dict[str, str], bytes]:
+        """(status, fields, body) of one POST of body to the chat-completions path.
+
+        headers follow Host, Accept-Encoding and Content-Length in the head,
+        in their order, and name none of those three. fields maps each
+        lower-cased field name of the reply to its value.
+        """
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        head = b"%s%d\r\n%s\r\n" % (self._head, len(body), fields.encode("latin-1"))
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                resp = self._send(conn, body, headers)
+                line = conn.send(head, body)
             except _STALE:
                 conn = None
         if conn is None:
             conn = self._new()
-            resp = self._send(conn, body, headers)
-        try:
-            data = resp.read()
-        except BaseException:
-            conn.close()
-            raise
-        if resp.will_close:
-            conn.close()
-        else:
+            line = conn.send(head, body)
+        reply = conn.read_reply(line)
+        if conn.sock is not None:
             with self._lock:
                 self._idle.append(conn)
-        return resp.status, resp.headers, data
+        return reply
 
     def close(self) -> None:
         """Close every idle connection; one in use goes back to the idle list when its post ends."""
@@ -335,27 +525,14 @@ class Connections:
         for conn in idle:
             conn.close()
 
-    def _send(self, conn: http.client.HTTPConnection, body: bytes, headers: dict):
-        """The response to one request on conn, read up to the end of its headers."""
-        try:
-            if conn.sock is None:
-                conn.connect()
-                # The headers and the body go out in two writes: without this, the
-                # body's last segment can wait for the server's delayed ACK.
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.request("POST", self._path, body, headers)
-            return conn.getresponse()
-        except BaseException:
-            conn.close()
-            raise
-
 
 class HttpEndpoint:
     """Chat-completion client over HTTP with retry, backoff, and rate limit.
 
-    post(body, headers) -> (status, headers, body) sends one request; by
-    default it is a Connections(config.base_url, config.timeout).post, which
-    close() closes. Each attempt first takes a token from bucket, when given.
+    post(body, headers) -> (status, fields, body) sends one request, the
+    reply's fields keyed by lower-cased name; by default it is a
+    Connections(config.base_url, config.timeout).post, which close() closes.
+    Each attempt first takes a token from bucket, when given.
     The k-th retry waits draw() * min(2**(k-1), MAX_RETRY_WAIT) seconds, full
     jitter with draw() in [0, 1), unless an integer Retry-After names the wait.
     """
@@ -454,13 +631,13 @@ class HttpEndpoint:
                 self._bucket.acquire(self._sleep)
             try:
                 status, resp_headers, data = self._post(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 last_error = str(exc) or type(exc).__name__
             else:
                 if status in (401, 403):
                     raise AuthError(f"endpoint rejected credentials (HTTP {status})")
                 if 300 <= status < 500 and status not in (408, 429):
-                    location = resp_headers.get("Location")
+                    location = resp_headers.get("location")
                     raise EndpointUnavailable(
                         f"{cfg.model_name}: HTTP {status} is not retryable"
                         + (f" (redirected to {location}; check base_url)" if location else "")
@@ -479,7 +656,7 @@ class HttpEndpoint:
                 if status in (429, 503):
                     # Integer seconds only; an HTTP-date value keeps the backoff step.
                     # float() takes digits too many for int(), and min() cuts them.
-                    retry_after = resp_headers.get("Retry-After", "").strip()
+                    retry_after = resp_headers.get("retry-after", "").strip()
                     if retry_after.isascii() and retry_after.isdigit():
                         wait = min(float(retry_after), MAX_RETRY_WAIT)
             if attempt <= cfg.max_retries:

@@ -18,12 +18,13 @@ from figqa.generation import QACandidate
 
 
 class FakeResponse:
-    """One reply: a status, headers, and the payload as a JSON body (bytes are sent as given)."""
+    """One reply: a status, headers keyed by lower-cased name, as Connections.post gives
+    them, and the payload as a JSON body (bytes are sent as given)."""
 
     def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self.body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-        self.headers = headers or {}
+        self.headers = {name.lower(): value for name, value in (headers or {}).items()}
 
 
 class FakePost:

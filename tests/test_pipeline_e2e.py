@@ -7,6 +7,7 @@ the verdict log, the call ledger, the funnel, and the exit codes.
 
 import hashlib
 import json
+import os
 import resource
 import shutil
 import socket
@@ -22,11 +23,18 @@ import yaml
 from click.testing import CliRunner
 
 from figqa import pipeline
-from figqa.cli import main
-from figqa.dataset import FIGURE_TYPES, QUESTION_TYPES, annotate_taxonomy, write_dataset
+from figqa.cli import EXIT_LOCKED, main
+from figqa.dataset import (
+    FIGURE_TYPES,
+    QUESTION_TYPES,
+    annotate_taxonomy,
+    run_directory_lock,
+    write_dataset,
+)
 from figqa.errors import EndpointUnavailable, ImageUnreadable
 from figqa.gateway import HttpEndpoint, format_options, render_template, request_digest
 from figqa.pipeline import (
+    ROLE_DEFAULTS,
     STAGE_ORDER,
     RunConfig,
     build_endpoints,
@@ -38,6 +46,7 @@ from figqa.verification import VOTE_COUNT
 
 from e2e_corpus import SEED
 from helpers import StubEndpoint, make_record, ok_response
+from loopback import Loopback, ScriptAnswers
 
 LETTERS = "ABCD"
 
@@ -1184,6 +1193,81 @@ REPLAY_EDITS = {
         "VisualDependenceVision failed but a later filter was still recorded",
     ),
 }
+
+
+class TestLiveRunOverLoopback:
+    """`figqa run` and `evaluate` against a live endpoint that answers from the mock script."""
+
+    KEY = "sk-loopback-0123456789abcdef"
+
+    @pytest.mark.parametrize(
+        "replies, faults",
+        [((), 0), (("ok", "drop", "ok", "unavailable"), 2)],
+        ids=["clean", "dropped-keep-alive-and-503"],
+    )
+    def test_outputs_equal_the_mock_run(
+        self, full_run, e2e_bundle, tmp_path, monkeypatch, replies, faults
+    ):
+        # The second post finds the first one's connection dropped and is sent
+        # again; a later post is answered 503 with Retry-After: 0 and retried.
+        monkeypatch.chdir(e2e_bundle.root)  # image refs are relative to the corpus root
+        monkeypatch.setenv("FIGQA_E2E_KEY", self.KEY)
+        answers = ScriptAnswers(e2e_bundle.script_path, e2e_bundle.root)
+        out = tmp_path / "live"
+        with Loopback(replies, answer=answers) as server:
+            slots = {name: {"model_name": row["model_name"]} for name, row in ROLE_DEFAULTS.items()}
+            for name in ("text", "vision"):
+                slots[name].update(base_url=server.base_url, api_key_env="FIGQA_E2E_KEY")
+            config = e2e_bundle.make_config(out, mock_script=None, endpoints=slots)
+            for command in ("run", "evaluate"):
+                result = CliRunner().invoke(main, [command, "--config", str(config)])
+                assert result.exit_code == 0, result.output
+        assert server.errors == []
+        assert artifact_digests(out) == PINNED_SHA256
+        summary = (out / "eval_summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
+        log = (out / "verdict_log.jsonl").read_bytes()
+        assert log == (full_run.out / "verdict_log.jsonl").read_bytes()
+
+        phases = ("generate", "verify", "annotate", "evaluate")
+        expected = scripted_call_counter(full_run.expect, *phases)
+        assert Counter(row["digest"] for row in answers.calls) == expected
+        assert len(server.received) == len(answers.calls) + faults
+        authorizations = {r["headers"].get("Authorization") for r in server.received}
+        assert authorizations == {f"Bearer {self.KEY}"}
+        for path in out.rglob("*"):
+            if path.is_file():
+                assert self.KEY.encode() not in path.read_bytes(), path
+
+
+class TestOneWriterPerRunDirectory:
+    @pytest.mark.parametrize("command", ["run", "generate", "evaluate"])
+    def test_a_command_on_a_locked_directory_exits_8_naming_the_holder(
+        self, e2e_bundle, tmp_path, command
+    ):
+        out = tmp_path / "out"
+        config = e2e_bundle.make_config(out)
+        with run_directory_lock(out):
+            result = CliRunner().invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == EXIT_LOCKED == 8, result.output
+        assert result.stderr == (
+            f"output directory locked: {out} is in use by another figqa process "
+            f"(pid {os.getpid()})\n"
+        )
+        assert not (out / "mock_calls.jsonl").exists()
+        # The lock ends with the command that held it.
+        result = CliRunner().invoke(main, ["prepare", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+
+    def test_a_second_process_pays_for_no_call(self, e2e_bundle, run_cli, tmp_path):
+        out = tmp_path / "out"
+        config = e2e_bundle.make_config(out)
+        with run_directory_lock(out):
+            proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 8, proc.stderr
+        assert f"(pid {os.getpid()})" in proc.stderr
+        assert not (out / "mock_calls.jsonl").exists()
+        assert not (out / "papers_clean.jsonl").exists()
 
 
 class TestReplayChecks:
