@@ -25,7 +25,7 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import InvalidFunnel, MalformedResponse, RunDirectoryLocked, SchemaViolation
-from .gateway import complete_parsed, format_options, render_template
+from .gateway import OPTION_LETTERS, complete_parsed, format_options, render_template
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,7 @@ QUESTION_TYPES = (
     "Structural",
 )
 
-OPTION_COUNT = 4
+OPTION_COUNT = len(OPTION_LETTERS)
 
 
 def normalize_ws(text: str) -> str:
@@ -97,7 +97,7 @@ class VerifiedRecord:
 
     @property
     def correct_letter(self) -> str:
-        return chr(65 + self.correct_index)
+        return OPTION_LETTERS[self.correct_index]
 
 
 @dataclass

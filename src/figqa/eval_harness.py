@@ -62,7 +62,7 @@ def evaluate(
         )
         response, _ = endpoint.complete(prompt, record.figure_image_ref)
         try:
-            return parse_option_tag(response, len(record.options))
+            return parse_option_tag(response)
         except MalformedResponse:
             return None  # unparseable counts as wrong
 

@@ -51,6 +51,9 @@ logger = logging.getLogger(__name__)
 NONE_SIGNAL = "None"
 AMBIGUOUS = "Ambiguous"
 
+# Every question has four options, lettered in this order; an answer names one letter.
+OPTION_LETTERS = ("A", "B", "C", "D")
+
 TEMPLATE_NAMES = (
     "claim_extract",
     "qa_generate",
@@ -189,7 +192,7 @@ def load_templates(prompt_dir: str | Path | None = None) -> dict[str, PromptTemp
 
 def format_options(options: list[str]) -> str:
     """Render options as lettered lines: 'A. first\\nB. second...'."""
-    return "\n".join(f"{chr(65 + i)}. {opt}" for i, opt in enumerate(options))
+    return "\n".join(f"{OPTION_LETTERS[i]}. {opt}" for i, opt in enumerate(options))
 
 
 def request_digest(config: ModelEndpointConfig, prompt: str, image_ref: str | None = None) -> str:
@@ -198,8 +201,14 @@ def request_digest(config: ModelEndpointConfig, prompt: str, image_ref: str | No
     return hashlib.sha256("\x1f".join(fields).encode("utf-8")).hexdigest()
 
 
-_PATTERNS_RE = re.compile(r"<Patterns>(.*?)</Patterns>", re.DOTALL | re.IGNORECASE)
-_OPTION_TAG_RE = re.compile(r"<option>(.*?)</option>", re.DOTALL | re.IGNORECASE)
+@functools.cache
+def _tag_re(name: str) -> re.Pattern:
+    return re.compile(f"<{name}>(.*?)</{name}>", re.DOTALL | re.IGNORECASE)
+
+
+def tag_bodies(response: str, name: str) -> list[str]:
+    """The raw body of each <name>...</name> in response: any case, across lines, shortest match."""
+    return _tag_re(name).findall(response)
 
 
 def is_bare_none(text: str) -> bool:
@@ -212,12 +221,12 @@ def parse_patterns_block(response: str) -> list[str] | None:
     Returns None for the abstention signal (bare "None" response, empty tag,
     or a tag containing only "None"). Chatter outside the tags is ignored.
     """
-    m = _PATTERNS_RE.search(response)
-    if m is None:
+    blocks = tag_bodies(response, "Patterns")
+    if not blocks:
         if is_bare_none(response):
             return None
         raise MalformedResponse("no <Patterns> block and response is not 'None'")
-    lines = [line.strip() for line in m.group(1).splitlines()]
+    lines = [line.strip() for line in blocks[0].splitlines()]
     lines = [line for line in lines if line]
     if not lines or (len(lines) == 1 and is_bare_none(lines[0])):
         return None
@@ -227,36 +236,27 @@ def parse_patterns_block(response: str) -> list[str] | None:
 _OPTION_STRIP_CHARS = " \t\n.,:;!?()[]{}<>*\"'"
 
 
-def parse_option_tag(response: str, option_count: int) -> str:
+def parse_option_tag(response: str) -> str:
     """Extract the selected letter from <option> tags.
 
-    Returns a single uppercase letter, NONE_SIGNAL, or AMBIGUOUS. Raises
+    Returns one of OPTION_LETTERS, NONE_SIGNAL, or AMBIGUOUS. Raises
     MalformedResponse when no tag exists at all; callers treat that the same
     as AMBIGUOUS (fail-closed).
     """
-    if not 2 <= option_count <= 26:
-        raise ValueError("option_count must be in 2..26")
-    tags = _OPTION_TAG_RE.findall(response)
+    tags = tag_bodies(response, "option")
     if not tags:
         raise MalformedResponse("no <option> tag in response")
-    parsed = []
+    named = set()
     for tag in tags:
         token = tag.strip(_OPTION_STRIP_CHARS)
+        letter = token.upper()
         if token.lower() == "none":
-            parsed.append(NONE_SIGNAL)
-        elif len(token) == 1 and token.isalpha():
-            parsed.append(token.upper())
+            named.add(NONE_SIGNAL)
+        elif letter in OPTION_LETTERS:
+            named.add(letter)
         else:
             return AMBIGUOUS
-    distinct = set(parsed)
-    if len(distinct) != 1:
-        return AMBIGUOUS
-    value = parsed[0]
-    if value == NONE_SIGNAL:
-        return NONE_SIGNAL
-    if not ("A" <= value <= chr(64 + option_count)):
-        return AMBIGUOUS
-    return value
+    return named.pop() if len(named) == 1 else AMBIGUOUS
 
 
 class TokenBucket:
@@ -561,9 +561,11 @@ class HttpEndpoint:
             raise AuthError(
                 f"credential environment variable {self.config.api_key_env!r} is not set"
             )
-        if "\r" in key or "\n" in key:  # not a valid header value; the error would print it
+        # The key goes into its header as is, so printable ASCII only; the error would print it.
+        if not (key.isascii() and key.isprintable()):
             raise AuthError(
                 f"credential environment variable {self.config.api_key_env!r} holds a line break"
+                " or a character outside printable ASCII"
             )
         return key
 

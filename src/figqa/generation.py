@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-import re
 from dataclasses import dataclass
 
 from .dataset import OPTION_COUNT, check_question, normalize_ws
 from .errors import MalformedResponse, SchemaViolation
 from .figure_context import FigureContext
-from .gateway import complete_parsed, is_bare_none, parse_patterns_block, render_template
+from .gateway import (
+    OPTION_LETTERS, complete_parsed, is_bare_none, parse_patterns_block, render_template, tag_bodies
+)
 
 CLAIM_PREFIX = "the figure shows"
 
@@ -55,7 +56,7 @@ class QACandidate:
 
     @property
     def correct_letter(self) -> str:
-        return chr(65 + self.correct_index)
+        return OPTION_LETTERS[self.correct_index]
 
 
 @dataclass
@@ -109,19 +110,15 @@ def extract_claims(ctx: FigureContext, endpoint, templates) -> list[AtomicClaim]
     ]
 
 
-_QUESTION_RE = re.compile(r"<Question>(.*?)</Question>", re.DOTALL | re.IGNORECASE)
-_CORRECT_RE = re.compile(r"<Correct>(.*?)</Correct>", re.DOTALL | re.IGNORECASE)
-_DISTRACTOR_RE = re.compile(r"<Distractor>(.*?)</Distractor>", re.DOTALL | re.IGNORECASE)
-
-
 def parse_qa_response(response: str) -> dict[str, object]:
     """Pull question/correct/distractors out of the XML-shaped response."""
-    questions = [m.strip() for m in _QUESTION_RE.findall(response)]
-    corrects = [m.strip() for m in _CORRECT_RE.findall(response)]
-    distractors = [m.strip() for m in _DISTRACTOR_RE.findall(response)]
-    if len(questions) != 1 or len(corrects) != 1 or len(distractors) != 3:
+    questions, corrects, distractors = (
+        [body.strip() for body in tag_bodies(response, name)]
+        for name in ("Question", "Correct", "Distractor")
+    )
+    if len(questions) != 1 or len(corrects) != 1 or len(distractors) != OPTION_COUNT - 1:
         raise MalformedResponse(
-            f"expected 1 question, 1 correct, 3 distractors; "
+            f"expected 1 question, 1 correct, {OPTION_COUNT - 1} distractors; "
             f"got {len(questions)}/{len(corrects)}/{len(distractors)}"
         )
     return {"question": questions[0], "correct": corrects[0], "distractors": distractors}

@@ -78,7 +78,7 @@ def replay_verdicts(verdicts: list[FilterVerdict], records: list[VerifiedRecord]
         vision = by_candidate.get(record.key, {}).get(FILTER_VISION)
         if vision is None:
             continue  # already reported via set difference
-        correct_letter = chr(65 + record.correct_index)
+        correct_letter = record.correct_letter
         selections = vision.selections or []
         majority = vision.majority
         idx = vision.agreeing_run_index

@@ -135,10 +135,10 @@ def majority_vote(selections: list[str]) -> str:
     return TIE
 
 
-def _parse_selection(response: str, option_count: int) -> str:
+def _parse_selection(response: str) -> str:
     """Option parse with the fail-closed coercion: no tag counts as Ambiguous."""
     try:
-        return parse_option_tag(response, option_count)
+        return parse_option_tag(response)
     except MalformedResponse:
         return AMBIGUOUS
 
@@ -164,7 +164,7 @@ def apply_filter(
     )
     image_ref = candidate.figure_image_ref if step.votes > 1 else None
     answers = [endpoint.complete(prompt, image_ref) for _ in range(step.votes)]
-    selections = [_parse_selection(response, len(candidate.options)) for response, _ in answers]
+    selections = [_parse_selection(response) for response, _ in answers]
     tally = {}
     if step.votes == 1:
         selection = selections[0]

@@ -71,8 +71,17 @@ RAW_REPLIES = {
     "bad-chunk": (lambda body: _chunked(body, size_line=b"5x"), True),
     "long-line": (lambda body: _sized(body, _line_of(MAX_LINE + 1)), True),
     "many-fields": (lambda body: _sized(body, *_fields(MAX_FIELDS + 1)), True),
+    "gzip-coding": (
+        lambda body: _head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: gzip") + body, True
+    ),
+    "bad-field": (lambda body: _sized(body, b"X Note: a space in its name"), True),
+    "short-head": (lambda body: b"HTTP/1.1 200 OK\r\nContent-Type: text/json\r\n", True),
+    "long-chunk": (lambda body: _chunked(body, size_line=b"4"), True),
 }
-FAULTS = ("bad-status", "bad-length", "conflicting-length", "bad-chunk", "long-line", "many-fields")
+FAULTS = (
+    "bad-status", "bad-length", "conflicting-length", "bad-chunk", "long-line", "many-fields",
+    "gzip-coding", "bad-field", "short-head", "long-chunk",
+)
 # Modes whose reply carries the answer to the request; the others never consult answer.
 ANSWERED = {"ok", "ok-then-close", *RAW_REPLIES} - {"unavailable", "no-content", *FAULTS}
 

@@ -56,6 +56,7 @@ from figqa.gateway import (
     parse_patterns_block,
     render_template,
     request_digest,
+    tag_bodies,
 )
 from figqa.pipeline import RunConfig, build_endpoints, run_stages
 
@@ -206,50 +207,66 @@ class TestParsePatternsBlock:
 class TestParseOptionTag:
     @pytest.mark.parametrize("letter", ["A", "B", "C", "D"])
     def test_round_trip(self, letter):
-        assert parse_option_tag(f"<option>{letter}</option>", 4) == letter
+        assert parse_option_tag(f"<option>{letter}</option>") == letter
 
     def test_lowercase_upcased(self):
-        assert parse_option_tag("<option>b</option>", 4) == "B"
+        assert parse_option_tag("<option>b</option>") == "B"
 
     @pytest.mark.parametrize(
         "body", ["B.", " B ", "(B)", "[B]", "B,", '"B"', "*B*", "B!"]
     )
     def test_punctuation_stripped(self, body):
-        assert parse_option_tag(f"<option>{body}</option>", 4) == "B"
+        assert parse_option_tag(f"<option>{body}</option>") == "B"
 
     @pytest.mark.parametrize("body", ["None", "none", "None.", " NONE "])
     def test_none_signal(self, body):
-        assert parse_option_tag(f"<option>{body}</option>", 4) == NONE_SIGNAL
+        assert parse_option_tag(f"<option>{body}</option>") == NONE_SIGNAL
 
     def test_multi_character_ambiguous(self):
-        assert parse_option_tag("<option>AB</option>", 4) == AMBIGUOUS
-        assert parse_option_tag("<option>maybe C</option>", 4) == AMBIGUOUS
+        assert parse_option_tag("<option>AB</option>") == AMBIGUOUS
+        assert parse_option_tag("<option>maybe C</option>") == AMBIGUOUS
 
     def test_out_of_range_ambiguous(self):
-        assert parse_option_tag("<option>E</option>", 4) == AMBIGUOUS
-        assert parse_option_tag("<option>C</option>", 2) == AMBIGUOUS
+        assert parse_option_tag("<option>E</option>") == AMBIGUOUS
+        assert parse_option_tag("<option>\u1e9a</option>") == AMBIGUOUS  # upper-cases to "A\u02be"
 
     def test_multiple_agreeing_tags_ok(self):
-        assert parse_option_tag("<option>C</option> so <option>C</option>", 4) == "C"
+        assert parse_option_tag("<option>C</option> so <option>C</option>") == "C"
 
     def test_multiple_conflicting_tags_ambiguous(self):
-        assert parse_option_tag("<option>A</option><option>B</option>", 4) == AMBIGUOUS
+        assert parse_option_tag("<option>A</option><option>B</option>") == AMBIGUOUS
 
     def test_no_tag_raises(self):
         with pytest.raises(MalformedResponse):
-            parse_option_tag("the answer is B", 4)
+            parse_option_tag("the answer is B")
 
     def test_reasoning_before_tag(self):
         resp = "The curve rises steadily, so the answer is A.\n<option>A</option>"
-        assert parse_option_tag(resp, 4) == "A"
-
-    @pytest.mark.parametrize("count", [1, 0, 27, -3])
-    def test_option_count_bounds(self, count):
-        with pytest.raises(ValueError):
-            parse_option_tag("<option>A</option>", count)
+        assert parse_option_tag(resp) == "A"
 
     def test_digit_token_ambiguous(self):
-        assert parse_option_tag("<option>1</option>", 4) == AMBIGUOUS
+        assert parse_option_tag("<option>1</option>") == AMBIGUOUS
+
+    @pytest.mark.parametrize("body", ["\rB", "B\f", "\vB"])
+    def test_only_spaces_tabs_and_newlines_are_stripped_as_white_space(self, body):
+        assert parse_option_tag(f"<option>{body}</option>") == AMBIGUOUS
+
+
+class TestTagBodies:
+    def test_every_body_in_order_unstripped(self):
+        assert tag_bodies("<option> A\r</option> then <option>\fB</option>", "option") == [
+            " A\r", "\fB"
+        ]
+
+    def test_any_case_across_lines(self):
+        assert tag_bodies("<QUESTION>Which\nrun?</question>", "Question") == ["Which\nrun?"]
+
+    def test_a_body_ends_at_the_first_closing_tag(self):
+        assert tag_bodies("<Correct>a</Correct>b</Correct>", "Correct") == ["a"]
+
+    def test_other_names_and_unclosed_tags_are_not_read(self):
+        assert tag_bodies("<Distractor>x</Distractor><Correct>y", "Correct") == []
+        assert tag_bodies("<Distractors>x</Distractors>", "Distractor") == []
 
 
 class TestMockBackend:
@@ -622,15 +639,21 @@ class TestHttpEndpoint:
             ep.complete("p")
         assert transport.posts == []
 
-    def test_credential_with_a_line_break_fails_without_being_shown(self, monkeypatch):
-        monkeypatch.setenv("FIGQA_TEST_KEY", "sk-secret\n")
+    # A line break, a character outside Latin-1 and a control character: none
+    # can go into a header as is, and a NUL cannot be put in the environment.
+    @pytest.mark.parametrize(
+        "key", ["sk-secret\n", "sk-ключ", "sk-\x1b"],
+        ids=["line-break", "non-latin-1", "control"],
+    )
+    def test_credential_with_a_line_break_fails_without_being_shown(self, monkeypatch, key):
+        monkeypatch.setenv("FIGQA_TEST_KEY", key)
         transport = FakePost([])
         ep = HttpEndpoint(
             _http_cfg(api_key_env="FIGQA_TEST_KEY"), sleep=lambda s: None, post=transport
         )
         with pytest.raises(AuthError, match="FIGQA_TEST_KEY") as exc:
             ep.complete("p")
-        assert "sk-secret" not in str(exc.value)
+        assert "sk-" not in str(exc.value)
         assert transport.posts == []
 
     def test_credential_header_attached(self, monkeypatch):
@@ -1200,6 +1223,10 @@ class TestReplyFraming:
             ("bad-chunk", "malformed chunk size line b'5x"),
             ("long-line", "a line of the reply is longer than 65536 bytes"),
             ("many-fields", "more than 100 field lines"),
+            ("gzip-coding", "unsupported transfer coding 'gzip'"),
+            ("bad-field", "malformed field line b'X Note: a space in its name"),
+            ("short-head", "the reply ends inside its head"),
+            ("long-chunk", "a chunk runs past its size"),
         ],
     )
     def test_a_malformed_reply_raises_the_transport_error_naming_its_fault(self, mode, reason):
@@ -1273,6 +1300,7 @@ class TestRequestHead:
         [
             "http://api.test:8080/v1", "http://api.test/v1", "https://api.test/v1",
             "https://api.test:8443/v1/", "http://[::1]:8080/v1", "https://[2001:db8::1]/v1",
+            "http://bücher.test/v1",
         ],
     )
     @pytest.mark.parametrize("key", ["sk-testvalue", None], ids=["key", "no-key"])

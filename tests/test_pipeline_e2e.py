@@ -949,6 +949,90 @@ def _pure_annotators() -> dict:
     }
 
 
+DISCARD_SOURCES = {
+    "2500.00001": r"""\documentclass{article}
+\begin{document}
+
+As \ref{fig:loss} shows, the loss flattens late in training.
+
+\begin{figure}
+\includegraphics{images/a.png}
+\caption{Training loss curves.}
+\label{fig:loss}
+\end{figure}
+
+\end{document}
+""",
+    "2500.00002": r"""\documentclass{article}
+\begin{document}
+No figures here.
+\end{document}
+""",
+}
+# The first paper has a figure that binds, an empty caption and a caption no environment
+# holds; the second has only a blank caption.
+DISCARD_CORPUS = [
+    ("2500.00001", 0, "Training loss curves."),
+    ("2500.00001", 1, ""),
+    ("2500.00001", 2, "Throughput of every model on each cluster size."),
+    ("2500.00002", 0, "   "),
+]
+
+
+class TestExtractDiscards:
+    """Extract writes a discards.jsonl row for each figure it cannot bind; stats counts them."""
+
+    def test_unbound_figures_are_written_counted_and_conserved(self, tmp_path, templates):
+        latex = tmp_path / "latex"
+        latex.mkdir()
+        for arxiv_id, source in DISCARD_SOURCES.items():
+            (latex / f"{arxiv_id}.tex").write_text(source, encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"arxiv_id": arxiv_id, "primary_category": "cs.LG", "figure_index": index,
+                        "image": f"images/{arxiv_id}_{index}.png", "caption": caption}) + "\n"
+            for arxiv_id, index, caption in DISCARD_CORPUS
+        ), encoding="utf-8")
+        script = tmp_path / "script.json"
+        cfg = RunConfig(output=str(tmp_path / "run"), corpus=str(corpus), latex_cache=str(latex),
+                        mock_script=str(script))
+        pipeline.run_stages(cfg, ["prepare", "extract"])
+
+        out = Path(cfg.output)
+        discards = read_jsonl(out / "discards.jsonl")
+        assert sorted(discards, key=lambda d: (d["arxiv_id"], d["figure_index"])) == [
+            {"arxiv_id": "2500.00001", "figure_index": 1, "kind": "EmptyCaption",
+             "detail": "empty corpus caption"},
+            {"arxiv_id": "2500.00001", "figure_index": 2, "kind": "NoEnvironmentMatch",
+             "detail": "best similarity 0.234 below threshold 0.9"},
+            {"arxiv_id": "2500.00002", "figure_index": 0, "kind": "EmptyCaption",
+             "detail": "empty corpus caption"},
+        ]
+        contexts = read_jsonl(out / "figure_contexts.jsonl")
+        assert [(c["arxiv_id"], c["figure_index"]) for c in contexts] == [("2500.00001", 0)]
+        manifest = json.loads((out / "manifest_extract.json").read_text(encoding="utf-8"))
+        assert manifest["discards"] == {"EmptyCaption": 2, "NoEnvironmentMatch": 1}
+        assert (manifest["figures_in"], manifest["contexts"]) == (4, 1)
+        for arxiv_id in DISCARD_SOURCES:
+            bound = sum(c["arxiv_id"] == arxiv_id for c in contexts)
+            unbound = sum(d["arxiv_id"] == arxiv_id for d in discards)
+            assert bound + unbound == sum(row[0] == arxiv_id for row in DISCARD_CORPUS)
+
+        # The one bound figure yields no claim, so the paid stages ask nothing more.
+        (context,) = contexts
+        prompt = render_template(
+            templates["claim_extract"], {"context": context["context"], "label": context["label"]}
+        )
+        script.write_text(
+            json.dumps({request_digest(cfg.endpoint_config("text"), prompt): "None"}),
+            encoding="utf-8",
+        )
+        pipeline.run_stages(cfg, ["generate", "verify", "annotate", "stats"])
+        stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+        assert stats["extraction_discards"] == manifest["discards"]
+        assert stats["funnel"] is None
+
+
 class TestAnnotateLabelsEachFigureOnce:
     """Annotate asks one figure-type request per (figure_image_ref, caption) and
     one question-type request per record, and copies a figure's type to each of
@@ -1046,6 +1130,28 @@ class TestAnnotateLabelsEachFigureOnce:
         assert manifest["figure_type_labeled"] == 1
         assert [r.getMessage() for r in caplog.records] == [
             "figure images/a.png left unlabeled for figure_type: 2 of its records stay unlabeled"
+        ]
+
+    def test_off_vocabulary_question_type_costs_two_requests_and_leaves_its_record_unlabeled(
+        self, tmp_path, caplog
+    ):
+        out = tmp_path / "run"
+        self._retained(out)
+        endpoints = _pure_annotators()
+        label = endpoints["annotator_text"].handler
+        endpoints["annotator_text"].handler = lambda prompt, image: (
+            "A riddle" if QUESTIONS[0] in prompt else label(prompt, image)
+        )
+        with caplog.at_level("WARNING", logger="figqa"):
+            manifest = stage_annotate(RunConfig(output=str(out)), endpoints)
+        asked = [QUESTIONS[0] in prompt for prompt, _ in endpoints["annotator_text"].calls]
+        assert sorted(asked) == [False, False, True, True]
+        rows = read_jsonl(out / "annotated.jsonl")
+        assert [row["question_type"] is None for row in rows] == [True, False, False]
+        assert [row["figure_type"] is None for row in rows] == [False] * 3
+        assert manifest["question_type_labeled"] == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "record 2000.00001:f0:c0 left unlabeled for question_type"
         ]
 
     def test_failing_figure_item_exits_5_and_writes_nothing(self, tmp_path, monkeypatch):
@@ -1583,12 +1689,13 @@ class TestExitCodes:
              "endpoints.eval.requests_per_minute"),
             ({"endpoints": {"text": {"role": "vision"}}}, "endpoints.text.role"),
             ({"endpoints": {"text": {"base_url": "localhost:8000/v1"}}}, "endpoints.text.base_url"),
+            ({"concurrency": 0}, "concurrency"),
         ],
         ids=["unknown-endpoint-key", "string-temperature", "eval-temperature",
              "unknown-slot", "bool-seed", "string-threshold", "negative-max-retries",
              "zero-timeout", "nan-timeout", "inf-timeout", "overflow-timeout",
              "negative-unevaluated-threshold", "zero-requests-per-minute", "role-key",
-             "scheme-less-base-url"],
+             "scheme-less-base-url", "zero-concurrency"],
     )
     def test_bad_config_value_is_a_config_error(
         self, e2e_bundle, run_cli, tmp_path, overrides, named
@@ -1598,6 +1705,28 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert named in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, command, named",
+        [
+            (None, "run", "cannot read config {config}"),
+            ("output: [unclosed\n", "run", "invalid YAML in {config}"),
+            ("- output\n", "run", "config {config} must be a mapping"),
+            ("output: {output}\n", "prepare", "corpus"),
+            ("output: {output}\ncorpus: corpus.jsonl\n", "prepare", "latex_cache"),
+        ],
+        ids=["missing-file", "invalid-yaml", "not-a-mapping", "prepare-without-corpus",
+             "prepare-without-latex-cache"],
+    )
+    def test_config_that_cannot_be_loaded_is_a_config_error(self, tmp_path, text, command, named):
+        config, output = tmp_path / "config.yaml", tmp_path / "out"
+        if text is not None:
+            config.write_text(text.format(output=output), encoding="utf-8")
+        result = CliRunner().invoke(main, [command, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert named.format(config=config) in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (output / "papers_clean.jsonl").exists()
 
     def test_unknown_template_variable_is_a_config_error(
         self, full_run, e2e_bundle, run_cli, tmp_path, templates
@@ -1949,6 +2078,23 @@ class TestExitCodes:
         proc = run_cli(["run", "--config", str(config)])
         assert proc.returncode == 4
         assert "FIGQA_TEST_NO_SUCH_KEY" in proc.stderr
+
+    def test_credential_outside_printable_ascii_exits_4_unshown(
+        self, e2e_bundle, run_cli, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("FIGQA_TEST_KEY", "sk-ключ")
+        out = tmp_path / "live"
+        endpoint = {
+            "base_url": "http://127.0.0.1:9/v1", "model_name": "live",
+            "api_key_env": "FIGQA_TEST_KEY",
+        }
+        config = e2e_bundle.make_config(
+            out, mock_script=None, endpoints={"text": dict(endpoint), "vision": dict(endpoint)}
+        )
+        proc = run_cli(["run", "--config", str(config)])
+        assert proc.returncode == 4
+        assert "FIGQA_TEST_KEY" in proc.stderr
+        assert "ключ" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unknown_stage_is_a_usage_error(self, e2e_bundle, run_cli, tmp_path):
         config = e2e_bundle.make_config(tmp_path / "usage")
