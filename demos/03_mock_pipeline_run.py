@@ -16,11 +16,10 @@ import json
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 from figqa.dataset import compute_funnel, read_dataset, write_dataset
 from figqa.figure_context import build_figure_contexts
-from figqa.gateway import load_templates
+from figqa.gateway import Endpoint, ModelEndpointConfig, load_templates
 from figqa.generation import extract_claims, generate_qa
 from figqa.latex_prep import RawPaper, clean_paper
 from figqa.pipeline import RunConfig, stage_annotate
@@ -41,18 +40,11 @@ up, climbing from 40k to 80k requests per second.
 """
 
 
-class ScriptedEndpoint:
-    """Returns queued responses in order; the queue IS the model."""
-
-    def __init__(self, role, responses, temperature=1.0):
-        self.config = SimpleNamespace(
-            role=role, model_name=f"scripted-{role}", temperature=temperature
-        )
-        self.queue = list(responses)
-
-    def complete(self, prompt, image_ref=None):
-        response = self.queue.pop(0)
-        return response, "demo"
+def scripted_endpoint(role, responses, temperature=1.0):
+    """An endpoint that answers with queued responses in order; the queue IS the model."""
+    config = ModelEndpointConfig(role=role, model_name=f"scripted-{role}", temperature=temperature)
+    queue = list(responses)
+    return Endpoint(config, lambda request: queue.pop(0))
 
 
 def main() -> None:
@@ -69,7 +61,7 @@ def main() -> None:
     ctx = contexts[0]
     print(f"bound figure {ctx.label}: {ctx.citing_paragraph_count} citing paragraph(s)\n")
 
-    claim_endpoint = ScriptedEndpoint("text", [
+    claim_endpoint = scripted_endpoint("text", [
         "<Patterns>\n"
         "The figure shows throughput doubles from 40k to 80k requests per second.\n"
         "Caching is generally a good idea.\n"  # non-conforming, dropped
@@ -82,7 +74,7 @@ def main() -> None:
         print(f"  [{claim.ordinal}] {claim.text}")
     print()
 
-    qa_endpoint = ScriptedEndpoint("text", [
+    qa_endpoint = scripted_endpoint("text", [
         "<QA>\n"
         "<Question>How does throughput change once the cache warms up?</Question>\n"
         "<Correct>It roughly doubles</Correct>\n"
@@ -114,11 +106,11 @@ def main() -> None:
             # Filters 2 and 3 must FAIL to identify it without/with the caption
             # but without the figure. The three vision votes need a 2-of-3
             # letter majority on the correct answer.
-            text_endpoint = ScriptedEndpoint("text", [
+            text_endpoint = scripted_endpoint("text", [
                 f"The context states it. <option>{letter}</option>",
                 "Without the figure I cannot tell. <option>None</option>",
             ])
-            vision_endpoint = ScriptedEndpoint("vision", [
+            vision_endpoint = scripted_endpoint("vision", [
                 "The caption alone does not say. <option>None</option>",
                 f"The bars go from 40k to 80k. <option>{letter}</option>",
                 f"Reading the y-axis gives it. <option>{letter}</option>",
@@ -136,8 +128,8 @@ def main() -> None:
         # The annotate stage itself: the vision annotator holds one answer, so
         # a second figure-type request for the same figure would fail here.
         write_dataset(records, Path(tmp) / "retained.jsonl")
-        annotator_vision = ScriptedEndpoint("vision", ["Bar Chart"], temperature=0.0)
-        annotator_text = ScriptedEndpoint("text", ["Comparative", "Descriptive"],
+        annotator_vision = scripted_endpoint("vision", ["Bar Chart"], temperature=0.0)
+        annotator_text = scripted_endpoint("text", ["Comparative", "Descriptive"],
                                           temperature=0.0)
         stage_annotate(RunConfig(output=tmp), {"annotator_vision": annotator_vision,
                                                "annotator_text": annotator_text})

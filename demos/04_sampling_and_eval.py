@@ -7,11 +7,10 @@ Run with: python3 demos/04_sampling_and_eval.py
 """
 
 from collections import Counter
-from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord, stratified_sample
 from figqa.eval_harness import evaluate, format_report
-from figqa.gateway import load_templates
+from figqa.gateway import Endpoint, ModelEndpointConfig, load_templates
 
 STRATA = {
     ("cs.LG", "Line Plot", "Descriptive"): 20,
@@ -38,16 +37,11 @@ def make_record(key, domain, ftype, qtype, correct_index=0):
     )
 
 
-class ScriptedEndpoint:
-    def __init__(self, responses):
-        self.config = SimpleNamespace(
-            role="vision", model_name="scripted-eval", temperature=0.0
-        )
-        self.queue = list(responses)
-
-    def complete(self, prompt, image_ref=None):
-        response = self.queue.pop(0)
-        return response, "demo"
+def scripted_endpoint(responses):
+    """A greedy vision endpoint that answers with queued responses in order."""
+    queue = list(responses)
+    config = ModelEndpointConfig(role="vision", model_name="scripted-eval", temperature=0.0)
+    return Endpoint(config, lambda request: queue.pop(0))
 
 
 def main() -> None:
@@ -76,7 +70,7 @@ def main() -> None:
         "no tag at all",
         "<option>D</option>",
     ]
-    result = evaluate(ScriptedEndpoint(answers), sample, load_templates())
+    result = evaluate(scripted_endpoint(answers), sample, load_templates())
     print(format_report(result))
 
 

@@ -1,9 +1,10 @@
-"""Model access layer: endpoints, prompt templates, and response parsing.
+"""Model access layer: the endpoint, prompt templates, and response parsing.
 
-Two endpoint flavors share one interface, complete(prompt, image_ref) ->
-(text, request digest): an HTTP chat-completion client with retries and rate
-limiting, and a scripted mock keyed by request digest for deterministic
-tests. All parsing helpers are pure functions.
+Every model call goes through one Endpoint(config, send): complete(prompt,
+image_ref) refuses an image on a text slot and returns (send(request),
+request digest). The two senders are HttpEndpoint's chat-completion post,
+with retries and rate limiting, and MockBackend.serve, which answers from a
+script keyed by request digest. All parsing helpers are pure functions.
 
 The HTTP client speaks a small subset of HTTP/1.1 (RFC 9112) itself, on
 keep-alive connections that every thread of one endpoint shares. It writes
@@ -199,6 +200,37 @@ def request_digest(config: ModelEndpointConfig, prompt: str, image_ref: str | No
     """Stable hash of one model request: config role, model and temperature, image, prompt."""
     fields = [config.role, config.model_name, f"{config.temperature:g}", image_ref or "", prompt]
     return hashlib.sha256("\x1f".join(fields).encode("utf-8")).hexdigest()
+
+
+@dataclass(frozen=True)
+class Request:
+    """One model request: the slot's config, the prompt and the image reference, if any."""
+
+    config: ModelEndpointConfig
+    prompt: str
+    image_ref: str | None = None
+
+    @property
+    def digest(self) -> str:
+        return request_digest(self.config, self.prompt, self.image_ref)
+
+
+class Endpoint:
+    """One slot's model calls. send(request) -> text is the backend, or a filter around one;
+    a subclass may define send and close() as methods."""
+
+    def __init__(self, config: ModelEndpointConfig, send):
+        self.config = config
+        self.send = send
+
+    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
+        if image_ref is not None and self.config.role != "vision":
+            raise ValueError("text endpoint cannot accept an image attachment")
+        request = Request(self.config, prompt, image_ref)
+        return self.send(request), request.digest
+
+    def close(self) -> None:
+        pass
 
 
 @functools.cache
@@ -526,8 +558,8 @@ class Connections:
             conn.close()
 
 
-class HttpEndpoint:
-    """Chat-completion client over HTTP with retry, backoff, and rate limit.
+class HttpEndpoint(Endpoint):
+    """An endpoint whose send is a chat-completion post with retry, backoff, and rate limit.
 
     post(body, headers) -> (status, fields, body) sends one request, the
     reply's fields keyed by lower-cased name; by default it is a
@@ -541,7 +573,7 @@ class HttpEndpoint:
         self, config: ModelEndpointConfig, sleep=time.sleep, post=None, bucket=None,
         draw=random.random,
     ):
-        self.config = config
+        self.config = config  # no Endpoint.__init__: send is the method below
         self._sleep = sleep
         self._draw = draw
         self._connections = None if post else Connections(config.base_url, config.timeout)
@@ -597,10 +629,8 @@ class HttpEndpoint:
         self._last_image.entry = (stamp, uri)
         return uri
 
-    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
-        cfg = self.config
-        if image_ref is not None and cfg.role != "vision":
-            raise ValueError("text endpoint cannot accept an image attachment")
+    def send(self, request: Request) -> str:
+        cfg, prompt, image_ref = request.config, request.prompt, request.image_ref
         content: object = prompt
         uri = None
         if image_ref is not None:
@@ -652,7 +682,7 @@ class HttpEndpoint:
                     except (ValueError, KeyError, IndexError, TypeError) as exc:
                         last_error = f"unparseable completion payload: {exc}"
                     else:
-                        return text, request_digest(cfg, prompt, image_ref)
+                        return text
                 else:
                     last_error = f"HTTP {status}"
                 if status in (429, 503):
@@ -671,7 +701,7 @@ class HttpEndpoint:
 
 
 class MockBackend:
-    """Scripted response store shared by all mock endpoints of a run.
+    """The scripted sender shared by all mock endpoints of a run: serve(request) -> text.
 
     The script maps request digests to either a single response string or a
     list consumed sequentially (for repeated identical requests such as vote
@@ -705,18 +735,16 @@ class MockBackend:
                 )
         return cls(script, **kwargs)
 
-    def endpoint(self, config: ModelEndpointConfig) -> "MockEndpoint":
-        return MockEndpoint(config, self)
+    def endpoint(self, config: ModelEndpointConfig) -> Endpoint:
+        return Endpoint(config, self.serve)
 
-    def serve(
-        self, config: ModelEndpointConfig, prompt: str, image_ref: str | None
-    ) -> tuple[str, str]:
-        digest = request_digest(config, prompt, image_ref)
+    def serve(self, request: Request) -> str:
+        digest = request.digest
         with self._lock:
             if digest not in self.script:
                 raise UnscriptedRequest(
                     f"no scripted response for digest {digest[:16]}... "
-                    f"(model {config.model_name}, prompt head {prompt[:80]!r})"
+                    f"(model {request.config.model_name}, prompt head {request.prompt[:80]!r})"
                 )
             entry = self.script[digest]
             if isinstance(entry, list):
@@ -730,23 +758,9 @@ class MockBackend:
             else:
                 response = entry
             if self.ledger is not None:
-                self.ledger(
-                    {"digest": digest, "model": config.model_name, "image": image_ref is not None}
-                )
-        return response, digest
-
-
-class MockEndpoint:
-    """One role's view onto a shared MockBackend."""
-
-    def __init__(self, config: ModelEndpointConfig, backend: MockBackend):
-        self.config = config
-        self.backend = backend
-
-    def complete(self, prompt: str, image_ref: str | None = None) -> tuple[str, str]:
-        if image_ref is not None and self.config.role != "vision":
-            raise ValueError("text endpoint cannot accept an image attachment")
-        return self.backend.serve(self.config, prompt, image_ref)
+                image = request.image_ref is not None
+                self.ledger({"digest": digest, "model": request.config.model_name, "image": image})
+        return response
 
 
 def map_items(fn, items, workers: int) -> list:

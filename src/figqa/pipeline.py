@@ -214,14 +214,13 @@ def build_endpoints(cfg: RunConfig, slots: tuple[str, ...] = tuple(ROLE_DEFAULTS
 
 @contextlib.contextmanager
 def open_endpoints(cfg: RunConfig, slots: tuple[str, ...]):
-    """build_endpoints(cfg, slots) for the with block, which closes their idle connections."""
+    """build_endpoints(cfg, slots) for the with block, which closes them."""
     endpoints = build_endpoints(cfg, slots) if slots else {}
     try:
         yield endpoints
     finally:
         for endpoint in endpoints.values():
-            if isinstance(endpoint, HttpEndpoint):  # a mock endpoint holds no connection
-                endpoint.close()
+            endpoint.close()
 
 
 # ---------------------------------------------------------------------------

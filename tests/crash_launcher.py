@@ -28,12 +28,12 @@ def crash_after(n: int) -> None:
     lock = threading.Lock()
     served = 0
 
-    def crashing_serve(self, *args, **kwargs):
+    def crashing_serve(self, request):
         nonlocal served
         with lock:
             if served >= n:
                 os._exit(CRASH_EXIT_CODE)
-            result = serve(self, *args, **kwargs)
+            result = serve(self, request)
             served += 1
             return result
 

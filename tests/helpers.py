@@ -1,19 +1,20 @@
 """Shared fakes and factories for the unit tests.
 
-StubEndpoint consumes responses strictly in call order, which keeps
-single-function tests independent of prompt wording. An item that is an
-Exception instance is raised instead of returned; a callable handler takes
-priority over the queue. FakePost stands in for the transport under an
-HttpEndpoint.
+StubEndpoint is an Endpoint whose send records each request's (prompt,
+image_ref) in .calls and answers from its responses strictly in call order,
+which keeps single-function tests independent of prompt wording. An item
+that is an Exception instance is raised instead of returned; a callable
+handler takes priority over the queue. FakePost stands in for the transport
+under an HttpEndpoint.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 from figqa.dataset import VerifiedRecord
+from figqa.gateway import Endpoint, ModelEndpointConfig, Request
 from figqa.generation import QACandidate
 
 
@@ -55,28 +56,26 @@ def ok_response(text: str) -> FakeResponse:
     return FakeResponse(200, {"choices": [{"message": {"content": text}}]})
 
 
-class StubEndpoint:
+class StubEndpoint(Endpoint):
     def __init__(self, role="text", responses=(), temperature=1.0, handler=None, model_name=None):
-        self.config = SimpleNamespace(
-            role=role,
-            model_name=model_name or f"stub-{role}",
-            temperature=temperature,
+        self.config = ModelEndpointConfig(
+            role=role, model_name=model_name or f"stub-{role}", temperature=temperature
         )
         self.responses = list(responses)
         self.handler = handler
         self.calls: list[tuple[str, str | None]] = []
 
-    def complete(self, prompt: str, image_ref: str | None = None):
-        self.calls.append((prompt, image_ref))
+    def send(self, request: Request) -> str:
+        self.calls.append((request.prompt, request.image_ref))
         if self.handler is not None:
-            result = self.handler(prompt, image_ref)
+            result = self.handler(request.prompt, request.image_ref)
         elif self.responses:
             result = self.responses.pop(0)
         else:
             raise AssertionError("stub endpoint exhausted")
         if isinstance(result, Exception):
             raise result
-        return result, f"stub-{len(self.calls)}"
+        return result
 
 
 def make_candidate(**overrides) -> QACandidate:

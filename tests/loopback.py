@@ -16,7 +16,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from figqa.gateway import MAX_FIELDS, MAX_LINE, MockBackend, ModelEndpointConfig
+from figqa.gateway import MAX_FIELDS, MAX_LINE, MockBackend, ModelEndpointConfig, Request
 from figqa.pipeline import ROLE_DEFAULTS
 
 
@@ -225,4 +225,4 @@ class ScriptAnswers:
             model_name=request["model"],
             temperature=request["temperature"],
         )
-        return self._backend.serve(config, content, image_ref)[0]
+        return self._backend.serve(Request(config, content, image_ref))

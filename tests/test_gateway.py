@@ -414,7 +414,8 @@ class TestMockBackend:
             from crash_launcher import crash_after
             from figqa import gateway
             first_in_serve, second_issued, second_in_serve = [threading.Event() for _ in range(3)]
-            def parking_serve(self, config, prompt, image_ref):
+            def parking_serve(self, request):
+                prompt = request.prompt
                 if prompt == "first":
                     first_in_serve.set()
                     second_issued.wait(10)
@@ -422,7 +423,7 @@ class TestMockBackend:
                 else:
                     second_in_serve.set()
                 print("served", prompt, flush=True)
-                return "r", "digest"
+                return "r"
             gateway.MockBackend.serve = parking_serve
             crash_after(1)
             ep = gateway.MockBackend({{}}).endpoint(

@@ -32,7 +32,7 @@ from figqa.dataset import (
     write_dataset,
 )
 from figqa.errors import EndpointUnavailable, ImageUnreadable
-from figqa.gateway import HttpEndpoint, format_options, render_template, request_digest
+from figqa.gateway import Endpoint, HttpEndpoint, format_options, render_template, request_digest
 from figqa.pipeline import (
     ROLE_DEFAULTS,
     STAGE_ORDER,
@@ -664,7 +664,7 @@ class TestRerunSkip:
         verify = pipeline.STAGE_FUNCTIONS["verify"]
         cfg = RunConfig.from_yaml(e2e_bundle.make_config(out))
         endpoints = build_endpoints(cfg)
-        endpoints["vision"] = FlakyVotes(endpoints["vision"], full_run.expect["retained_question"])
+        endpoints["vision"] = flaky_votes(endpoints["vision"], full_run.expect["retained_question"])
         with pytest.raises(EndpointUnavailable, match="no verify output written"):
             verify(cfg, endpoints)  # the CLI exits 5 here
         assert (out / "manifest_verify.json").read_bytes() == manifest
@@ -674,23 +674,21 @@ class TestRerunSkip:
             assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
 
 
-class FlakyVotes:
-    """A vision endpoint whose first vote call for one question fails in transport."""
+def flaky_votes(inner, question: str) -> Endpoint:
+    """inner as a vision endpoint whose first vote call for one question fails in transport."""
+    failed = False
+    lock = threading.Lock()
 
-    def __init__(self, inner, question: str):
-        self.inner = inner
-        self.config = inner.config
-        self.question = question
-        self.failed = False
-        self._lock = threading.Lock()
-
-    def complete(self, prompt: str, image_ref: str | None = None):
-        if image_ref is not None and self.question in prompt:
-            with self._lock:
-                fail, self.failed = not self.failed, True
+    def send(request):
+        nonlocal failed
+        if request.image_ref is not None and question in request.prompt:
+            with lock:
+                fail, failed = not failed, True
             if fail:
                 raise EndpointUnavailable("scripted outage")
-        return self.inner.complete(prompt, image_ref)
+        return inner.send(request)
+
+    return Endpoint(inner.config, send)
 
 
 class LostResponse:
@@ -726,31 +724,26 @@ def lossy_http(endpoints: dict, slot: str, marker: str) -> LostResponse:
     return transport
 
 
-class Unreachable:
-    """An endpoint whose requests holding `marker` fail in transport before they are sent."""
+def unreachable(inner, marker: str) -> Endpoint:
+    """inner as an endpoint whose requests holding `marker` fail before they are sent."""
 
-    def __init__(self, inner, marker: str):
-        self.inner = inner
-        self.config = inner.config
-        self.marker = marker
-
-    def complete(self, prompt: str, image_ref: str | None = None):
-        if self.marker in prompt:
+    def send(request):
+        if marker in request.prompt:
             raise EndpointUnavailable("scripted outage")
-        return self.inner.complete(prompt, image_ref)
+        return inner.send(request)
+
+    return Endpoint(inner.config, send)
 
 
-class UnreadableImages:
-    """A vision endpoint that cannot read any figure image."""
+def unreadable_images(inner) -> Endpoint:
+    """inner as a vision endpoint that cannot read any figure image."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.config = inner.config
+    def send(request):
+        if request.image_ref is not None:
+            raise ImageUnreadable(f"cannot read image {request.image_ref}")
+        return inner.send(request)
 
-    def complete(self, prompt: str, image_ref: str | None = None):
-        if image_ref is not None:
-            raise ImageUnreadable(f"cannot read image {image_ref}")
-        return self.inner.complete(prompt, image_ref)
+    return Endpoint(inner.config, send)
 
 
 class TestTransportRounds:
@@ -774,7 +767,7 @@ class TestTransportRounds:
             full_run, e2e_bundle, out, concurrency, "candidates.jsonl", "figure_contexts.jsonl"
         )
         question = full_run.expect["retained_question"]
-        endpoints["vision"] = FlakyVotes(endpoints["vision"], question)
+        endpoints["vision"] = flaky_votes(endpoints["vision"], question)
         with pytest.raises(EndpointUnavailable) as exc:
             stage_verify(cfg, endpoints)
         assert f"1 of {full_run.expect['candidates']} candidates deferred" in str(exc.value)
@@ -788,7 +781,7 @@ class TestTransportRounds:
             cfg, endpoints = self._stage_config(
                 full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
             )
-            endpoints["text"] = Unreachable(endpoints["text"], contexts[0]["context"])
+            endpoints["text"] = unreachable(endpoints["text"], contexts[0]["context"])
             with pytest.raises(EndpointUnavailable) as exc:
                 stage_generate(cfg, endpoints)
             assert f"1 of {len(contexts)} contexts deferred" in str(exc.value)
@@ -843,7 +836,7 @@ class TestTransportRounds:
                 full_run, e2e_bundle, out, concurrency, "figure_contexts.jsonl"
             )
             claim_text, digest = self._second_qa_request(full_run, cfg, templates)
-            endpoints["text"] = Unreachable(endpoints["text"], claim_text)
+            endpoints["text"] = unreachable(endpoints["text"], claim_text)
             with pytest.raises(EndpointUnavailable) as exc:
                 stage_generate(cfg, endpoints)
             assert f"1 of {full_run.expect['claims']} claims deferred" in str(exc.value)
@@ -1159,7 +1152,7 @@ class TestAnnotateLabelsEachFigureOnce:
         records = self._retained(out)
         endpoints = _pure_annotators()
         vision = endpoints["annotator_vision"]
-        endpoints["annotator_vision"] = Unreachable(vision, records[0].caption)
+        endpoints["annotator_vision"] = unreachable(vision, records[0].caption)
         monkeypatch.setattr(pipeline, "build_endpoints", lambda cfg, slots: endpoints)
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump({"output": str(out)}), encoding="utf-8")
@@ -1871,7 +1864,7 @@ class TestExitCodes:
         (out / "verdict_log.jsonl").unlink()
         cfg = RunConfig.from_yaml(e2e_bundle.make_config(out))
         endpoints = build_endpoints(cfg)
-        endpoints["vision"] = UnreadableImages(endpoints["vision"])
+        endpoints["vision"] = unreadable_images(endpoints["vision"])
         manifest = pipeline.STAGE_FUNCTIONS["verify"](cfg, endpoints)
         # The two candidates that reach the votes are the ones sent with their figure.
         voted = sorted(full_run.expect["vote_digests"])
