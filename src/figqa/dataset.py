@@ -418,7 +418,12 @@ def _replace(path: str | Path, write) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
+    _fsync_directory(path.parent)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the names directory holds durable: a new or renamed file survives a power loss."""
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
@@ -445,11 +450,15 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def append_jsonl(path: str | Path, row: dict) -> None:
-    """Durably append one JSON line: it is fsynced before this returns."""
+    """Durably append one JSON line: it is fsynced before this returns, and so is
+    the directory when this append creates the file."""
+    created = not os.path.exists(path)
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         fh.write(_line(row))
         fh.flush()
         os.fsync(fh.fileno())
+    if created:
+        _fsync_directory(Path(path).parent)
 
 
 LOCK_FILE = ".figqa.lock"

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
+from figqa import dataset
 from figqa.dataset import (
     FIGURE_TYPES,
     QUESTION_TYPES,
     FunnelStats,
     VerifiedRecord,
     annotate_taxonomy,
+    append_jsonl,
     compute_funnel,
     from_row,
     read_dataset,
@@ -194,6 +198,25 @@ def _write_lines(tmp_path, *dicts):
     path = tmp_path / "data.jsonl"
     path.write_text("\n".join(json.dumps(d) for d in dicts) + "\n")
     return path
+
+
+class TestAppendJsonl:
+    def test_only_the_append_that_creates_the_file_fsyncs_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        synced, fsync = [], os.fsync
+
+        def recording_fsync(fd):
+            synced.append("directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            fsync(fd)
+
+        monkeypatch.setattr(dataset.os, "fsync", recording_fsync)
+        path = tmp_path / "log.jsonl"
+        append_jsonl(path, {"n": 1})
+        assert synced == ["file", "directory"]
+        append_jsonl(path, {"n": 2})
+        assert synced == ["file", "directory", "file"]
+        assert path.read_text(encoding="utf-8") == '{"n": 1}\n{"n": 2}\n'
 
 
 class TestSchemaValidation:
