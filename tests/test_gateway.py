@@ -62,7 +62,14 @@ from figqa.pipeline import RunConfig, build_endpoints, run_stages
 
 from click.testing import CliRunner
 from crash_launcher import CRASH_EXIT_CODE
-from helpers import FakePost, FakeResponse, make_record, ok_response, record_file_reads
+from helpers import (
+    FakePost,
+    FakeResponse,
+    StubEndpoint,
+    make_record,
+    ok_response,
+    record_file_reads,
+)
 from loopback import FAULTS, Loopback, completion
 
 
@@ -332,11 +339,6 @@ class TestMockBackend:
         with pytest.raises(ConfigError, match=f"digest {digest[:16]}"):
             MockBackend.from_file(path)
 
-    def test_text_endpoint_rejects_image(self):
-        ep = MockBackend({}).endpoint(self.CFG)
-        with pytest.raises(ValueError):
-            ep.complete("p", "img.png")
-
     def _run_crashing(self, tmp_path, n: int, calls: str):
         """Run calls in a child process with crash_after(n) armed; return it and its ledger.
 
@@ -447,7 +449,31 @@ class TestMockBackend:
         assert proc.stdout.splitlines() == ["served first"]
 
 
+def _mock_sender():
+    """A mock text endpoint scripted for ("p", "x.png"), and the rows its backend served."""
+    cfg, rows = ModelEndpointConfig(role="text", model_name="m"), []
+    backend = MockBackend({request_digest(cfg, "p", "x.png"): "r"}, ledger=rows.append)
+    return backend.endpoint(cfg), rows
+
+
+def _http_sender():
+    transport = FakePost([ok_response("r")])
+    return HttpEndpoint(_http_cfg(), sleep=lambda s: None, post=transport), transport.posts
+
+
+def _stub_sender():
+    ep = StubEndpoint(responses=["r"])
+    return ep, ep.calls
+
+
 class TestRoleGuards:
+    @pytest.mark.parametrize("make", [_mock_sender, _http_sender, _stub_sender])
+    def test_text_endpoint_rejects_image_before_sending(self, make):
+        ep, sent = make()
+        with pytest.raises(ValueError, match="cannot accept an image"):
+            ep.complete("p", "x.png")
+        assert sent == []
+
     def test_complete_vision_allows_absent_image(self):
         cfg = ModelEndpointConfig(role="vision", model_name="v")
         digest = request_digest(cfg, "p", None)
@@ -798,11 +824,6 @@ class TestHttpEndpoint:
         ep = HttpEndpoint(_http_cfg(role="vision"), sleep=lambda s: None, post=FakePost([]))
         with pytest.raises(ImageUnreadable):
             ep.complete("p", str(tmp_path / "missing.png"))
-
-    def test_text_role_rejects_image(self):
-        ep = HttpEndpoint(_http_cfg(), sleep=lambda s: None, post=FakePost([]))
-        with pytest.raises(ValueError):
-            ep.complete("p", "x.png")
 
 
 def _sent_image(post) -> bytes:
