@@ -2,15 +2,15 @@
 
 Stage files are the only inter-stage interface. Each stage reads its
 predecessor's output, writes line-delimited records plus a manifest, and is
-deterministic given identical inputs and seed under mock backends. A stage
-that calls endpoints records in its manifest the sha256 of each file it
-read and wrote, of its templates and of the mock script; run again while
-those and the config digest of its slots are unchanged, it returns that
-manifest and makes no call. The verify stage additionally skips
-already-verdicted items via the verdict log, which is what makes a run
-that crashed inside verify resumable without duplicate calls. STAGES declares the stages once: their
-order, the files each reads and writes, the endpoint slots each calls, and
-each one's summary line.
+deterministic given identical inputs and seed under mock backends. STAGES
+declares the stages once: their order, every run-directory file each reads
+and writes, the endpoint slots each calls, the templates each renders, and
+each one's summary line. A stage that calls endpoints records in its manifest
+the sha256 of each file it read and wrote, of the templates it renders and of
+the mock script; run again while those and the config digest of its slots are
+unchanged, it returns that manifest and makes no call. Verify also skips the
+checks its verdict log holds, so a run that crashed inside it resumes without
+duplicate calls.
 """
 
 from __future__ import annotations
@@ -360,9 +360,7 @@ def stage_prepare(cfg: RunConfig) -> dict:
 def stage_extract(cfg: RunConfig) -> dict:
     """Bind figures to environments and collect citing paragraphs."""
     out_dir = Path(cfg.output)
-    papers = ds.read_rows(
-        _require_file(out_dir / "papers_clean.jsonl"), PreparedPaper, _check_figures
-    )
+    papers = ds.read_rows(out_dir / "papers_clean.jsonl", PreparedPaper, _check_figures)
 
     context_rows: list[dict] = []
     discard_rows: list[dict] = []
@@ -403,7 +401,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     context, then one QA draft per (claim, context) pair.
     """
     out_dir = Path(cfg.output)
-    contexts = ds.read_rows(_require_file(out_dir / "figure_contexts.jsonl"), FigureContext)
+    contexts = ds.read_rows(out_dir / "figure_contexts.jsonl", FigureContext)
     templates = load_templates(cfg.prompts)
     text_ep = endpoints["text"]
 
@@ -434,14 +432,14 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
     candidates = sorted(
-        ds.read_rows(_require_file(out_dir / "candidates.jsonl"), QACandidate, ds.check_question),
+        ds.read_rows(out_dir / "candidates.jsonl", QACandidate, ds.check_question),
         key=lambda c: c.key,
     )
     # Keyed by the digest generate stamped on each candidate, so a context
     # changed or removed since generate is never paired with its candidates.
     contexts = {
         context_digest(ctx.context): ctx.context
-        for ctx in ds.read_rows(_require_file(out_dir / "figure_contexts.jsonl"), FigureContext)
+        for ctx in ds.read_rows(out_dir / "figure_contexts.jsonl", FigureContext)
     }
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
@@ -500,7 +498,7 @@ def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
     each record of that figure. Question type is asked once per record.
     """
     out_dir = Path(cfg.output)
-    records = ds.read_dataset(_require_file(out_dir / "retained.jsonl"))
+    records = ds.read_dataset(out_dir / "retained.jsonl")
     templates = load_templates(cfg.prompts)
 
     figures: dict[tuple[str, str], list[ds.VerifiedRecord]] = {}
@@ -564,17 +562,15 @@ def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
 def stage_stats(cfg: RunConfig) -> dict:
     """Funnel accounting plus an independent verdict-log replay."""
     out_dir = Path(cfg.output)
-    prepare_manifest = ds.read_json(_require_file(out_dir / "manifest_prepare.json"))
+    prepare_manifest = ds.read_json(out_dir / "manifest_prepare.json")
     papers = prepare_manifest.get("papers_prepared")
     if type(papers) is not int:
         raise UpstreamInputError("manifest_prepare.json: papers_prepared must be an integer")
     # Typed like verify reads them, so a row verify refuses is not counted here.
-    claims = len(ds.read_rows(_require_file(out_dir / "claims.jsonl"), AtomicClaim))
-    candidates = len(
-        ds.read_rows(_require_file(out_dir / "candidates.jsonl"), QACandidate, ds.check_question)
-    )
-    verdicts = ds.read_rows(_require_file(out_dir / "verdict_log.jsonl"), vf.FilterVerdict)
-    records = ds.read_dataset(_require_file(out_dir / "retained.jsonl"))
+    claims = len(ds.read_rows(out_dir / "claims.jsonl", AtomicClaim))
+    candidates = len(ds.read_rows(out_dir / "candidates.jsonl", QACandidate, ds.check_question))
+    verdicts = ds.read_rows(out_dir / "verdict_log.jsonl", vf.FilterVerdict)
+    records = ds.read_dataset(out_dir / "retained.jsonl")
     after_text = sum(1 for v in verdicts if v.filter == vf.FILTER_VISDEP_VISION and v.passed)
 
     funnel = None
@@ -591,7 +587,7 @@ def stage_stats(cfg: RunConfig) -> dict:
         table = stats.format_table()
 
     report = replay_verdicts(verdicts, records)
-    discards = ds.read_json(_require_file(out_dir / "manifest_extract.json")).get("discards")
+    discards = ds.read_json(out_dir / "manifest_extract.json").get("discards")
     if not isinstance(discards, dict) or any(type(n) is not int for n in discards.values()):
         raise UpstreamInputError("manifest_extract.json: discards must map each kind to an integer")
     payload = {
@@ -611,13 +607,14 @@ def stage_stats(cfg: RunConfig) -> dict:
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage: its body, the files it reads and writes, the slots it calls, its summary.
+    """One pipeline stage: its body, every run-directory file it reads and writes, the slots
+    it calls, the templates it renders, and its summary.
 
-    A body that calls slots also takes the endpoints. The manifest is the body's counts
-    under the stage name; a row that writes manifest_<name>.json writes it last. A row
-    that calls slots keys its manifest by the config digest of those slots and the digests
-    of what the body read and wrote, and returns that manifest without running the body
-    while they are all unchanged.
+    Every file in reads must exist before the body runs; a body that calls slots also takes
+    the endpoints. The manifest is the body's counts under the stage name; a row that writes
+    manifest_<name>.json writes it last. A row that calls slots keys its manifest by the
+    config digest of those slots and the digests of its reads, templates and outputs, and
+    returns that manifest without running the body while they are all unchanged.
     """
 
     name: str
@@ -625,6 +622,7 @@ class Stage:
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     slots: tuple[str, ...]
+    templates: tuple[str, ...]
     summary: Callable[[dict], str]
 
     def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
@@ -637,6 +635,8 @@ class Stage:
             if unchanged and stored.get("outputs") == self._output_digests(cfg):
                 logger.info("%s not run: config, inputs and outputs match %s", self.name, path.name)
                 return stored
+        for name in self.reads:
+            _require_file(path.parent / name)
         try:
             counts = self.run(cfg, endpoints) if self.slots else self.run(cfg)
         except EndpointUnavailable as exc:
@@ -650,13 +650,14 @@ class Stage:
         return manifest
 
     def _input_digests(self, cfg: RunConfig) -> dict:
-        """sha256 of each file the body reads, of the templates it loads, and of the mock script.
+        """sha256 of each file the body reads, of the templates it renders, and of the mock script.
 
-        Loading the templates here also makes a bad template exit before the skip.
+        All templates load here, so a bad one exits before the skip; only the row's are hashed.
         """
         out_dir = Path(cfg.output)
         digests = {name: ds.file_sha256(out_dir / name) for name in self.reads}
-        bodies = {name: template.body for name, template in load_templates(cfg.prompts).items()}
+        loaded = load_templates(cfg.prompts)
+        bodies = {name: loaded[name].body for name in self.templates}
         digests["templates"] = hashlib.sha256(
             json.dumps(bodies, sort_keys=True).encode("utf-8")
         ).hexdigest()
@@ -680,28 +681,31 @@ def _stored_manifest(path: Path) -> dict:
 
 
 STAGES = (
-    Stage("prepare", stage_prepare, (), ("papers_clean.jsonl", "manifest_prepare.json"), (),
+    Stage("prepare", stage_prepare, (), ("papers_clean.jsonl", "manifest_prepare.json"), (), (),
           lambda m: f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
                     f"({len(m['skipped'])} skipped)"),
-    Stage("extract", stage_extract, (),
-          ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), (),
+    Stage("extract", stage_extract, ("papers_clean.jsonl",),
+          ("figure_contexts.jsonl", "discards.jsonl", "manifest_extract.json"), (), (),
           lambda m: f"extracted {m['contexts']} contexts from {m['figures_in']} figures "
                     f"(discards: {json.dumps(m['discards'], sort_keys=True)})"),
     Stage("generate", stage_generate, ("figure_contexts.jsonl",),
           ("claims.jsonl", "candidates.jsonl", "declined.jsonl", "manifest_generate.json"),
-          ("text",),
+          ("text",), ("claim_extract", "qa_generate"),
           lambda m: f"generated {m['candidates']} candidates from {m['claims']} claims "
                     f"({m['declined']} declined)"),
     Stage("verify", stage_verify, ("candidates.jsonl", "figure_contexts.jsonl"),
           ("verdict_log.jsonl", "retained.jsonl", "verify_discards.jsonl", "manifest_verify.json"),
-          ("text", "vision"),
+          ("text", "vision"), tuple(dict.fromkeys(step.template for step in vf.CASCADE)),
           lambda m: f"retained {m['retained']} of {m['candidates']} candidates "
                     f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"),
     Stage("annotate", stage_annotate, ("retained.jsonl",),
           ("annotated.jsonl", "manifest_annotate.json"), ("annotator_text", "annotator_vision"),
+          ("figure_type_label", "question_type_label"),
           lambda m: f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
                     f"question type {m['question_type_labeled']})"),
-    Stage("stats", stage_stats, (), ("stats.json",), (),
+    Stage("stats", stage_stats, ("manifest_prepare.json", "claims.jsonl", "candidates.jsonl",
+                                 "verdict_log.jsonl", "retained.jsonl", "manifest_extract.json"),
+          ("stats.json",), (), (),
           lambda m: f"{m['table']}\n{m['replay_summary']}"),
 )
 STAGE_FUNCTIONS = {stage.name: stage for stage in STAGES}

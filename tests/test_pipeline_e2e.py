@@ -568,12 +568,17 @@ class TestRerunSkip:
         assert (out / "mock_calls.jsonl").read_bytes() == ledger
 
     def test_settings_no_stage_request_depends_on_pay_for_nothing(
-        self, full_run, e2e_bundle, run_cli, tmp_path
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates
     ):
         out = tmp_path / "retimed"
         shutil.copytree(full_run.out, out)
         ledger = (out / "mock_calls.jsonl").read_bytes()
-        config = e2e_bundle.make_config(out, **UNUSED_OR_TRANSPORT_SETTINGS)
+        # Only evaluate renders the eval template, and evaluate is not one of run's stages.
+        prompts = _copied_prompts(tmp_path / "prompts", templates)
+        (prompts / "eval_zero_shot.txt").write_text(
+            templates["eval_zero_shot"].body + "\nBe brief.\n", encoding="utf-8"
+        )
+        config = e2e_bundle.make_config(out, prompts=str(prompts), **UNUSED_OR_TRANSPORT_SETTINGS)
         proc = run_cli(["run", "--config", str(config)])
         assert proc.returncode == 0, proc.stderr
         assert (out / "mock_calls.jsonl").read_bytes() == ledger
@@ -672,6 +677,35 @@ class TestRerunSkip:
         assert ledger_digests(out) == scripted_call_counter(full_run.expect, "verify")
         for name in ("verdict_log.jsonl", "retained.jsonl", "manifest_verify.json"):
             assert (out / name).read_bytes() == (full_run.out / name).read_bytes(), name
+
+
+class RecordingTemplates(dict):
+    """A template mapping that records each name looked up in it."""
+
+    def __init__(self, templates):
+        super().__init__(templates)
+        self.used: set[str] = set()
+
+    def __getitem__(self, name):
+        self.used.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize(
+    "stage", [stage for stage in pipeline.STAGES if stage.slots], ids=lambda stage: stage.name
+)
+def test_paid_body_renders_exactly_its_rows_templates(
+    full_run, e2e_bundle, tmp_path, monkeypatch, templates, stage
+):
+    out = tmp_path / "run"
+    shutil.copytree(full_run.out, out)
+    (out / "verdict_log.jsonl").unlink()  # so verify asks every filter of the retained candidate
+    recording = RecordingTemplates(templates)
+    monkeypatch.setattr(pipeline, "load_templates", lambda prompts=None: recording)
+    cfg = RunConfig.from_yaml(e2e_bundle.make_config(out))
+    with pipeline.open_endpoints(cfg, stage.slots) as endpoints:
+        stage.run(cfg, endpoints)
+    assert recording.used == set(stage.templates)
 
 
 def flaky_votes(inner, question: str) -> Endpoint:
