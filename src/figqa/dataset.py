@@ -100,6 +100,17 @@ class VerifiedRecord:
         return OPTION_LETTERS[self.correct_index]
 
 
+# The funnel's rows in order: (FunnelStats field, table title). Each row after claims
+# holds at most the one before it, and its retention is relative to claims.
+FUNNEL_ROWS = (
+    ("papers", "Papers"),
+    ("claims", "Claims extracted"),
+    ("qa_generated", "QA pairs generated"),
+    ("after_text_filtering", "After text-based filtering"),
+    ("after_vision_filtering", "After vision-based filtering"),
+)
+
+
 @dataclass
 class FunnelStats:
     papers: int
@@ -110,25 +121,11 @@ class FunnelStats:
     retention: dict[str, float]
 
     def format_table(self) -> str:
-        rows = [
-            ("Papers", self.papers, None),
-            ("Claims extracted", self.claims, self.retention["claims"]),
-            ("QA pairs generated", self.qa_generated, self.retention["qa_generated"]),
-            (
-                "After text-based filtering",
-                self.after_text_filtering,
-                self.retention["after_text_filtering"],
-            ),
-            (
-                "After vision-based filtering",
-                self.after_vision_filtering,
-                self.retention["after_vision_filtering"],
-            ),
-        ]
         lines = [f"{'Stage':<28} {'Count':>10} {'Retention':>10}"]
-        for name, count, pct in rows:
+        for name, title in FUNNEL_ROWS:
+            pct = self.retention.get(name)
             pct_text = "-" if pct is None else f"{pct:.1f}%"
-            lines.append(f"{name:<28} {count:>10,} {pct_text:>10}")
+            lines.append(f"{title:<28} {getattr(self, name):>10,} {pct_text:>10}")
         return "\n".join(lines)
 
 
@@ -152,26 +149,18 @@ def compute_funnel(
     after_vision_filtering: int,
 ) -> FunnelStats:
     """Per-stage counts with retention percentages relative to claims."""
-    counts = {
-        "papers": papers,
-        "claims": claims,
-        "qa_generated": qa_generated,
-        "after_text_filtering": after_text_filtering,
-        "after_vision_filtering": after_vision_filtering,
-    }
+    values = (papers, claims, qa_generated, after_text_filtering, after_vision_filtering)
+    counts = {name: value for (name, _), value in zip(FUNNEL_ROWS, values)}
     for name, value in counts.items():
         if not isinstance(value, int) or value < 0:
             raise InvalidFunnel(f"{name} must be a non-negative integer, got {value!r}")
     if claims <= 0:
         raise InvalidFunnel("claims must be positive")
-    chain = [claims, qa_generated, after_text_filtering, after_vision_filtering]
-    names = ["claims", "qa_generated", "after_text_filtering", "after_vision_filtering"]
-    for i in range(1, len(chain)):
-        if chain[i] > chain[i - 1]:
-            raise InvalidFunnel(
-                f"{names[i]} ({chain[i]}) exceeds {names[i - 1]} ({chain[i - 1]})"
-            )
-    retention = {name: _round_published(count, claims) for name, count in zip(names, chain)}
+    chain = [name for name, _ in FUNNEL_ROWS[1:]]
+    for before, name in zip(chain, chain[1:]):
+        if counts[name] > counts[before]:
+            raise InvalidFunnel(f"{name} ({counts[name]}) exceeds {before} ({counts[before]})")
+    retention = {name: _round_published(counts[name], claims) for name in chain}
     return FunnelStats(**counts, retention=retention)
 
 
