@@ -8,9 +8,10 @@ and writes, the endpoint slots each calls, the templates each renders, and
 each one's summary line. A stage that calls endpoints records in its manifest
 the sha256 of each file it read and wrote, of the templates it renders and of
 the mock script; run again while those and the config digest of its slots are
-unchanged, it returns that manifest and makes no call. Verify also skips the
-checks its verdict log holds, so a run that crashed inside it resumes without
-duplicate calls.
+unchanged, it returns that manifest and makes no call. Verify also reuses each
+logged verdict whose request is unchanged, so a run that crashed inside it
+resumes without duplicate calls, and exits 3 on a logged verdict that answered
+another request.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .gateway import (
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
+    Request,
     TokenBucket,
     load_templates,
     map_items,
@@ -429,7 +431,11 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
 
 
 def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
-    """Run the filter cascade over all candidates, resumably."""
+    """Run the filter cascade over all candidates, resumably.
+
+    Before any call, every candidate must have its figure context, appear once, and have
+    only logged verdicts whose transcript_ref is the digest of its own filter request.
+    """
     out_dir = Path(cfg.output)
     candidates = sorted(
         ds.read_rows(out_dir / "candidates.jsonl", QACandidate, ds.check_question),
@@ -455,6 +461,18 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
         if candidate.key in seen:
             raise UpstreamInputError(f"candidate {candidate.key} appears twice")
         seen.add(candidate.key)
+        # A logged verdict is reused only for the request it answered.
+        context = contexts[candidate.context_digest]
+        for step in vf.CASCADE:
+            verdict = log.get(candidate.key, step.name)
+            if verdict is None:
+                continue
+            request = vf.filter_request(step, candidate, context, templates)
+            if verdict.transcript_ref != Request(endpoints[step.endpoint].config, *request).digest:
+                raise UpstreamInputError(
+                    f"candidate {candidate.key}: its logged {step.name} verdict answered another "
+                    "request; delete the verdict log or use a new output directory"
+                )
 
     def run_one(candidate: QACandidate):
         context = contexts[candidate.context_digest]

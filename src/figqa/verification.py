@@ -143,15 +143,13 @@ def _parse_selection(response: str) -> str:
         return AMBIGUOUS
 
 
-def apply_filter(
-    step: Filter, candidate: QACandidate, context: str, endpoint, templates
-) -> FilterVerdict:
-    """One filter's verdict on candidate, asked of the endpoint step.endpoint names.
+def filter_request(
+    step: Filter, candidate: QACandidate, context: str, templates
+) -> tuple[str, str | None]:
+    """The (prompt, image_ref) step asks about candidate.
 
     The prompt carries the candidate's question and options plus the one
-    evidence variable of the step. Every vote is asked before any is parsed,
-    so a transport failure on any vote propagates before anything is
-    recorded and the votes are re-issued together when verify is rerun.
+    evidence variable of the step; only a voting step sends the figure.
     """
     evidence = context if step.evidence == "context" else candidate.caption
     prompt = render_template(
@@ -162,8 +160,20 @@ def apply_filter(
             step.evidence: evidence,
         },
     )
-    image_ref = candidate.figure_image_ref if step.votes > 1 else None
-    answers = [endpoint.complete(prompt, image_ref) for _ in range(step.votes)]
+    return prompt, candidate.figure_image_ref if step.votes > 1 else None
+
+
+def apply_filter(
+    step: Filter, candidate: QACandidate, context: str, endpoint, templates
+) -> FilterVerdict:
+    """One filter's verdict on candidate, asked of the endpoint step.endpoint names.
+
+    Every vote is asked before any is parsed, so a transport failure on any
+    vote propagates before anything is recorded and the votes are re-issued
+    together when verify is rerun.
+    """
+    request = filter_request(step, candidate, context, templates)
+    answers = [endpoint.complete(*request) for _ in range(step.votes)]
     selections = [_parse_selection(response) for response, _ in answers]
     tally = {}
     if step.votes == 1:

@@ -1597,6 +1597,41 @@ class TestExitCodes:
         for name, content in kept.items():
             assert (out / name).read_bytes() == content, name
 
+    @pytest.mark.parametrize("change", ["swapped-question", "edited-filter-template"])
+    def test_logged_verdict_for_another_request_is_an_input_error(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates, change
+    ):
+        out = tmp_path / "stale_verdicts"
+        shutil.copytree(full_run.out, out)
+        key = full_run.expect["retained_key"]
+        overrides = {}
+        if change == "swapped-question":  # same options and correct letter, another question
+            _rewrite_rows(
+                out / "candidates.jsonl",
+                lambda rows: [
+                    row.update(question="Which setting gives the lowest loss at the end?")
+                    for row in rows if row["key"] == key
+                ],
+            )
+        else:
+            prompts = _copied_prompts(tmp_path / "prompts", templates)
+            (prompts / "source_check.txt").write_text(
+                templates["source_check"].body + "\nAnswer carefully.\n", encoding="utf-8"
+            )
+            overrides["prompts"] = str(prompts)
+        kept = {
+            name: (out / name).read_bytes()
+            for name in ("retained.jsonl", "verdict_log.jsonl", "manifest_verify.json")
+        }
+        ledger = (out / "mock_calls.jsonl").read_bytes()
+        proc = run_cli(["verify", "--config", str(e2e_bundle.make_config(out, **overrides))])
+        assert proc.returncode == 3, proc.stderr
+        assert key in proc.stderr and "SourceConsistency" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (out / "mock_calls.jsonl").read_bytes() == ledger
+        for name, content in kept.items():
+            assert (out / name).read_bytes() == content, name
+
     @pytest.mark.parametrize(
         "stage, artifact",
         [
