@@ -1,9 +1,9 @@
 """README's reference tables list exactly what the code declares.
 
-The config-key table, the endpoint-key sentence, the exit-code table and
-the list of output files are written by hand; these guards fail when a
-field, an exit code or a stage's output is added, renamed or removed
-without them. The example configs must load and resolve as README says.
+The config-key table, the endpoint-key sentence, the exit-code table, the
+stage table and the list of output files are written by hand; these guards
+fail when a field, an exit code or a stage's input, template or output is
+added, renamed or removed without them. The example configs must load and resolve as README says.
 """
 
 from __future__ import annotations
@@ -21,15 +21,20 @@ from figqa.pipeline import ROLE_DEFAULTS, STAGES, RunConfig, open_endpoints
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
-def _first_column(intro: str) -> list[str]:
-    """The first cell of each body row of the table that follows the line intro."""
+def _table(intro: str) -> list[list[str]]:
+    """The cells of each body row of the table that follows the line intro."""
     lines = README.split(intro + "\n", 1)[1].lstrip("\n").splitlines()
-    cells = []
+    rows = []
     for line in lines[2:]:  # past the header and its separator
         if not line.startswith("|"):
             break
-        cells.append(line.split("|")[1].strip().strip("`"))
-    return cells
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    return rows
+
+
+def _first_column(intro: str) -> list[str]:
+    """The first cell of each body row of the table that follows the line intro."""
+    return [row[0].strip("`") for row in _table(intro)]
 
 
 def test_readme_tables_match_config_fields_and_exit_codes():
@@ -45,6 +50,12 @@ def test_readme_tables_match_config_fields_and_exit_codes():
     codes = [int(code) for code in _first_column("Exit codes:")]
     exits = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
     assert sorted(codes) == sorted([0, *exits])
+
+
+def test_readme_stage_table_lists_each_rows_reads_and_templates():
+    table = _table("run-directory files the stage reads and the prompt templates it renders:")
+    cells = [tuple(tuple(re.findall(r"`([\w.]+)`", cell)) for cell in row) for row in table]
+    assert cells == [((stage.name,), stage.reads, stage.templates) for stage in STAGES]
 
 
 def test_readme_outputs_name_every_file_the_stages_write():
