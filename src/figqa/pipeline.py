@@ -431,11 +431,7 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
 
 
 def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
-    """Run the filter cascade over all candidates, resumably.
-
-    Before any call, every candidate must have its figure context, appear once, and have
-    only logged verdicts whose transcript_ref is the digest of its own filter request.
-    """
+    """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
     candidates = sorted(
         ds.read_rows(out_dir / "candidates.jsonl", QACandidate, ds.check_question),

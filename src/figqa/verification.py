@@ -146,11 +146,7 @@ def _parse_selection(response: str) -> str:
 def filter_request(
     step: Filter, candidate: QACandidate, context: str, templates
 ) -> tuple[str, str | None]:
-    """The (prompt, image_ref) step asks about candidate.
-
-    The prompt carries the candidate's question and options plus the one
-    evidence variable of the step; only a voting step sends the figure.
-    """
+    """The (prompt, image_ref) step sends about candidate; only a voting step sends the figure."""
     evidence = context if step.evidence == "context" else candidate.caption
     prompt = render_template(
         templates[step.template],

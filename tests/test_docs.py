@@ -3,7 +3,8 @@
 The config-key table, the endpoint-key sentence, the exit-code table, the
 stage table and the list of output files are written by hand; these guards
 fail when a field, an exit code or a stage's input, template or output is
-added, renamed or removed without them. The example configs must load and resolve as README says.
+added, renamed or removed without them. The example configs must load and
+resolve as README says.
 """
 
 from __future__ import annotations

@@ -1608,10 +1608,9 @@ class TestExitCodes:
         if change == "swapped-question":  # same options and correct letter, another question
             _rewrite_rows(
                 out / "candidates.jsonl",
-                lambda rows: [
-                    row.update(question="Which setting gives the lowest loss at the end?")
-                    for row in rows if row["key"] == key
-                ],
+                lambda rows: next(row for row in rows if row["key"] == key).update(
+                    question="Which setting gives the lowest loss at the end?"
+                ),
             )
         else:
             prompts = _copied_prompts(tmp_path / "prompts", templates)
