@@ -10,8 +10,8 @@ the sha256 of each file it read and wrote, of the templates it renders and of
 the mock script; run again while those and the config digest of its slots are
 unchanged, it returns that manifest and makes no call. Verify also reuses each
 logged verdict whose request is unchanged, so a run that crashed inside it
-resumes without duplicate calls, and exits 3 on a logged verdict that answered
-another request.
+resumes without duplicate calls; one that answered another request is asked
+again, with every later verdict of its candidate.
 """
 
 from __future__ import annotations
@@ -447,6 +447,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
     seen: set[str] = set()
+    stale = []  # (candidate, filter) of each logged verdict to ask again
     for candidate in candidates:
         if candidate.context_digest not in contexts:
             raise UpstreamInputError(
@@ -457,18 +458,20 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
         if candidate.key in seen:
             raise UpstreamInputError(f"candidate {candidate.key} appears twice")
         seen.add(candidate.key)
-        # A logged verdict is reused only for the request it answered.
+        # A logged verdict is reused only for the request it answered. The first that
+        # answered another is asked again, with the candidate's later verdicts.
         context = contexts[candidate.context_digest]
-        for step in vf.CASCADE:
+        for i, step in enumerate(vf.CASCADE):
             verdict = log.get(candidate.key, step.name)
             if verdict is None:
                 continue
             request = vf.filter_request(step, candidate, context, templates)
             if verdict.transcript_ref != Request(endpoints[step.endpoint].config, *request).digest:
-                raise UpstreamInputError(
-                    f"candidate {candidate.key}: its logged {step.name} verdict answered another "
-                    "request; delete the verdict log or use a new output directory"
-                )
+                stale += [(candidate.key, later.name) for later in vf.CASCADE[i:]]
+                break
+    if stale:
+        dropped = log.drop(stale)
+        logger.warning("verify: %d logged verdicts answered another request; asking again", dropped)
 
     def run_one(candidate: QACandidate):
         context = contexts[candidate.context_digest]

@@ -114,6 +114,13 @@ class VerdictLog:
             append_jsonl(self.path, asdict(verdict))
             self._entries[key] = verdict
 
+    def drop(self, keys) -> int:
+        """Delete the verdicts of keys, (candidate, filter) pairs; rewrite the file; the count."""
+        with self._lock:
+            dropped = sum(self._entries.pop(key, None) is not None for key in keys)
+        self.sort_file()
+        return dropped
+
     def sort_file(self) -> None:
         """Atomically rewrite the file as one line per verdict in _file_order."""
         with self._lock:

@@ -16,8 +16,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from figqa.gateway import MAX_FIELDS, MAX_LINE, MockBackend, ModelEndpointConfig, Request
+from figqa.gateway import MockBackend, ModelEndpointConfig, Request
 from figqa.pipeline import ROLE_DEFAULTS
+from figqa.transport import MAX_FIELDS, MAX_LINE
 
 
 def completion(text: str) -> bytes:
@@ -54,6 +55,11 @@ RAW_REPLIES = {
         lambda body: _sized(b"", b"Retry-After: 0", status=b"HTTP/1.1 503 Service Unavailable"),
         False,
     ),
+    "rate-limited": (
+        lambda body: _sized(b"", b"Retry-After: 0", status=b"HTTP/1.1 429 Too Many Requests"),
+        False,
+    ),
+    "bad-request": (lambda body: _sized(b"", status=b"HTTP/1.1 400 Bad Request"), False),
     "chunked": (_chunked, False),
     # The server keeps the connection: only a client that reads the field opens a new one.
     "close-header": (lambda body: _sized(body, b"Connection: close"), False),
@@ -83,7 +89,8 @@ FAULTS = (
     "gzip-coding", "bad-field", "short-head", "long-chunk",
 )
 # Modes whose reply carries the answer to the request; the others never consult answer.
-ANSWERED = {"ok", "ok-then-close", *RAW_REPLIES} - {"unavailable", "no-content", *FAULTS}
+REFUSALS = ("unavailable", "rate-limited", "bad-request", "no-content")
+ANSWERED = {"ok", "ok-then-close", *RAW_REPLIES} - {*REFUSALS, *FAULTS}
 
 
 class Loopback(ThreadingHTTPServer):

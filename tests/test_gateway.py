@@ -40,13 +40,10 @@ from figqa.gateway import (
     MAX_RETRY_WAIT,
     NONE_SIGNAL,
     TEMPLATE_NAMES,
-    Connections,
-    HttpConnection,
     HttpEndpoint,
     MockBackend,
     ModelEndpointConfig,
     PromptTemplate,
-    ReplyError,
     TokenBucket,
     complete_parsed,
     format_options,
@@ -59,6 +56,7 @@ from figqa.gateway import (
     tag_bodies,
 )
 from figqa.pipeline import RunConfig, build_endpoints, run_stages
+from figqa.transport import Connections, HttpConnection, ReplyError
 
 from click.testing import CliRunner
 from crash_launcher import CRASH_EXIT_CODE

@@ -23,16 +23,27 @@ import yaml
 from click.testing import CliRunner
 
 from figqa import pipeline
+from figqa import verification as vf
 from figqa.cli import EXIT_LOCKED, main
 from figqa.dataset import (
     FIGURE_TYPES,
     QUESTION_TYPES,
     annotate_taxonomy,
+    read_rows,
     run_directory_lock,
     write_dataset,
 )
 from figqa.errors import EndpointUnavailable, ImageUnreadable
-from figqa.gateway import Endpoint, HttpEndpoint, format_options, render_template, request_digest
+from figqa.gateway import (
+    Endpoint,
+    HttpEndpoint,
+    Request,
+    format_options,
+    load_templates,
+    render_template,
+    request_digest,
+)
+from figqa.generation import QACandidate, context_digest
 from figqa.pipeline import (
     ROLE_DEFAULTS,
     STAGE_ORDER,
@@ -451,6 +462,50 @@ def _rewrite_rows(path: Path, edit) -> dict:
     edit(rows)
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     return {}
+
+
+def verify_request_digests(config: Path) -> dict[tuple[str, str], str]:
+    """(candidate key, filter) -> the digest of the request verify would send for it now."""
+    cfg = RunConfig.from_yaml(config)
+    out = Path(cfg.output)
+    contexts = {
+        context_digest(row["context"]): row["context"]
+        for row in read_jsonl(out / "figure_contexts.jsonl")
+    }
+    templates = load_templates(cfg.prompts)
+    digests = {}
+    for candidate in read_rows(out / "candidates.jsonl", QACandidate):
+        context = contexts[candidate.context_digest]
+        for step in vf.CASCADE:
+            request = vf.filter_request(step, candidate, context, templates)
+            config = cfg.endpoint_config(step.endpoint)
+            digests[candidate.key, step.name] = Request(config, *request).digest
+    return digests
+
+
+VISION_FILTERS = [step.name for step in vf.CASCADE if step.endpoint == "vision"]
+VOTES = {step.name: step.votes for step in vf.CASCADE}
+
+
+def _posts(rows: list[dict], digests: dict) -> Counter:
+    """The posts that ask each verdict of rows now: its request's digest, once per vote."""
+    posts = Counter()
+    for row in rows:
+        posts[digests[row["candidate_key"], row["filter"]]] += VOTES[row["filter"]]
+    return posts
+
+
+def _script_asking_again(out: Path, e2e_bundle, config: Path) -> dict:
+    """Overrides naming a mock script that also answers each logged verdict's request, as
+    verify would send it under config, with the answer of the request it was logged for."""
+    script = json.loads(e2e_bundle.script_path.read_text(encoding="utf-8"))
+    digests = verify_request_digests(config)
+    for row in read_jsonl(out / "verdict_log.jsonl"):
+        digest = digests[row["candidate_key"], row["filter"]]
+        script.setdefault(digest, script[row["transcript_ref"]])
+    path = out.parent / "script_asking_again.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    return {"mock_script": str(path)}
 
 
 def _copied_prompts(prompts: Path, templates) -> Path:
@@ -1333,25 +1388,33 @@ class TestLiveRunOverLoopback:
 
     KEY = "sk-loopback-0123456789abcdef"
 
+    def _config(self, e2e_bundle, server: Loopback, out: Path) -> Path:
+        slots = {name: {"model_name": row["model_name"]} for name, row in ROLE_DEFAULTS.items()}
+        for name in ("text", "vision"):
+            slots[name].update(base_url=server.base_url, api_key_env="FIGQA_E2E_KEY")
+        return e2e_bundle.make_config(out, mock_script=None, endpoints=slots)
+
     @pytest.mark.parametrize(
         "replies, faults",
-        [((), 0), (("ok", "drop", "ok", "unavailable"), 2)],
-        ids=["clean", "dropped-keep-alive-and-503"],
+        [
+            ((), 0),
+            (("ok", "drop", "ok", "unavailable"), 2),
+            (("ok", "rate-limited", "ok", "truncated"), 2),
+        ],
+        ids=["clean", "dropped-keep-alive-and-503", "429-and-truncated"],
     )
     def test_outputs_equal_the_mock_run(
         self, full_run, e2e_bundle, tmp_path, monkeypatch, replies, faults
     ):
-        # The second post finds the first one's connection dropped and is sent
-        # again; a later post is answered 503 with Retry-After: 0 and retried.
+        # "drop": the second post finds the first one's connection dropped and is
+        # sent again. A 503 or 429 with Retry-After: 0 is retried at once, and a
+        # truncated body after a jittered wait below 1 s.
         monkeypatch.chdir(e2e_bundle.root)  # image refs are relative to the corpus root
         monkeypatch.setenv("FIGQA_E2E_KEY", self.KEY)
         answers = ScriptAnswers(e2e_bundle.script_path, e2e_bundle.root)
         out = tmp_path / "live"
         with Loopback(replies, answer=answers) as server:
-            slots = {name: {"model_name": row["model_name"]} for name, row in ROLE_DEFAULTS.items()}
-            for name in ("text", "vision"):
-                slots[name].update(base_url=server.base_url, api_key_env="FIGQA_E2E_KEY")
-            config = e2e_bundle.make_config(out, mock_script=None, endpoints=slots)
+            config = self._config(e2e_bundle, server, out)
             for command in ("run", "evaluate"):
                 result = CliRunner().invoke(main, [command, "--config", str(config)])
                 assert result.exit_code == 0, result.output
@@ -1361,6 +1424,13 @@ class TestLiveRunOverLoopback:
         assert hashlib.sha256(summary).hexdigest() == EVAL_SUMMARY_SHA256
         log = (out / "verdict_log.jsonl").read_bytes()
         assert log == (full_run.out / "verdict_log.jsonl").read_bytes()
+        # Each manifest equals the mock run's but for base_url's config_digest and the script.
+        for path in sorted(full_run.out.glob("manifest_*.json")):
+            mock, live = (json.loads(p.read_text("utf-8")) for p in (path, out / path.name))
+            for manifest in (mock, live):
+                del manifest["config_digest"]
+                manifest.get("inputs", {}).pop("mock_script", None)
+            assert live == mock, path.name
 
         phases = ("generate", "verify", "annotate", "evaluate")
         expected = scripted_call_counter(full_run.expect, *phases)
@@ -1371,6 +1441,31 @@ class TestLiveRunOverLoopback:
         for path in out.rglob("*"):
             if path.is_file():
                 assert self.KEY.encode() not in path.read_bytes(), path
+
+    def test_a_refused_generate_call_writes_nothing_and_a_clean_rerun_equals_the_mock_run(
+        self, e2e_bundle, tmp_path, monkeypatch
+    ):
+        # The first post, a claim extraction, is answered 400: not retried, so generate defers.
+        monkeypatch.chdir(e2e_bundle.root)
+        monkeypatch.setenv("FIGQA_E2E_KEY", self.KEY)
+        out = tmp_path / "live"
+        answers = ScriptAnswers(e2e_bundle.script_path, e2e_bundle.root)
+        with Loopback(["bad-request"], answer=answers) as server:
+            config = self._config(e2e_bundle, server, out)
+            result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 5, result.output
+        assert "1 of 6 contexts deferred; no generate output written" in result.stderr
+        assert len(server.received) == len(answers.calls) + 1 == 6
+        for name in pipeline.STAGE_FUNCTIONS["generate"].writes:
+            assert not (out / name).exists(), name
+
+        answers = ScriptAnswers(e2e_bundle.script_path, e2e_bundle.root)
+        with Loopback(answer=answers) as server:
+            config = self._config(e2e_bundle, server, out)
+            result = CliRunner().invoke(main, ["run", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert server.errors == []
+        assert artifact_digests(out) == PINNED_SHA256
 
 
 class TestOneWriterPerRunDirectory:
@@ -1597,19 +1692,23 @@ class TestExitCodes:
         for name, content in kept.items():
             assert (out / name).read_bytes() == content, name
 
-    @pytest.mark.parametrize("change", ["swapped-question", "edited-filter-template"])
-    def test_logged_verdict_for_another_request_is_an_input_error(
-        self, full_run, e2e_bundle, run_cli, tmp_path, templates, change
+    @pytest.mark.parametrize(
+        "change, asked_again",
+        [("swapped-question", 4), ("edited-filter-template", 14)],
+    )
+    def test_logged_verdict_for_another_request_is_asked_again(
+        self, full_run, e2e_bundle, run_cli, tmp_path, templates, change, asked_again
     ):
         out = tmp_path / "stale_verdicts"
         shutil.copytree(full_run.out, out)
         key = full_run.expect["retained_key"]
+        question = "Which setting gives the lowest loss at the end?"
         overrides = {}
         if change == "swapped-question":  # same options and correct letter, another question
             _rewrite_rows(
                 out / "candidates.jsonl",
                 lambda rows: next(row for row in rows if row["key"] == key).update(
-                    question="Which setting gives the lowest loss at the end?"
+                    question=question
                 ),
             )
         else:
@@ -1618,18 +1717,74 @@ class TestExitCodes:
                 templates["source_check"].body + "\nAnswer carefully.\n", encoding="utf-8"
             )
             overrides["prompts"] = str(prompts)
-        kept = {
-            name: (out / name).read_bytes()
-            for name in ("retained.jsonl", "verdict_log.jsonl", "manifest_verify.json")
-        }
-        ledger = (out / "mock_calls.jsonl").read_bytes()
-        proc = run_cli(["verify", "--config", str(e2e_bundle.make_config(out, **overrides))])
-        assert proc.returncode == 3, proc.stderr
-        assert key in proc.stderr and "SourceConsistency" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert (out / "mock_calls.jsonl").read_bytes() == ledger
-        for name, content in kept.items():
-            assert (out / name).read_bytes() == content, name
+        config = e2e_bundle.make_config(out, **overrides)
+        rekeyed = _script_asking_again(out, e2e_bundle, config)
+        retained = (out / "retained.jsonl").read_bytes()
+        verdicts = len(read_jsonl(out / "verdict_log.jsonl"))
+
+        # Unscripted, a request asked again stops verify before it writes a record.
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 2, proc.stderr
+        assert f"{asked_again} logged verdicts answered another request" in proc.stderr
+        assert "no scripted response" in proc.stderr
+        assert (out / "retained.jsonl").read_bytes() == retained
+        digests = verify_request_digests(config)
+        for row in read_jsonl(out / "verdict_log.jsonl"):
+            assert row["transcript_ref"] == digests[row["candidate_key"], row["filter"]], row
+
+        # Scripted, each is asked once, and every verdict answered its own request.
+        ledger = read_jsonl(out / "mock_calls.jsonl")
+        config = e2e_bundle.make_config(out, **overrides, **rekeyed)
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        rows = read_jsonl(out / "verdict_log.jsonl")
+        assert len(rows) == verdicts
+        again = [row for row in rows if change != "swapped-question" or row["candidate_key"] == key]
+        assert len(again) == asked_again
+        for row in rows:
+            assert row["transcript_ref"] == digests[row["candidate_key"], row["filter"]], row
+        posted = read_jsonl(out / "mock_calls.jsonl")[len(ledger):]
+        assert Counter(row["digest"] for row in posted) == _posts(again, digests)
+        records = read_jsonl(out / "retained.jsonl")
+        assert [record["key"] for record in records] == [key]
+        if change == "swapped-question":
+            assert records[0]["question"] == question
+        else:
+            assert (out / "retained.jsonl").read_bytes() == retained
+
+    def test_a_new_vision_model_asks_only_the_vision_filters_again(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "new_vision_model"
+        shutil.copytree(full_run.out, out)
+        overrides = {"endpoints": {"vision": {"model_name": "another-vision-model"}}}
+        config = e2e_bundle.make_config(out, **overrides)
+        digests = verify_request_digests(config)
+        config = e2e_bundle.make_config(
+            out, **overrides, **_script_asking_again(out, e2e_bundle, config)
+        )
+        lines = (out / "verdict_log.jsonl").read_bytes().splitlines(keepends=True)
+        retained = (out / "retained.jsonl").read_bytes()
+        ledger = read_jsonl(out / "mock_calls.jsonl")
+
+        proc = run_cli(["verify", "--config", str(config)])
+        assert proc.returncode == 0, proc.stderr
+        assert "5 logged verdicts answered another request" in proc.stderr
+
+        posted = read_jsonl(out / "mock_calls.jsonl")[len(ledger):]
+        assert {row["model"] for row in posted} == {"another-vision-model"}
+        vision = [row for row in map(json.loads, lines) if row["filter"] in VISION_FILTERS]
+        assert Counter(row["digest"] for row in posted) == _posts(vision, digests)
+        assert (out / "retained.jsonl").read_bytes() == retained
+        # A text-slot verdict keeps its line; a vision-slot one names its new request.
+        for old, new in zip(lines, (out / "verdict_log.jsonl").read_bytes().splitlines(True)):
+            row = json.loads(old)
+            if row["filter"] not in VISION_FILTERS:
+                assert new == old
+            else:
+                row["transcript_ref"] = digests[row["candidate_key"], row["filter"]]
+                assert json.loads(new) == row
+        assert len((out / "verdict_log.jsonl").read_bytes().splitlines()) == len(lines)
 
     @pytest.mark.parametrize(
         "stage, artifact",

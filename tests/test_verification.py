@@ -455,6 +455,16 @@ class TestVerdictLog:
             "k2",
         ]
 
+    def test_drop_deletes_the_named_verdicts_and_rewrites_the_file_sorted(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = VerdictLog(path)
+        for key, name in [("k2", FILTER_SOURCE), ("k1", FILTER_VISION), ("k1", FILTER_SOURCE)]:
+            log.append(self._verdict(key=key, filter_name=name))
+        dropped = log.drop([("k1", FILTER_VISION), ("k1", CASCADE_ORDER[1]), ("k3", FILTER_SOURCE)])
+        assert dropped == 1  # a key without a verdict is not counted
+        assert log.get("k1", FILTER_VISION) is None
+        assert logged(log) == [("k1", FILTER_SOURCE), ("k2", FILTER_SOURCE)]
+
     def test_sort_file_of_an_empty_log_leaves_an_empty_file(self, tmp_path):
         path = tmp_path / "log.jsonl"
         VerdictLog(path).sort_file()
