@@ -1,4 +1,4 @@
-"""Command-line interface: `run`, one subcommand per pipeline stage, and `evaluate`.
+"""Command-line interface: `run`, and one subcommand per `pipeline.STAGES` row.
 
 `figqa <stage>` is `figqa run --stage <stage>`: both print each stage's
 summary line and share one exit-code map, the EXIT_* codes below. README's
@@ -28,8 +28,7 @@ from .errors import (
     UpstreamInputError,
 )
 from .dataset import run_directory_lock
-from .pipeline import STAGE_FUNCTIONS, STAGE_ORDER, STAGES, RunConfig, run_stages
-from . import pipeline
+from .pipeline import STAGE_FUNCTIONS, STAGES, RunConfig, run_stages
 
 EXIT_EVAL_THRESHOLD = 1
 EXIT_CONFIG = 2
@@ -102,6 +101,10 @@ def _common_options(fn):
                           "(default 1); outputs are the same at any value."),
         click.option("--mock", "mock_script", type=click.Path(), default=None,
                      help="Mock-backend script (JSON digest map)."),
+        click.option("--dataset", "eval_dataset", type=click.Path(), default=None,
+                     help="Dataset to evaluate (default: annotated, then retained)."),
+        click.option("--unevaluated-threshold", type=int, default=None,
+                     help="Fail when more than this many items stay unevaluated."),
     ]
     for option in reversed(options):
         fn = option(fn)
@@ -116,7 +119,8 @@ def main():
 def _run(config_path, stages, **params):
     """Run the stages in canonical order and print each one's summary line.
 
-    Exits 3 when the stats stage's verdict replay is inconsistent.
+    Exits 3 when the stats stage's verdict replay is inconsistent, and 1 when more items stay
+    unevaluated than the threshold allows.
     """
     cfg = _build_config(config_path, params)
     with run_directory_lock(cfg.output):
@@ -125,11 +129,18 @@ def _run(config_path, stages, **params):
         click.echo(STAGE_FUNCTIONS[manifest["stage"]].summary(manifest))
     if any(m.get("replay_ok") is False for m in manifests):
         sys.exit(EXIT_UPSTREAM)
+    unevaluated = sum(m.get("unevaluated", 0) for m in manifests)
+    if unevaluated > cfg.unevaluated_threshold:
+        click.echo(
+            f"unevaluated items ({unevaluated}) exceed threshold ({cfg.unevaluated_threshold})",
+            err=True,
+        )
+        sys.exit(EXIT_EVAL_THRESHOLD)
 
 
-main.command(name="run", help="Run multiple stages in order (default: all).")(
+main.command(name="run", help="Run stages in order (default: every stage but evaluate).")(
     _common_options(
-        click.option("--stage", "stages", multiple=True, type=click.Choice(STAGE_ORDER),
+        click.option("--stage", "stages", multiple=True, type=click.Choice(tuple(STAGE_FUNCTIONS)),
                      help="Stage to run; repeatable.")(_handle_errors(_run))
     )
 )
@@ -139,27 +150,6 @@ for _stage in STAGES:
     main.command(name=_stage.name, help=_stage.run.__doc__.splitlines()[0])(
         _common_options(_handle_errors(functools.partial(_run, stages=[_stage.name])))
     )
-
-
-@main.command(help="Zero-shot evaluation over a verified dataset.")
-@_common_options
-@click.option("--dataset", "eval_dataset", type=click.Path(), default=None,
-              help="Dataset to evaluate (default: annotated, then retained).")
-@click.option("--unevaluated-threshold", type=int, default=None,
-              help="Fail when more than this many items stay unevaluated.")
-@_handle_errors
-def evaluate(config_path, **params):
-    cfg = _build_config(config_path, params)
-    with run_directory_lock(cfg.output), pipeline.open_endpoints(cfg, ("eval",)) as endpoints:
-        summary = pipeline.stage_evaluate(cfg, endpoints)
-    click.echo(summary["report"])
-    if summary["unevaluated"] > cfg.unevaluated_threshold:
-        click.echo(
-            f"unevaluated items ({summary['unevaluated']}) exceed threshold "
-            f"({cfg.unevaluated_threshold})",
-            err=True,
-        )
-        sys.exit(EXIT_EVAL_THRESHOLD)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,14 @@ predecessor's output, writes line-delimited records plus a manifest, and is
 deterministic given identical inputs and seed under mock backends. STAGES
 declares the stages once: their order, every run-directory file each reads
 and writes, the endpoint slots each calls, the templates each renders, and
-each one's summary line. A stage that calls endpoints records in its manifest
-the sha256 of each file it read and wrote, of the templates it renders and of
-the mock script; run again while those and the config digest of its slots are
-unchanged, it returns that manifest and makes no call. Verify also reuses each
-logged verdict whose request is unchanged, so a run that crashed inside it
-resumes without duplicate calls; one that answered another request is asked
-again, with every later verdict of its candidate.
+each one's summary line. Its last row, evaluate, runs only when named. A
+stage that calls endpoints records in its manifest the sha256 of each file
+it read and wrote, of the templates it renders and of the mock script; run
+again while those and the config digest of its slots are unchanged, it
+returns that manifest and makes no call, unless it left items unevaluated.
+Verify also reuses each logged verdict whose request is unchanged, so a run
+that crashed inside it resumes without duplicate calls; one that answered
+another request is asked again, with every later verdict of its candidate.
 """
 
 from __future__ import annotations
@@ -549,17 +550,21 @@ def stage_annotate(cfg: RunConfig, endpoints: dict) -> dict:
     )
 
 
-def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
-    """Zero-shot evaluation of the configured model over the dataset."""
-    out_dir = Path(cfg.output)
+def _evaluate_reads(cfg: RunConfig) -> tuple[str, ...]:
+    """The dataset evaluate scores: eval_dataset, made absolute, else annotated, else retained."""
     if cfg.eval_dataset:
         dataset_path = Path(cfg.eval_dataset)
         if not dataset_path.is_file():
             raise UpstreamInputError(f"evaluation dataset not found: {dataset_path}")
-    else:
-        annotated = out_dir / "annotated.jsonl"
-        dataset_path = annotated if annotated.is_file() else out_dir / "retained.jsonl"
-        _require_file(dataset_path)
+        return (str(dataset_path.absolute()),)
+    annotated = Path(cfg.output) / "annotated.jsonl"
+    return (annotated.name if annotated.is_file() else "retained.jsonl",)
+
+
+def stage_evaluate(cfg: RunConfig, endpoints: dict) -> dict:
+    """Zero-shot evaluation of the configured model over the dataset."""
+    out_dir = Path(cfg.output)
+    dataset_path = out_dir / _evaluate_reads(cfg)[0]
     records = ds.read_dataset(dataset_path)
     templates = load_templates(cfg.prompts)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -627,16 +632,18 @@ class Stage:
     """One pipeline stage: its body, every run-directory file it reads and writes, the slots
     it calls, the templates it renders, and its summary.
 
-    Every file in reads must exist before the body runs; a body that calls slots also takes
-    the endpoints. The manifest is the body's counts under the stage name; a row that writes
-    manifest_<name>.json writes it last. A row that calls slots keys its manifest by the
-    config digest of those slots and the digests of its reads, templates and outputs, and
-    returns that manifest without running the body while they are all unchanged.
+    reads is a tuple, or a resolver that gives one from the config; a name in it may be an
+    absolute path. Every file in reads must exist before the body runs; a body that calls
+    slots also takes the endpoints. The manifest is the body's counts under the stage name;
+    a row that writes manifest_<name>.json writes it last. A row that calls slots keys its
+    manifest by the config digest of those slots and the digests of its reads, templates and
+    outputs, and returns that manifest without running the body while they are all unchanged
+    and it left no item unevaluated.
     """
 
     name: str
     run: Callable[..., dict]
-    reads: tuple[str, ...]
+    reads: tuple[str, ...] | Callable[[RunConfig], tuple[str, ...]]
     writes: tuple[str, ...]
     slots: tuple[str, ...]
     templates: tuple[str, ...]
@@ -644,15 +651,18 @@ class Stage:
 
     def __call__(self, cfg: RunConfig, endpoints: dict | None = None) -> dict:
         path = Path(cfg.output) / f"manifest_{self.name}.json"
+        reads = self.reads(cfg) if callable(self.reads) else self.reads
         key = {"config_digest": cfg.config_digest(self.slots)}
         if self.slots:
-            key["inputs"] = self._input_digests(cfg)
+            key["inputs"] = self._input_digests(cfg, reads)
             stored = _stored_manifest(path)
             unchanged = all(stored.get(k) == v for k, v in key.items())
+            # Items a run left unevaluated are asked again, so its manifest is never reused.
+            unchanged = unchanged and not stored.get("unevaluated")
             if unchanged and stored.get("outputs") == self._output_digests(cfg):
                 logger.info("%s not run: config, inputs and outputs match %s", self.name, path.name)
                 return stored
-        for name in self.reads:
+        for name in reads:
             _require_file(path.parent / name)
         try:
             counts = self.run(cfg, endpoints) if self.slots else self.run(cfg)
@@ -666,13 +676,13 @@ class Stage:
             ds.write_json(path, manifest)
         return manifest
 
-    def _input_digests(self, cfg: RunConfig) -> dict:
+    def _input_digests(self, cfg: RunConfig, reads: tuple[str, ...]) -> dict:
         """sha256 of each file the body reads, of the templates it renders, and of the mock script.
 
         All templates load here, so a bad one exits before the skip; only the row's are hashed.
         """
         out_dir = Path(cfg.output)
-        digests = {name: ds.file_sha256(out_dir / name) for name in self.reads}
+        digests = {name: ds.file_sha256(out_dir / name) for name in reads}
         loaded = load_templates(cfg.prompts)
         bodies = {name: loaded[name].body for name in self.templates}
         digests["templates"] = hashlib.sha256(
@@ -724,13 +734,16 @@ STAGES = (
                                  "verdict_log.jsonl", "retained.jsonl", "manifest_extract.json"),
           ("stats.json",), (), (),
           lambda m: f"{m['table']}\n{m['replay_summary']}"),
+    Stage("evaluate", stage_evaluate, _evaluate_reads,
+          ("eval_summary.json", "eval_report.txt", "manifest_evaluate.json"), ("eval",),
+          ("eval_zero_shot",), lambda m: m["report"]),
 )
 STAGE_FUNCTIONS = {stage.name: stage for stage in STAGES}
-STAGE_ORDER = tuple(STAGE_FUNCTIONS)
+STAGE_ORDER = tuple(STAGE_FUNCTIONS)[:-1]  # what `figqa run` runs: every row but the last, evaluate
 
 
 def run_stages(cfg: RunConfig, stages: list[str] | None = None) -> list[dict]:
-    """Run the named stages (default: all) in canonical order; return their manifests."""
+    """Run the named stages (default: STAGE_ORDER) in canonical order; return their manifests."""
     selected = stages or STAGE_ORDER
     unknown = [s for s in selected if s not in STAGE_FUNCTIONS]
     if unknown:

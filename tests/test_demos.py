@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from figqa.pipeline import STAGE_ORDER
+from figqa.pipeline import STAGE_FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-COMMANDS = [*STAGE_ORDER, "run", "evaluate"]
+COMMANDS = [*STAGE_FUNCTIONS, "run"]
 
 
 def run_python(*args, cwd=None):

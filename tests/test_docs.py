@@ -9,6 +9,7 @@ resolve as README says.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -53,21 +54,27 @@ def test_readme_tables_match_config_fields_and_exit_codes():
     assert sorted(codes) == sorted([0, *exits])
 
 
+def _reads(stage) -> tuple[str, ...]:
+    """A row's reads; for a resolver, the file names its source spells, in order."""
+    if callable(stage.reads):
+        return tuple(re.findall(r'"([\w.]+\.jsonl?)"', inspect.getsource(stage.reads)))
+    return stage.reads
+
+
 def test_readme_stage_table_lists_each_rows_reads_and_templates():
     table = _table("run-directory files the stage reads and the prompt templates it renders:")
     cells = [tuple(tuple(re.findall(r"`([\w.]+)`", cell)) for cell in row) for row in table]
-    assert cells == [((stage.name,), stage.reads, stage.templates) for stage in STAGES]
+    assert cells == [((stage.name,), _reads(stage), stage.templates) for stage in STAGES]
 
 
 def test_readme_outputs_name_every_file_the_stages_write():
     paragraph = README.split("### Outputs\n", 1)[1].lstrip("\n").split("\n\n")[0]
-    by_stages = paragraph.split("`figqa evaluate`")[0]
     manifests = {f"manifest_{stage.name}.json" for stage in STAGES}
     written = {name for stage in STAGES for name in stage.writes} - manifests
-    named = set(re.findall(r"`([\w<>]+\.jsonl?)`", by_stages)) - {"manifest_<stage>.json"}
+    named = set(re.findall(r"`([\w<>]+\.(?:jsonl?|txt))`", paragraph)) - {"manifest_<stage>.json"}
     assert named == written
 
-    without = re.search(r"from each stage but (.*?)\.", by_stages, re.S).group(1)
+    without = re.search(r"from each stage but (.*?)\.", paragraph, re.S).group(1)
     assert re.findall(r"`(\w+)`", without) == [
         stage.name for stage in STAGES if f"manifest_{stage.name}.json" not in stage.writes
     ]

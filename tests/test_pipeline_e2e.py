@@ -10,7 +10,6 @@ import json
 import os
 import resource
 import shutil
-import socket
 import subprocess
 import sys
 import threading
@@ -102,6 +101,10 @@ MANIFEST_KEYS = {
     "annotate": {
         "config_digest", "deferred_calls", "figure_type_labeled", "inputs", "outputs",
         "question_type_labeled", "records", "stage",
+    },
+    "evaluate": {
+        "config_digest", "dataset", "evaluated", "inputs", "outputs", "overall_accuracy",
+        "report", "stage", "unevaluated",
     },
 }
 
@@ -225,7 +228,7 @@ class TestFullRun:
         forbidden = set(full_run.expect["forbidden_digests"])
         assert not got & forbidden
 
-    @pytest.mark.parametrize("stage", sorted(MANIFEST_KEYS))
+    @pytest.mark.parametrize("stage", sorted(MANIFEST_KEYS.keys() & set(STAGE_ORDER)))
     def test_manifest_has_exactly_its_keys(self, full_run, stage):
         path = full_run.out / f"manifest_{stage}.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -260,7 +263,7 @@ class TestDeterminism:
         for name, variants in contents.items():
             assert len(variants) == 1, f"{name} differed across runs"
 
-    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    @pytest.mark.parametrize("stage", list(pipeline.STAGE_FUNCTIONS))
     def test_stage_subcommand_equals_run_with_that_stage(
         self, full_run, e2e_bundle, run_cli, tmp_path, stage
     ):
@@ -275,6 +278,12 @@ class TestDeterminism:
         assert single.returncode == run.returncode == 0, (single.stderr, run.stderr)
         assert single.stdout == run.stdout
         assert single.stdout.strip()
+        # The manifests differ only where evaluate records its dataset's path.
+        for name in pipeline.STAGE_FUNCTIONS[stage].writes:
+            if name != f"manifest_{stage}.json":
+                assert (tmp_path / stage / name).read_bytes() == (
+                    tmp_path / "run" / name
+                ).read_bytes(), name
 
     def test_stage_by_stage_run_equals_single_run(self, full_run, e2e_bundle, run_cli, tmp_path):
         out = tmp_path / "staged"
@@ -418,7 +427,7 @@ class TestCrashInEveryPaidStage:
     crashed stage in full: every call it made before the crash is paid again.
     """
 
-    COMMANDS = (*STAGE_ORDER, "evaluate")
+    COMMANDS = tuple(pipeline.STAGE_FUNCTIONS)
 
     @pytest.mark.parametrize(
         "stage, crash_after",
@@ -434,7 +443,6 @@ class TestCrashInEveryPaidStage:
         config = str(e2e_bundle.make_config(out))
         commands = self.COMMANDS[self.COMMANDS.index(stage):]
         outputs = [name for s in pipeline.STAGES if s.name in commands for name in s.writes]
-        outputs += ["eval_summary.json", "eval_report.txt"]
         for name in outputs:
             (out / name).unlink(missing_ok=True)
         (out / "mock_calls.jsonl").write_text("", encoding="utf-8")
@@ -1310,23 +1318,58 @@ class TestEvaluateCommand:
             row["figure_image_ref"] = str(e2e_bundle.root / row["figure_image_ref"])
         dataset = tmp_path / "dataset.jsonl"
         dataset.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        # A local port that is bound but not listening refuses the one request,
-        # so the item stays unevaluated, above the default threshold 0.
-        with socket.socket() as refusing:
-            refusing.bind(("127.0.0.1", 0))
-            eval_slot = {
-                "base_url": f"http://127.0.0.1:{refusing.getsockname()[1]}/v1",
-                "model_name": "m", "max_retries": 0,
-            }
+        # A 503 without retries leaves the one item unevaluated, above the default
+        # threshold 0. The rerun, under the same config, asks it again.
+        with Loopback(["unavailable"]) as server:
+            eval_slot = {"base_url": server.base_url, "model_name": "m", "max_retries": 0}
             config = tmp_path / "live.yaml"
             config.write_text(yaml.safe_dump({
                 "output": str(tmp_path / "out"), "eval_dataset": str(dataset),
                 "endpoints": {"eval": eval_slot},
             }))
-            proc = run_cli(["evaluate", "--config", str(config)])
-        assert proc.returncode == 1
-        assert "Unevaluated: 1" in proc.stdout
-        assert "exceed threshold" in proc.stderr
+            failed = run_cli(["evaluate", "--config", str(config)])
+            again = run_cli(["evaluate", "--config", str(config)])
+        assert failed.returncode == 1
+        assert "Unevaluated: 1" in failed.stdout
+        assert "exceed threshold" in failed.stderr
+        assert again.returncode == 0, again.stderr
+        assert "Unevaluated: 0" in again.stdout
+        assert len(server.received) == 2
+
+    def test_a_second_evaluate_makes_no_model_call(self, eval_dir, run_cli):
+        first = run_cli(["evaluate", "--config", str(eval_dir.config)])
+        assert first.returncode == 0, first.stderr
+        ledger = (eval_dir.out / "mock_calls.jsonl").read_bytes()
+        again = run_cli(["evaluate", "--config", str(eval_dir.config)])
+        assert again.returncode == 0, again.stderr
+        assert again.stdout == first.stdout
+        assert (eval_dir.out / "mock_calls.jsonl").read_bytes() == ledger
+
+    def test_a_dataset_option_naming_another_file_runs_again(
+        self, eval_dir, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(eval_dir.out, out)
+        dataset = tmp_path / "same_rows.jsonl"
+        shutil.copy(out / "annotated.jsonl", dataset)
+        command = ["evaluate", "--config", str(eval_dir.config), "--output", str(out)]
+        other = [*command, "--dataset", str(dataset)]
+        calls = []
+        for args in (command, other, other):
+            proc = run_cli(args)
+            assert proc.returncode == 0, proc.stderr
+            assert "Overall: 1/1 = 100.00%" in proc.stdout
+            calls.append(len(read_jsonl(out / "mock_calls.jsonl")))
+        # The other file is asked again, and a rerun on it makes no call.
+        paid = sum(e2e_bundle.expectations["evaluate_digest_counts"].values())
+        assert calls[1:] == [calls[0] + paid] * 2
+
+    def test_manifest_has_exactly_its_keys(self, eval_dir, run_cli):
+        proc = run_cli(["evaluate", "--config", str(eval_dir.config)])
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((eval_dir.out / "manifest_evaluate.json").read_text("utf-8"))
+        assert set(manifest) == MANIFEST_KEYS["evaluate"]
+        assert manifest["stage"] == "evaluate"
 
 
 def _set(rows_name: str, index: int, field: str, value):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import figqa
-from figqa.pipeline import STAGE_ORDER
+from figqa.pipeline import STAGE_FUNCTIONS
 
 PACKAGE = Path(figqa.__file__).parent
 
@@ -39,7 +39,7 @@ def stray_names(source: str) -> list[tuple[int, str]]:
         (node.lineno, node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant)
-        and node.value in STAGE_ORDER
+        and node.value in STAGE_FUNCTIONS
         and id(node) not in declared
     ]
 
@@ -55,7 +55,7 @@ def test_each_stage_row_is_declared_once():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in _row_names(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert names == list(STAGE_ORDER)
+    assert names == list(STAGE_FUNCTIONS)
 
 
 @pytest.mark.parametrize(
@@ -66,6 +66,7 @@ def test_each_stage_row_is_declared_once():
         "STAGE_FUNCTIONS = {'verify': stage_verify}",
         "Stage(name, 'annotate')",
         "paid = ('generate',)",
+        "COMMANDS = (*STAGE_ORDER, 'evaluate')",
     ],
 )
 def test_guard_sees_a_stray_stage_name(snippet):
@@ -77,7 +78,7 @@ def test_guard_sees_a_stray_stage_name(snippet):
     [
         "Stage('extract', stage_extract, ('figure_contexts.jsonl',), False, str)",
         "'run the verify stage first'",
-        "'evaluate'",
+        "'evaluated'",
     ],
 )
 def test_guard_passes_row_names_and_longer_strings(snippet):
