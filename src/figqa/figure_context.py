@@ -1,6 +1,6 @@
 """Bind figure-caption pairs to LaTeX figure environments and collect context.
 
-For each figure supplied by the corpus we locate its \\begin{figure} block by
+For each figure supplied by the corpus we locate its figure environment by
 caption similarity, pull its labels, and gather every paragraph that cites
 one of those labels. Figures that cannot be bound are discarded with a typed
 reason so per-paper accounting stays exact.
@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, read_brace_group
+from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, environment_spans, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
 CITATION_COMMANDS = ("ref", "cref", "Cref", "autoref")
@@ -60,12 +60,6 @@ class FigureContext:
     latex_caption: str = ""
 
 
-_FIGURE_ENV_RE = re.compile(
-    r"\\begin\{figure\*?\}.*?\\end\{figure\*?\}", re.DOTALL
-)
-_SUBFIGURE_ENV_RE = re.compile(
-    r"\\begin\{subfigure\}.*?\\end\{subfigure\}", re.DOTALL
-)
 _CAPTION_CMD_RE = re.compile(r"\\caption\s*(?:\[[^\]]*\])?\s*(?=\{)")
 _LABEL_RE = re.compile(r"\\label\s*\{([^{}]*)\}")
 
@@ -166,15 +160,15 @@ def _comparison_form(text: str) -> str:
 def find_figure_environments(body: str) -> list[FigureEnvironment]:
     """Locate figure/figure* environments and pull captions and labels."""
     envs = []
-    for m in _FIGURE_ENV_RE.finditer(body):
-        span_text = m.group(0)
+    for start, end in environment_spans(body, ("figure",)):
+        span_text = body[start:end]
         caption_raw = ""
         cap_m = _CAPTION_CMD_RE.search(span_text)
         if cap_m:
             group = read_brace_group(span_text, cap_m.end())
             if group is not None:
                 caption_raw = group[0]
-        sub_spans = [sm.span() for sm in _SUBFIGURE_ENV_RE.finditer(span_text)]
+        sub_spans = environment_spans(span_text, ("subfigure",))
         labels = []
         outer_labels = []
         for lm in _LABEL_RE.finditer(span_text):
@@ -184,7 +178,7 @@ def find_figure_environments(body: str) -> list[FigureEnvironment]:
                 outer_labels.append(lm.group(1))
         envs.append(
             FigureEnvironment(
-                span=m.span(),
+                span=(start, end),
                 caption_raw=caption_raw,
                 caption_normalized=normalize_caption(caption_raw),
                 labels=labels,

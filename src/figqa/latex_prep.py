@@ -22,9 +22,6 @@ _GROWTH_MESSAGE = f"macro expansion grew the text past {MACRO_GROWTH_LIMIT} time
 # Environments whose content comment stripping and macro expansion leave alone.
 OPAQUE_ENVIRONMENTS = ("verbatim", "lstlisting")
 
-_OPAQUE_BEGIN_RE = re.compile(r"\\begin\{(" + "|".join(OPAQUE_ENVIRONMENTS) + r")\*?\}")
-_OPAQUE_END_RE = {env: re.compile(r"\\end\{" + env + r"\*?\}") for env in OPAQUE_ENVIRONMENTS}
-
 
 @dataclass
 class RawPaper:
@@ -36,14 +33,20 @@ class RawPaper:
     figure_caption_pairs: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _opaque_spans(text: str) -> list[tuple[int, int]]:
-    """Each \\begin{env} to the first \\end{env} after it, in one scan of text."""
+def environment_spans(text: str, names: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Each \\begin{name} to the first \\end{name} after it, in one scan of text.
+
+    Every name takes an optional '*', at its begin and its end alike. A begin
+    inside an earlier span is skipped, and a name with no \\end after one
+    begin has none after later ones, so each name is searched to the end at
+    most once: the time is linear in text.
+    """
     spans: list[tuple[int, int]] = []
-    unclosed = set()  # an environment with no \end after one begin has none after later ones
-    for m in _OPAQUE_BEGIN_RE.finditer(text):
+    unclosed = set()
+    for m in re.finditer(r"\\begin\{(" + "|".join(map(re.escape, names)) + r")\*?\}", text):
         if m[1] in unclosed or (spans and m.start() < spans[-1][1]):
             continue
-        end = _OPAQUE_END_RE[m[1]].search(text, m.end())
+        end = re.compile(r"\\end\{" + re.escape(m[1]) + r"\*?\}").search(text, m.end())
         if end is None:
             unclosed.add(m[1])
         else:
@@ -82,7 +85,7 @@ def _strip_comment_lines(chunk: str) -> str:
 
 def strip_comments(latex: str) -> str:
     """Remove '%'-to-end-of-line comments, keeping newlines and verbatim spans."""
-    pieces = _split_at(latex, _opaque_spans(latex))
+    pieces = _split_at(latex, environment_spans(latex, OPAQUE_ENVIRONMENTS))
     pieces[::2] = [_strip_comment_lines(piece) for piece in pieces[::2]]
     return "".join(pieces)
 
@@ -159,7 +162,7 @@ def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
     """
     table: dict[str, _MacroDef] = {}
     remove: list[tuple[int, int]] = []
-    opaque = _opaque_spans(text)
+    opaque = environment_spans(text, OPAQUE_ENVIRONMENTS)
     for head, arity in _DEFINITION_HEADS:
         for m in head.finditer(text):
             if _in_spans(opaque, m.start()):
@@ -186,7 +189,7 @@ def _substitute_once(
     """
     out = []
     pos = count = size = 0
-    opaque = _opaque_spans(text)
+    opaque = environment_spans(text, OPAQUE_ENVIRONMENTS)
     for m in uses.finditer(text):
         start = m.start()
         if start < pos or (opaque and _in_spans(opaque, start)):
@@ -239,15 +242,12 @@ def expand_macros(latex: str) -> str:
     )
 
 
-_BIB_ENV_RE = re.compile(
-    r"\\begin\{thebibliography\}.*?\\end\{thebibliography\}", re.DOTALL
-)
 _BIB_CMD_RE = re.compile(r"\\(?:bibliography\{[^{}]*\}|printbibliography\b)")
 
 
 def strip_bibliography(latex: str) -> str:
     """Drop thebibliography environments and \\bibliography commands."""
-    text = _BIB_ENV_RE.sub("", latex)
+    text = "".join(_split_at(latex, environment_spans(latex, ("thebibliography",)))[::2])
     return _BIB_CMD_RE.sub("", text)
 
 
