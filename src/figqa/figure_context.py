@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, environment_spans, read_brace_group
+from .latex_prep import PARAGRAPH_SEPARATOR, RawPaper, environment_spans, in_spans, read_brace_group
 
 CAPTION_MATCH_THRESHOLD = 0.9
 CITATION_COMMANDS = ("ref", "cref", "Cref", "autoref")
@@ -169,20 +169,14 @@ def find_figure_environments(body: str) -> list[FigureEnvironment]:
             if group is not None:
                 caption_raw = group[0]
         sub_spans = environment_spans(span_text, ("subfigure",))
-        labels = []
-        outer_labels = []
-        for lm in _LABEL_RE.finditer(span_text):
-            labels.append(lm.group(1))
-            inside_sub = any(s <= lm.start() < e for s, e in sub_spans)
-            if not inside_sub:
-                outer_labels.append(lm.group(1))
+        labels = [(m[1], in_spans(sub_spans, m.start())) for m in _LABEL_RE.finditer(span_text)]
         envs.append(
             FigureEnvironment(
                 span=(start, end),
                 caption_raw=caption_raw,
                 caption_normalized=normalize_caption(caption_raw),
-                labels=labels,
-                outer_labels=outer_labels,
+                labels=[label for label, _ in labels],
+                outer_labels=[label for label, inside in labels if not inside],
             )
         )
     return envs

@@ -54,7 +54,7 @@ def environment_spans(text: str, names: tuple[str, ...]) -> list[tuple[int, int]
     return spans
 
 
-def _in_spans(spans: list[tuple[int, int]], pos: int) -> bool:
+def in_spans(spans: list[tuple[int, int]], pos: int) -> bool:
     """Whether pos lies inside one of spans (sorted and disjoint)."""
     i = bisect.bisect_right(spans, pos, key=lambda span: span[0])
     return i > 0 and pos < spans[i - 1][1]
@@ -111,34 +111,62 @@ def read_brace_group(text: str, pos: int) -> tuple[str, int] | None:
     return None
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t\n":
-        pos += 1
-    return pos
+# What read_brace_group counts, read from the start of a text: an escaped backslash
+# or brace (skipped), or a brace. A backslash before any other char escapes no brace.
+_BRACE_TOKEN_RE = re.compile(r"\\[\\{}]|[{}]")
+
+
+class _BraceReader:
+    """read_brace_group's end over one text, in time linear in the text over all reads.
+
+    Reads scan directly until their scans total len(text) characters; then one
+    pass pairs every brace on a stack, reading escapes from the start of the
+    text. The two agree, because no read position follows a backslash.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.budget, self.ends = text, len(text), None
+
+    def end(self, pos: int) -> int | None:
+        if self.ends is None and self.budget > 0:
+            group = read_brace_group(self.text, pos)
+            if group or self.text.startswith("{", pos):
+                self.budget -= (group[1] if group else len(self.text)) - pos
+            return group and group[1]
+        if self.ends is None:
+            self.ends, opens = {}, []
+            for m in _BRACE_TOKEN_RE.finditer(self.text):
+                if m[0] == "{":
+                    opens.append(m.start())
+                elif m[0] == "}" and opens:
+                    self.ends[opens.pop()] = m.end()
+        return self.ends.get(pos)
+
+
+_SPACES_RE = re.compile(r"[ \t\n]*")  # what may stand between a use and its arguments
 
 
 # Definition heads. Only the command itself is consumed: the name, arity or
 # parameter text and the body's opening brace sit in a lookahead, so a head
 # that starts inside another definition's text is still found. The body must
-# follow the arity, so an optional default ([n][x]) leaves no match.
+# follow the arity, so an optional default ([n][x]) leaves no match. An arity
+# holds only what could be decimal, and no two quantifiers share a character,
+# so each head is matched in time linear in the text it reads.
 _NAME = r"\\(?P<name>[A-Za-z@]+)"
 _NEWCOMMAND_RE = re.compile(
     r"\\(?:re)?newcommand\*?(?=[ \t\n]*(?P<brace>\{\s*)?" + _NAME + r"(?(brace)\s*\})"
-    r"[ \t\n]*(?:\[(?P<arity>[^\]]*)\][ \t\n]*)?(?P<body>\{))"
+    r"[ \t\n]*(?:\[(?P<arity>[\s\d]*)\][ \t\n]*)?(?P<body>\{))"
 )
-_DEF_RE = re.compile(r"\\def(?=" + _NAME + r"\s*(?P<params>(?:#\d)*)\s*(?P<body>\{))")
+_DEF_RE = re.compile(r"\\def(?=" + _NAME + r"\s*(?:(?P<params>(?:#\d)+)\s*)?(?P<body>\{))")
 
 
 def _newcommand_arity(m: re.Match) -> int | None:
-    spec = m["arity"]
-    if spec is None:
-        return 0
-    spec = spec.strip()
+    spec = "0" if m["arity"] is None else m["arity"].strip()
     return int(spec) if spec.isdecimal() else None
 
 
 def _def_arity(m: re.Match) -> int | None:
-    digits = [int(d) for d in m["params"][1::2]]  # params is "#1#2..."
+    digits = [int(d) for d in (m["params"] or "")[1::2]]  # params is "#1#2..."
     return len(digits) if digits == list(range(1, len(digits) + 1)) else None
 
 
@@ -152,28 +180,34 @@ class _MacroDef:
     body: str
 
 
-def _parse_definitions(text: str) -> tuple[str, dict[str, _MacroDef]]:
+def _parse_definitions(text: str, limit: int) -> tuple[str, dict[str, _MacroDef]]:
     """Collect \\newcommand/\\renewcommand/\\def definitions and cut them out.
 
     A definition inside a verbatim or lstlisting span is text, not a definition.
+    Only the last definition of a name has its body copied; raises
+    RecursionLimitExceeded when those bodies add up to more than limit
+    characters, which only nested definitions can do.
 
     Unsupported forms (optional-default arguments, delimited \\def parameters,
     non-decimal arities) are left in place and flow through as literal text.
     """
-    table: dict[str, _MacroDef] = {}
+    found: dict[str, tuple[int, int, int]] = {}  # name -> (nargs, body start, body end)
     remove: list[tuple[int, int]] = []
     opaque = environment_spans(text, OPAQUE_ENVIRONMENTS)
+    braces = _BraceReader(text)
     for head, arity in _DEFINITION_HEADS:
         for m in head.finditer(text):
-            if _in_spans(opaque, m.start()):
+            if in_spans(opaque, m.start()):
                 continue
             nargs = arity(m)
-            group = read_brace_group(text, m.start("body"))
-            if nargs is None or group is None:
+            end = None if nargs is None else braces.end(m.start("body"))
+            if end is None:
                 continue
-            body, end = group
-            table[m["name"]] = _MacroDef(nargs, body)
+            found[m["name"]] = (nargs, m.start("body"), end)
             remove.append((m.start(), end))
+    if sum(end - start - 2 for _, start, end in found.values()) > limit:
+        raise RecursionLimitExceeded(_GROWTH_MESSAGE)
+    table = {name: _MacroDef(n, text[i + 1 : end - 1]) for name, (n, i, end) in found.items()}
     return "".join(_split_at(text, sorted(remove))[::2]), table
 
 
@@ -190,18 +224,20 @@ def _substitute_once(
     out = []
     pos = count = size = 0
     opaque = environment_spans(text, OPAQUE_ENVIRONMENTS)
+    braces = _BraceReader(text)
     for m in uses.finditer(text):
         start = m.start()
-        if start < pos or (opaque and _in_spans(opaque, start)):
+        if start < pos or (opaque and in_spans(opaque, start)):
             continue  # inside the arguments of the previous substitution, or opaque
         macro = table[m[1]]
         body = macro.body
         argpos = m.end()
         for i in range(1, macro.nargs + 1):
-            group = read_brace_group(text, _skip_ws(text, argpos))
-            if group is None:
+            start_arg = _SPACES_RE.match(text, argpos).end()
+            argpos = braces.end(start_arg)
+            if argpos is None:
                 break  # too few arguments: the use stays literal
-            value, argpos = group
+            value = text[start_arg + 1 : argpos - 1]
             if body.count(f"#{i}") * len(value) > limit:
                 raise RecursionLimitExceeded(_GROWTH_MESSAGE)
             body = body.replace(f"#{i}", value)
@@ -229,12 +265,13 @@ def expand_macros(latex: str) -> str:
     MACRO_GROWTH_LIMIT times the input's length, is taken for a
     self-referential macro.
     """
-    text, table = _parse_definitions(latex)
+    limit = MACRO_GROWTH_LIMIT * len(latex)
+    text, table = _parse_definitions(latex, limit)
     if not table:
         return text
     uses = re.compile(r"\\(" + "|".join(table) + r")(?![A-Za-z@])")
     for _ in range(MACRO_DEPTH_LIMIT + 1):
-        text, count = _substitute_once(text, table, uses, MACRO_GROWTH_LIMIT * len(latex))
+        text, count = _substitute_once(text, table, uses, limit)
         if count == 0:
             return text
     raise RecursionLimitExceeded(

@@ -10,7 +10,9 @@ under an HttpEndpoint.
 
 from __future__ import annotations
 
+import itertools
 import json
+import string
 from pathlib import Path
 
 from figqa.dataset import VerifiedRecord
@@ -116,3 +118,10 @@ def make_record(**overrides) -> VerifiedRecord:
     )
     fields.update(overrides)
     return VerifiedRecord(**fields)
+
+
+def nested_distinct_definitions(count: int) -> str:
+    """count \\newcommands, each inside the body of the one before, no two of one name."""
+    names = ("".join(p) for p in itertools.product(string.ascii_lowercase, repeat=3))
+    heads = "".join(f"\\newcommand{{\\{name}}}{{" for name in itertools.islice(names, count))
+    return heads + "}" * count

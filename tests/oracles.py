@@ -7,6 +7,7 @@ with the implementations under test.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 # The result types only: match_full_scan builds what the binder returns.
@@ -100,3 +101,127 @@ def strip_comment_lines_oracle(text: str) -> str:
                 break
         lines.append(line)
     return "\n".join(lines)
+
+
+# The LaTeX extent rules as they stood before latex_prep.environment_spans:
+# lazy DOTALL regexes that rescan to the end for each unclosed begin.
+# Only figure* is starred; subfigure* and thebibliography* are not environments.
+FIGURE_ENV_RE = re.compile(r"\\begin\{figure\*?\}.*?\\end\{figure\*?\}", re.DOTALL)
+SUBFIGURE_ENV_RE = re.compile(r"\\begin\{subfigure\}.*?\\end\{subfigure\}", re.DOTALL)
+BIB_ENV_RE = re.compile(r"\\begin\{thebibliography\}.*?\\end\{thebibliography\}", re.DOTALL)
+OPAQUE_ENV_RE = re.compile(r"\\begin\{(verbatim|lstlisting)\*?\}.*?\\end\{\1\*?\}", re.DOTALL)
+
+
+def spans_oracle(pattern: re.Pattern, text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in pattern.finditer(text)]
+
+
+def figure_labels_oracle(body: str) -> list[tuple[tuple[int, int], list[str], list[str]]]:
+    """Each figure environment's span, its labels, and the labels outside its subfigures."""
+    envs = []
+    for m in FIGURE_ENV_RE.finditer(body):
+        sub_spans = spans_oracle(SUBFIGURE_ENV_RE, m[0])
+        labels = [(lm[1], lm.start()) for lm in re.finditer(r"\\label\s*\{([^{}]*)\}", m[0])]
+        outer = [label for label, at in labels if not any(s <= at < e for s, e in sub_spans)]
+        envs.append((m.span(), [label for label, _ in labels], outer))
+    return envs
+
+
+def strip_bibliography_oracle(latex: str) -> str:
+    text = BIB_ENV_RE.sub("", latex)
+    return re.sub(r"\\(?:bibliography\{[^{}]*\}|printbibliography\b)", "", text)
+
+
+def brace_group_oracle(text: str, pos: int) -> tuple[str, int] | None:
+    """One balanced {...} group at pos, scanned afresh; a backslash escapes the next char."""
+    if pos >= len(text) or text[pos] != "{":
+        return None
+    depth, i = 0, pos
+    while i < len(text):
+        if text[i] == "\\" and i + 1 < len(text):
+            i += 2
+            continue
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        if depth == 0:
+            return text[pos + 1 : i], i + 1
+        i += 1
+    return None
+
+
+# The definition heads before the linear-time regexes: an arity may hold any
+# text, and \def's parameters sit between two runs of whitespace.
+_NEWCOMMAND_HEAD = re.compile(
+    r"\\(?:re)?newcommand\*?(?=[ \t\n]*(?P<brace>\{\s*)?\\(?P<name>[A-Za-z@]+)(?(brace)\s*\})"
+    r"[ \t\n]*(?:\[(?P<arity>[^\]]*)\][ \t\n]*)?(?P<body>\{))"
+)
+_DEF_HEAD = re.compile(r"\\def(?=\\(?P<name>[A-Za-z@]+)\s*(?P<params>(?:#\d)*)\s*(?P<body>\{))")
+
+
+def _oracle_arity(m: re.Match) -> int | None:
+    if "params" in m.re.groupindex:
+        digits = [int(d) for d in m["params"][1::2]]
+        return len(digits) if digits == list(range(1, len(digits) + 1)) else None
+    spec = "0" if m["arity"] is None else m["arity"].strip()
+    return int(spec) if spec.isdecimal() else None
+
+
+class OracleLimit(Exception):
+    """expand_macros_oracle gave up: too many passes, or the text grew too far."""
+
+
+def expand_macros_oracle(latex: str, depth_limit: int = 32, growth_limit: int = 16) -> str:
+    """Macro expansion with a fresh brace scan for every definition and argument.
+
+    Every definition's body is read; the last one of a name wins (every
+    \\newcommand before any \\def). The winners' bodies adding up to more than
+    growth_limit times the input, a pass growing the text past that, or more
+    than depth_limit passes raise OracleLimit.
+    """
+    limit = growth_limit * len(latex)
+
+    def opaque(text: str, pos: int) -> bool:
+        return any(s <= pos < e for s, e in spans_oracle(OPAQUE_ENV_RE, text))
+
+    table: dict[str, tuple[int, str]] = {}
+    cut: list[tuple[int, int]] = []
+    for head in (_NEWCOMMAND_HEAD, _DEF_HEAD):
+        for m in head.finditer(latex):
+            group = brace_group_oracle(latex, m.start("body"))
+            if opaque(latex, m.start()) or _oracle_arity(m) is None or group is None:
+                continue
+            table[m["name"]] = (_oracle_arity(m), group[0])
+            cut.append((m.start(), group[1]))
+    if sum(len(body) for _, body in table.values()) > limit:
+        raise OracleLimit
+    text, pos = "", 0
+    for start, end in sorted(cut):
+        if start >= pos:
+            text, pos = text + latex[pos:start], end
+    text += latex[pos:]
+    if not table:
+        return text
+    uses = re.compile(r"\\(" + "|".join(table) + r")(?![A-Za-z@])")
+    for _ in range(depth_limit + 1):
+        out, pos, count = "", 0, 0
+        for m in uses.finditer(text):
+            if m.start() < pos or opaque(text, m.start()):
+                continue
+            nargs, body = table[m[1]]
+            argpos = m.end()
+            for i in range(1, nargs + 1):
+                while argpos < len(text) and text[argpos] in " \t\n":
+                    argpos += 1
+                group = brace_group_oracle(text, argpos)
+                if group is None:
+                    break
+                body, argpos = body.replace(f"#{i}", group[0]), group[1]
+            else:
+                out, pos, count = out + text[pos : m.start()] + body, argpos, count + 1
+                if len(out) > limit:
+                    raise OracleLimit
+        text = out + text[pos:]
+        if len(text) > limit:
+            raise OracleLimit
+        if count == 0:
+            return text
+    raise OracleLimit

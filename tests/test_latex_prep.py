@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import signal
+import tracemalloc
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figqa.errors import RecursionLimitExceeded
+from figqa.figure_context import find_figure_environments
 from figqa.latex_prep import (
+    MACRO_GROWTH_LIMIT,
+    OPAQUE_ENVIRONMENTS,
     RawPaper,
     clean_paper,
+    environment_spans,
     expand_macros,
     read_brace_group,
     segment_paragraphs,
@@ -17,7 +25,19 @@ from figqa.latex_prep import (
     strip_comments,
 )
 
-from oracles import strip_comment_lines_oracle
+from helpers import nested_distinct_definitions
+from oracles import (
+    BIB_ENV_RE,
+    FIGURE_ENV_RE,
+    OPAQUE_ENV_RE,
+    SUBFIGURE_ENV_RE,
+    OracleLimit,
+    expand_macros_oracle,
+    figure_labels_oracle,
+    spans_oracle,
+    strip_bibliography_oracle,
+    strip_comment_lines_oracle,
+)
 
 
 class TestStripComments:
@@ -256,3 +276,169 @@ class TestCleanupChain:
         raw = RawPaper("x", "cs.LG", "\\def\\loop{\\loop}\n\\loop")
         with pytest.raises(RecursionLimitExceeded):
             clean_paper(raw)
+
+
+class TestEnvironmentSpans:
+    def test_each_begin_runs_to_the_first_end_of_its_name(self):
+        text = "A\\begin{figure}B\\end{table}C\\end{figure}D\\end{figure}"
+        assert environment_spans(text, ("figure",)) == [(1, text.index("D"))]
+
+    def test_a_star_on_either_side_matches(self):
+        text = "\\begin{figure*}x\\end{figure} \\begin{figure}y\\end{figure*}"
+        starts = [text.index("\\begin"), text.index("\\begin", 1)]
+        assert [s for s, _ in environment_spans(text, ("figure",))] == starts
+
+    def test_a_begin_inside_an_earlier_span_is_skipped(self):
+        text = "\\begin{verbatim}\\begin{lstlisting}\\end{verbatim}X\\end{lstlisting}"
+        assert environment_spans(text, OPAQUE_ENVIRONMENTS) == [(0, text.index("X"))]
+
+    def test_an_unclosed_name_leaves_the_other_names_their_spans(self):
+        # The second \\begin{verbatim} is never searched: the first found no \\end.
+        text = "\\begin{verbatim} \\begin{lstlisting}x\\end{lstlisting} \\begin{verbatim}"
+        listing = text.index("\\begin{lstlisting}")
+        end = text.index(" ", listing)
+        assert environment_spans(text, OPAQUE_ENVIRONMENTS) == [(listing, end)]
+
+    def test_names_take_no_other_suffix(self):
+        assert environment_spans("\\begin{figures}\\end{figures}", ("figure",)) == []
+
+    def test_starred_bibliography_is_dropped(self):
+        src = "a\\begin{thebibliography*}{9}\\bibitem{x} X.\\end{thebibliography*}b"
+        assert strip_bibliography(src) == "ab"
+
+    def test_starred_subfigure_holds_its_labels(self):
+        body = (
+            "\\begin{figure}\\label{fig:main}"
+            "\\begin{subfigure*}\\label{fig:a}\\end{subfigure*}\\end{figure}"
+        )
+        env = find_figure_environments(body)[0]
+        assert env.labels == ["fig:main", "fig:a"]
+        assert env.outer_labels == ["fig:main"]
+
+
+# Short strings of these tokens reach every extent, definition and argument rule.
+LATEX_TOKENS = [
+    "\\begin{figure}", "\\end{figure}", "\\begin{figure*}", "\\end{figure*}",
+    "\\begin{subfigure}", "\\end{subfigure}", "\\begin{thebibliography}",
+    "\\end{thebibliography}", "\\begin{verbatim}", "\\end{verbatim}",
+    "\\begin{lstlisting}", "\\end{lstlisting}", "\\newcommand", "\\newcommand{\\q}{",
+    "\\newcommand\\r[1]{", "\\renewcommand*{\\q}", "\\def\\q{", "\\def\\r#1{", "\\def\\q",
+    "#1", "#2", "[1]", "[", "]", "1", "\\q", "\\r", "\\qq", "\\q\\q", "{", "{", "}", "}", "}",
+    "\\{", "\\}", "\\\\", "\\label{a}", "\\label{b}", "\\bibliography{refs}", "x", " ", "\n",
+]
+
+
+@given(st.lists(st.sampled_from(LATEX_TOKENS), max_size=30).map("".join))
+@settings(max_examples=600, deadline=None)
+def test_extents_and_expansion_equal_the_fresh_scan_oracles(text):
+    assert environment_spans(text, ("figure",)) == spans_oracle(FIGURE_ENV_RE, text)
+    assert environment_spans(text, ("subfigure",)) == spans_oracle(SUBFIGURE_ENV_RE, text)
+    assert environment_spans(text, ("thebibliography",)) == spans_oracle(BIB_ENV_RE, text)
+    assert environment_spans(text, OPAQUE_ENVIRONMENTS) == spans_oracle(OPAQUE_ENV_RE, text)
+    envs = [(env.span, env.labels, env.outer_labels) for env in find_figure_environments(text)]
+    assert envs == figure_labels_oracle(text)
+    assert strip_bibliography(text) == strip_bibliography_oracle(text)
+    try:
+        expected = expand_macros_oracle(text)
+    except OracleLimit:
+        with pytest.raises(RecursionLimitExceeded):
+            expand_macros(text)
+    else:
+        assert expand_macros(text) == expected
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail the block with TimeoutError once it has run for seconds of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestLinearTime:
+    """Each hostile shape, about 320 KB, finishes within 2 s.
+
+    A scan that restarts at every unclosed construct is quadratic: at this
+    size it takes minutes, so the bound tells linear from quadratic with a
+    wide margin.
+    """
+
+    @pytest.mark.parametrize(
+        "text, run",
+        [
+            ("\\begin{figure}" * 23_000, find_figure_environments),
+            ("\\begin{figure}" + "\\begin{subfigure}" * 19_000, find_figure_environments),
+            (
+                "\\begin{figure}" + "\\begin{subfigure}\\label{a}\\end{subfigure}" * 8_000
+                + "\\end{figure}",
+                find_figure_environments,
+            ),
+            ("\\begin{thebibliography}" * 14_000, strip_bibliography),
+            ("\\begin{verbatim}" * 20_000, strip_comments),
+            ("\\newcommand{\\q}{" * 20_000, expand_macros),
+            ("\\def\\q{" * 46_000, expand_macros),
+            ("\\newcommand{\\q}{" * 19_000 + "}" * 19_000, expand_macros),
+            ("\\newcommand{\\q}[1]{x#1}\n" + "\\q{" * 107_000, expand_macros),
+            ("\\newcommand\\q[" * 23_000, expand_macros),
+            ("\\def\\q" + " " * 320_000, expand_macros),
+        ],
+        ids=[
+            "unclosed-figures", "unclosed-subfigures", "labels-in-subfigures",
+            "unclosed-bibliographies", "unclosed-verbatims", "unclosed-definitions",
+            "unclosed-defs", "nested-definitions", "unclosed-arguments",
+            "unclosed-arities", "def-then-spaces",
+        ],
+    )
+    def test_hostile_shape_is_linear(self, text, run):
+        assert 300_000 <= len(text) <= 350_000
+        with within(2.0):
+            run(text)
+
+    def test_nested_distinct_definitions_hit_the_growth_limit(self):
+        # The bodies add up to about 2.4 G characters; the cap on the winning
+        # bodies is checked before any of them is copied.
+        text = nested_distinct_definitions(16_000)
+        assert 300_000 <= len(text) <= 350_000
+        with within(2.0), pytest.raises(RecursionLimitExceeded, match="grew the text"):
+            expand_macros(text)
+
+    def test_nested_distinct_definitions_take_memory_linear_in_the_text(self):
+        # Copying every body would take about 2,000 bytes per input character here.
+        text = nested_distinct_definitions(4_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RecursionLimitExceeded):
+                expand_macros(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * len(text)
+
+    @pytest.mark.parametrize("body", ["a\\\\", "a\\}b", "{a}\\{", "a\\\\\\}b", "\\\\{a}"])
+    def test_reads_after_the_scan_budget_keep_the_escape_rule(self, body):
+        # Two unclosed groups scan to the end, which spends a reader's budget, so
+        # the \\def's body and the third use's argument are read from brace tables.
+        text = "\\newcommand{\\p}{" * 2 + "\\def\\r#1{" + body + "#1}"
+        text += "\\r{" * 3 + body + "}"
+        assert expand_macros(text) == expand_macros_oracle(text)
+        assert "\\def" not in expand_macros(text)
+
+    def test_growth_limit_counts_only_the_winning_body_of_a_name(self):
+        # Nested definitions of one name: only the innermost, "x", is kept.
+        text = "\\newcommand{\\q}{" * 2_000 + "x" + "}" * 2_000 + "\\q"
+        assert expand_macros(text) == "x"
+
+    def test_winning_bodies_past_the_growth_limit_raise(self):
+        text = nested_distinct_definitions(2 * MACRO_GROWTH_LIMIT + 4)
+        with pytest.raises(RecursionLimitExceeded, match="grew the text"):
+            expand_macros(text)
+        with pytest.raises(OracleLimit):
+            expand_macros_oracle(text)

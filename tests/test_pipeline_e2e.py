@@ -55,7 +55,7 @@ from figqa.pipeline import (
 from figqa.verification import VOTE_COUNT
 
 from e2e_corpus import SEED
-from helpers import StubEndpoint, make_record, ok_response
+from helpers import StubEndpoint, make_record, nested_distinct_definitions, ok_response
 from loopback import Loopback, ScriptAnswers
 
 LETTERS = "ABCD"
@@ -2220,11 +2220,13 @@ class TestExitCodes:
         # with MemoryError unless expansion gave up as soon as its growth limit
         # is passed: the first doubles the text on every pass, the second
         # builds 1.2 G characters in its second pass, the third 1.8 G in the
-        # arguments of a single use.
+        # arguments of a single use, and the fourth nests 16,000 definitions
+        # of distinct names, whose bodies add up to 2.4 G characters.
         preambles = [
             "\\newcommand{\\x}{\\x{}\\x{}}\n\\x\n",
             "\\def\\a{" + "\\b " * 20_000 + "}\\def\\b{" + "x" * 60_000 + "}\\a\n",
             "\\def\\a#1{" + "#1" * 30_000 + "}\\a{" + "x" * 60_000 + "}\n",
+            nested_distinct_definitions(16_000) + "\n",
         ]
         rows = read_jsonl(e2e_bundle.corpus_path)
         runaway, other = sorted({row["arxiv_id"] for row in rows})[:2]
