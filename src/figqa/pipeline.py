@@ -431,6 +431,11 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
     )
 
 
+def _contexts_by_digest(path: Path) -> dict[str, str]:
+    """Each figure context's text, keyed by the context_digest generate stamps on a candidate."""
+    return {context_digest(ctx.context): ctx.context for ctx in ds.read_rows(path, FigureContext)}
+
+
 def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
     """Run the filter cascade over all candidates, resumably."""
     out_dir = Path(cfg.output)
@@ -438,12 +443,7 @@ def stage_verify(cfg: RunConfig, endpoints: dict) -> dict:
         ds.read_rows(out_dir / "candidates.jsonl", QACandidate, ds.check_question),
         key=lambda c: c.key,
     )
-    # Keyed by the digest generate stamped on each candidate, so a context
-    # changed or removed since generate is never paired with its candidates.
-    contexts = {
-        context_digest(ctx.context): ctx.context
-        for ctx in ds.read_rows(out_dir / "figure_contexts.jsonl", FigureContext)
-    }
+    contexts = _contexts_by_digest(out_dir / "figure_contexts.jsonl")
     templates = load_templates(cfg.prompts)
     log = vf.VerdictLog(out_dir / "verdict_log.jsonl")
 
@@ -608,7 +608,19 @@ def stage_stats(cfg: RunConfig) -> dict:
         funnel = asdict(stats)
         table = stats.format_table()
 
-    report = replay_verdicts(verdicts, records)
+    # A verdict judged a retained record only if it answered the request its filter makes now.
+    contexts = _contexts_by_digest(out_dir / "figure_contexts.jsonl")
+    templates = load_templates(cfg.prompts)
+    requests = {
+        record.key: {
+            step.name: Request(cfg.endpoint_config(step.endpoint),
+                               *vf.filter_request(step, record, context, templates)).digest
+            for step in vf.CASCADE
+        }
+        for record in records
+        if (context := contexts.get(record.provenance.get("context_digest"))) is not None
+    }
+    report = replay_verdicts(verdicts, records, requests)
     discards = ds.read_json(out_dir / "manifest_extract.json").get("discards")
     if not isinstance(discards, dict) or any(type(n) is not int for n in discards.values()):
         raise UpstreamInputError("manifest_extract.json: discards must map each kind to an integer")
@@ -707,6 +719,7 @@ def _stored_manifest(path: Path) -> dict:
         return {}
 
 
+_CASCADE_TEMPLATES = tuple(dict.fromkeys(step.template for step in vf.CASCADE))
 STAGES = (
     Stage("prepare", stage_prepare, (), ("papers_clean.jsonl", "manifest_prepare.json"), (), (),
           lambda m: f"prepared {m['papers_prepared']} of {m['papers_in']} papers "
@@ -722,7 +735,7 @@ STAGES = (
                     f"({m['declined']} declined)"),
     Stage("verify", stage_verify, ("candidates.jsonl", "figure_contexts.jsonl"),
           ("verdict_log.jsonl", "retained.jsonl", "verify_discards.jsonl", "manifest_verify.json"),
-          ("text", "vision"), tuple(dict.fromkeys(step.template for step in vf.CASCADE)),
+          ("text", "vision"), _CASCADE_TEMPLATES,
           lambda m: f"retained {m['retained']} of {m['candidates']} candidates "
                     f"(rejected: {json.dumps(m['rejected_by_stage'], sort_keys=True)})"),
     Stage("annotate", stage_annotate, ("retained.jsonl",),
@@ -731,8 +744,9 @@ STAGES = (
           lambda m: f"annotated {m['records']} records (figure type {m['figure_type_labeled']}, "
                     f"question type {m['question_type_labeled']})"),
     Stage("stats", stage_stats, ("manifest_prepare.json", "claims.jsonl", "candidates.jsonl",
-                                 "verdict_log.jsonl", "retained.jsonl", "manifest_extract.json"),
-          ("stats.json",), (), (),
+                                 "verdict_log.jsonl", "retained.jsonl", "manifest_extract.json",
+                                 "figure_contexts.jsonl"),
+          ("stats.json",), (), _CASCADE_TEMPLATES,
           lambda m: f"{m['table']}\n{m['replay_summary']}"),
     Stage("evaluate", stage_evaluate, _evaluate_reads,
           ("eval_summary.json", "eval_report.txt", "manifest_evaluate.json"), ("eval",),

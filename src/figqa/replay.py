@@ -2,10 +2,11 @@
 
 Re-derives the retained set from the logged verdicts and checks it against
 the written records: retention must equal the conjunction of all recorded
-verdicts, cascade order must short-circuit, and every retained record's
-reasoning must come from the vote that agrees with the majority. The check
-takes the rows the caller read and never reads a file; it shares the filter
-names, their order and the vote count with the cascade, never its logic.
+verdicts, cascade order must short-circuit, a retained record's verdicts must
+answer its own requests, and its reasoning must come from the vote that agrees
+with the majority. The check takes the rows and request digests the caller
+gives and never reads a file; it shares the filter names, their order and the
+vote count with the cascade, never its logic.
 """
 
 from __future__ import annotations
@@ -33,8 +34,15 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def replay_verdicts(verdicts: list[FilterVerdict], records: list[VerifiedRecord]) -> ReplayReport:
-    """Check conjunction retention and vote/reasoning coupling over the given rows."""
+def replay_verdicts(
+    verdicts: list[FilterVerdict],
+    records: list[VerifiedRecord],
+    requests: dict[str, dict[str, str]],
+) -> ReplayReport:
+    """Check retention, the requests and vote/reasoning coupling over the given rows.
+
+    requests maps a retained record's key to its request digest per filter name.
+    """
     problems: list[str] = []
     by_candidate: dict[str, dict[str, FilterVerdict]] = {}
     seen: set[tuple[str, str]] = set()
@@ -75,6 +83,12 @@ def replay_verdicts(verdicts: list[FilterVerdict], records: list[VerifiedRecord]
         problems.append(f"{key}: all verdicts passed but record is missing")
 
     for record in records:
+        expected = requests.get(record.key)
+        if expected is None:
+            problems.append(f"{record.key}: no figure context has the record's context_digest")
+        for name, verdict in by_candidate.get(record.key, {}).items():
+            if expected is not None and verdict.transcript_ref != expected.get(name):
+                problems.append(f"{record.key}: {name} verdict answered another request")
         vision = by_candidate.get(record.key, {}).get(FILTER_VISION)
         if vision is None:
             continue  # already reported via set difference

@@ -24,10 +24,19 @@ from figqa.dataset import compute_funnel, read_dataset, read_rows, stratified_sa
 from figqa.errors import RecursionLimitExceeded
 from figqa.eval_harness import evaluate
 from figqa.figure_context import levenshtein_distance, levenshtein_similarity
-from figqa.gateway import load_templates
+from figqa.gateway import Request, load_templates
+from figqa.generation import context_digest
 from figqa.latex_prep import clean_paper
+from figqa.pipeline import RunConfig
 from figqa.replay import replay_verdicts
-from figqa.verification import CASCADE, TIE, FilterVerdict, apply_filter, majority_vote
+from figqa.verification import (
+    CASCADE,
+    TIE,
+    FilterVerdict,
+    apply_filter,
+    filter_request,
+    majority_vote,
+)
 
 from helpers import StubEndpoint, make_candidate, make_record
 from oracles import (
@@ -194,9 +203,27 @@ def test_criterion_6_retention_replay(e2e_bundle, run_cli, tmp_path):
         assert retained_keys == conjunction
         assert len(verdicts) == e2e_bundle.expectations["candidates"]
 
+        # Each retained record's requests, rendered again from its figure context.
+        cfg = RunConfig.from_yaml(config)
+        contexts = {
+            context_digest(row["context"]): row["context"]
+            for row in read_jsonl(out / "figure_contexts.jsonl")
+        }
+        records = read_dataset(out / "retained.jsonl")
+        requests = {
+            record.key: {
+                step.name: Request(
+                    cfg.endpoint_config(step.endpoint),
+                    *filter_request(
+                        step, record, contexts[record.provenance["context_digest"]], TEMPLATES
+                    ),
+                ).digest
+                for step in CASCADE
+            }
+            for record in records
+        }
         report = replay_verdicts(
-            read_rows(out / "verdict_log.jsonl", FilterVerdict),
-            read_dataset(out / "retained.jsonl"),
+            read_rows(out / "verdict_log.jsonl", FilterVerdict), records, requests
         )
         assert report.ok, report.problems
         assert report.candidates == len(verdicts)

@@ -1423,6 +1423,18 @@ REPLAY_EDITS = {
         _set("log", 2, "passed", False),
         "VisualDependenceVision failed but a later filter was still recorded",
     ),
+    "edited-question": (
+        _set("retained", 0, "question", "Which edited question did no filter see?"),
+        "SourceConsistency verdict answered another request",
+    ),
+    "transcript-of-another-request": (
+        _set("log", 2, "transcript_ref", "0" * 64),
+        "VisualDependenceVision verdict answered another request",
+    ),
+    "context-digest-of-no-context": (
+        lambda f: f["retained"][0]["provenance"].update(context_digest="0" * 64),
+        "no figure context has the record's context_digest",
+    ),
 }
 
 
@@ -1711,6 +1723,21 @@ class TestExitCodes:
         proc = run_cli([*command, "--config", str(config)])
         assert proc.returncode == 3
         assert "INCONSISTENT" in proc.stdout
+
+    def test_record_whose_verdicts_judged_another_question_fails_replay(
+        self, full_run, e2e_bundle, run_cli, tmp_path
+    ):
+        out = tmp_path / "edited_question"
+        shutil.copytree(full_run.out, out)
+        path = out / "retained.jsonl"
+        rows = read_jsonl(path)
+        rows[0]["question"] = "Which edited question did no filter see?"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        proc = run_cli(["stats", "--config", str(e2e_bundle.make_config(out))])
+        assert proc.returncode == 3
+        assert "verdict replay: INCONSISTENT" in proc.stdout
+        for name in vf.CASCADE_ORDER:
+            assert f"{rows[0]['key']}: {name} verdict answered another request" in proc.stdout
 
     def test_candidate_whose_context_changed_is_an_input_error(
         self, full_run, e2e_bundle, run_cli, tmp_path
