@@ -432,7 +432,8 @@ def stage_generate(cfg: RunConfig, endpoints: dict) -> dict:
 
 
 def _contexts_by_digest(path: Path) -> dict[str, str]:
-    """Each figure context's text, keyed by the context_digest generate stamps on a candidate."""
+    """Each figure context's text, keyed by the context_digest generate stamps on a candidate,
+    so a context changed or removed since generate is never paired with its candidates."""
     return {context_digest(ctx.context): ctx.context for ctx in ds.read_rows(path, FigureContext)}
 
 
